@@ -16,7 +16,9 @@ coefficients of order k.  The complementary quantity
 
 is the exact maximal probability that the sum lands in a union of m sets of
 diameter < 2h, attained by the symmetric three-point laws
-(1-p_i) d_0 + (p_i/2)(d_{-h} + d_{+h}).  Everything is exact rational.
+(1-p_i) d_0 + (p_i/2)(d_{-h} + d_{+h}).  Everything is exact: the three
+sums are formed on integers over one common denominator, 2^n times that of
+the Poisson binomial pmf, and become Fractions only when returned.
 """
 
 from __future__ import annotations
@@ -24,19 +26,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 from .distributions import (
     LatticeDistribution,
+    _poisson_binomial_weights,
     as_success_vector,
     convolve,
     interval_mass,
     point_mass,
-    poisson_binomial,
     symmetric_three_point,
 )
-from .exactmath import largest_binomial_ratio
+from .exactmath import largest_binomial_sum
 from .rational import parse_rational
 
 
@@ -47,7 +49,7 @@ class BoundReport:
     per_k_terms lists (k, B_p({k}), improved weight 1 - 2^{-k} F_k(m)) for
     every k in 0..n; weights for k <= t/h do not enter the bounds but make
     the complement identity improved = 1 - kanter_sup checkable from the
-    report alone.
+    report alone.  Construction raises ValueError if the invariants fail.
     """
 
     t: Fraction
@@ -60,18 +62,45 @@ class BoundReport:
     per_k_terms: tuple[tuple[int, Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        assert 0 <= self.nagaev <= 1, f"nagaev bound {self.nagaev} outside [0,1]"
-        assert 0 <= self.improved <= 1, f"improved bound {self.improved} outside [0,1]"
-        assert self.improved >= self.nagaev
-        assert self.improved == 1 - self.kanter_sup
+        if not 0 <= self.nagaev <= 1:
+            raise ValueError(f"nagaev bound {self.nagaev} outside [0,1]")
+        if not 0 <= self.improved <= 1:
+            raise ValueError(f"improved bound {self.improved} outside [0,1]")
+        if self.improved < self.nagaev:
+            raise ValueError(f"improved bound {self.improved} below nagaev {self.nagaev}")
+        if self.improved != 1 - self.kanter_sup:
+            raise ValueError(
+                f"improved bound {self.improved} != 1 - kanter_sup {self.kanter_sup}"
+            )
 
 
-def _pmf_list(p: Sequence[Fraction]) -> list[Fraction]:
-    dist = poisson_binomial(p)
-    pmf = [Fraction(0)] * (len(p) + 1)
-    for x, m in dist.atoms:
-        pmf[int(x)] = m
-    return pmf
+@lru_cache(maxsize=1)
+def _scaled_pmf(p: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """B_p over the bounds' common denominator: (w_0, ..., w_n) and C with
+    2^{-k} B_p({k}) = w_k / C, where C = 2^n D for the pmf's denominator D.
+
+    One entry is enough: a bound table evaluates one p at many t.
+    """
+    coeffs, den = _poisson_binomial_weights(p)
+    n = len(p)
+    return tuple(c << (n - k) for k, c in enumerate(coeffs)), den << n
+
+
+def _bound_sums(p: tuple[Fraction, ...], m: int) -> tuple[int, int, int, int]:
+    """Numerators of the Nagaev bound, the improved bound and the Kanter
+    supremum at window index m, and their common denominator.
+
+    k > t/h is k >= m, since m = floor(t/h) + 1.
+    """
+    scaled, common = _scaled_pmf(p)
+    nagaev = improved = kanter = 0
+    for k, w in enumerate(scaled):
+        f = largest_binomial_sum(k, m)
+        kanter += f * w
+        if k >= m:
+            nagaev += w
+            improved += ((1 << k) - f) * w
+    return nagaev, improved, kanter, common
 
 
 def _check_domain(n: int, h: Fraction, t: Fraction) -> None:
@@ -83,34 +112,29 @@ def _check_domain(n: int, h: Fraction, t: Fraction) -> None:
 
 def window_index(t, h) -> int:
     """m = floor(t/h) + 1, the number of width-2h sets covering [-t, t]-ish."""
-    return math.floor(parse_rational(t) / parse_rational(h)) + 1
+    t, h = parse_rational(t), parse_rational(h)
+    return t.numerator * h.denominator // (t.denominator * h.numerator) + 1
+
+
+def _validated(p: Sequence, h, t) -> tuple[tuple[Fraction, ...], Fraction, Fraction, int]:
+    p = as_success_vector(p)
+    h, t = parse_rational(h), parse_rational(t)
+    _check_domain(len(p), h, t)
+    return p, h, t, window_index(t, h)
 
 
 def nagaev_bound(p: Sequence, h, t) -> Fraction:
     """Exact value of sum_{k > t/h} 2^{-k} B_p({k})."""
-    p = as_success_vector(p)
-    h, t = parse_rational(h), parse_rational(t)
-    _check_domain(len(p), h, t)
-    pmf = _pmf_list(p)
-    ratio = t / h
-    return sum(
-        (Fraction(1, 1 << k) * pmf[k] for k in range(len(pmf)) if k > ratio),
-        Fraction(0),
-    )
+    p, _, _, m = _validated(p, h, t)
+    nagaev, _, _, common = _bound_sums(p, m)
+    return Fraction(nagaev, common)
 
 
 def improved_bound(p: Sequence, h, t) -> Fraction:
     """Exact value of sum_{k > t/h} (1 - 2^{-k} F_k(m)) B_p({k})."""
-    p = as_success_vector(p)
-    h, t = parse_rational(h), parse_rational(t)
-    _check_domain(len(p), h, t)
-    pmf = _pmf_list(p)
-    m = window_index(t, h)
-    ratio = t / h
-    return sum(
-        ((1 - largest_binomial_ratio(k, m)) * pmf[k] for k in range(len(pmf)) if k > ratio),
-        Fraction(0),
-    )
+    p, _, _, m = _validated(p, h, t)
+    _, improved, _, common = _bound_sums(p, m)
+    return Fraction(improved, common)
 
 
 def kanter_supremum(p: Sequence, m: int) -> Fraction:
@@ -118,11 +142,8 @@ def kanter_supremum(p: Sequence, m: int) -> Fraction:
     p = as_success_vector(p)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    pmf = _pmf_list(p)
-    return sum(
-        (largest_binomial_ratio(k, m) * pmf[k] for k in range(len(pmf))),
-        Fraction(0),
-    )
+    _, _, kanter, common = _bound_sums(p, m)
+    return Fraction(kanter, common)
 
 
 def kanter_supremum_via_stpc(p: Sequence, m: int) -> Fraction:
@@ -140,28 +161,25 @@ def kanter_supremum_via_stpc(p: Sequence, m: int) -> Fraction:
 
 def evaluate_bounds(p: Sequence, h, t) -> BoundReport:
     """Evaluate both bounds at (t, h) with the per-k audit decomposition."""
-    p = as_success_vector(p)
-    h, t = parse_rational(h), parse_rational(t)
-    _check_domain(len(p), h, t)
-    pmf = _pmf_list(p)
-    m = window_index(t, h)
-    ratio = t / h
+    p, h, t, m = _validated(p, h, t)
+    nagaev, improved, kanter, common = _bound_sums(p, m)
+    scaled, _ = _scaled_pmf(p)
     terms = tuple(
-        (k, pmf[k], 1 - largest_binomial_ratio(k, m)) for k in range(len(pmf))
+        (
+            k,
+            Fraction(w << k, common),
+            Fraction((1 << k) - largest_binomial_sum(k, m), 1 << k),
+        )
+        for k, w in enumerate(scaled)
     )
-    nagaev = sum(
-        (Fraction(1, 1 << k) * bk for k, bk, _ in terms if k > ratio), Fraction(0)
-    )
-    improved = sum((w * bk for k, bk, w in terms if k > ratio), Fraction(0))
-    kanter = sum(((1 - w) * bk for _, bk, w in terms), Fraction(0))
     return BoundReport(
         t=t,
         h=h,
         n=len(p),
         m=m,
-        nagaev=nagaev,
-        improved=improved,
-        kanter_sup=kanter,
+        nagaev=Fraction(nagaev, common),
+        improved=Fraction(improved, common),
+        kanter_sup=Fraction(kanter, common),
         per_k_terms=terms,
     )
 

@@ -9,7 +9,7 @@ seeded, fully deterministic cross-check for continuous terms.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -20,6 +20,7 @@ import numpy as np
 from .bounds import improved_bound, window_index
 from .distributions import (
     LatticeDistribution,
+    _abs_tail_weights,
     abs_tail,
     as_success_vector,
     convolve,
@@ -186,26 +187,13 @@ def exact_sum_distribution(
     mass at 0), guarded by a cap on the running support size."""
     total = point_mass(0)
     for term in terms:
-        if len(total.atoms) * len(term.atoms) > max_support:
+        size, term_size = len(total.indices), len(term.indices)
+        if size * term_size > max_support:
             raise SupportCapExceeded(
-                f"support product {len(total.atoms)}x{len(term.atoms)} exceeds cap {max_support}"
+                f"support product {size}x{term_size} exceeds cap {max_support}"
             )
         total = convolve(total, term)
     return total
-
-
-def _abs_tail_table(d: LatticeDistribution) -> tuple[list[Fraction], list[Fraction]]:
-    # Sorted absolute support points with suffix mass sums:
-    # P(|X| > t) = suffix[bisect_right(points, t)].
-    agg: dict[Fraction, Fraction] = {}
-    for x, m in d.atoms:
-        a = -x if x < 0 else x
-        agg[a] = agg.get(a, Fraction(0)) + m
-    points = sorted(agg)
-    suffix = [Fraction(0)] * (len(points) + 1)
-    for i in range(len(points) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + agg[points[i]]
-    return points, suffix
 
 
 @dataclass
@@ -236,23 +224,30 @@ def bound_soundness_sweep(
     Each instance is a list of symmetric lattice laws; p_i = P(|X_i| >= h)
     is computed exactly.  Convolutions and bound evaluations are cached
     across instances (sorted-prefix caching), so exhaustive families
-    enumerated in sorted order stay cheap.
+    enumerated in sorted order stay cheap.  Tails, bounds and slacks are
+    compared as integer fractions; Fractions are built only for the report.
     """
     h = parse_rational(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    ts = sorted(parse_rational(t) for t in t_grid)
+    ts = sorted(t for t in map(parse_rational, t_grid) if t >= 0)
 
     # Caches keyed by object identity for convolution prefixes (families
-    # reuse term objects heavily) and by sorted p-multiset for bounds (the
-    # bound is permutation invariant).  law_by_id keeps keyed objects alive
-    # so ids cannot be recycled.
+    # reuse term objects heavily) and by the sorted multiset of p values for
+    # bounds (the bound is permutation invariant); each distinct p value
+    # gets a small integer code, so a multiset key is a tuple of ints.
+    # law_by_id keeps keyed objects alive so ids cannot be recycled.
     law_by_id: dict[int, LatticeDistribution] = {}
     conv_cache: dict[tuple[int, ...], LatticeDistribution] = {(): point_mass(0)}
     sym_cache: dict[int, bool] = {}
-    p_cache: dict[int, Fraction] = {}
-    bound_cache: dict[tuple, Fraction] = {}
+    p_code: dict[int, int] = {}  # law id -> code of its p value
+    codes: dict[Fraction, int] = {}
+    p_values: list[Fraction] = []  # indexed by code
+    # bound rows: p-multiset key -> (numerator, denominator) per valid t
+    bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    valid_ts: dict[int, list[Fraction]] = {}  # n -> the t in [0, n*h)
     report = SweepReport()
+    min_num = min_den = 0  # min slack as an integer fraction, once checked
 
     def conv_of(key: tuple[int, ...]) -> LatticeDistribution:
         if key not in conv_cache:
@@ -263,7 +258,13 @@ def bound_soundness_sweep(
     for index, terms in enumerate(instances):
         terms = list(terms)
         for d in terms:
-            law_by_id.setdefault(id(d), d)
+            law_id = id(d)
+            if law_id not in law_by_id:
+                law_by_id[law_id] = d
+                p = abs_tail(d, h, strict=False)
+                code = p_code[law_id] = codes.setdefault(p, len(codes))
+                if code == len(p_values):
+                    p_values.append(p)
         if check_symmetry:
             for d in terms:
                 key = id(d)
@@ -274,29 +275,32 @@ def bound_soundness_sweep(
         n = len(terms)
         ids = tuple(sorted(id(d) for d in terms))
         total = conv_of(ids)
-        p = []
-        for law_id in ids:
-            if law_id not in p_cache:
-                p_cache[law_id] = abs_tail(law_by_id[law_id], h, strict=False)
-            p.append(p_cache[law_id])
-        p = tuple(sorted(p))
-        points, suffix = _abs_tail_table(total)
+        if n not in valid_ts:
+            valid_ts[n] = ts[: bisect_left(ts, n * h)]
+        grid = valid_ts[n]
+        p_key = tuple(sorted(p_code[law_id] for law_id in ids))
+        bounds = bound_cache.get(p_key)
+        if bounds is None:
+            p = tuple(sorted(p_values[code] for code in p_key))
+            bounds = bound_cache[p_key] = [
+                (b.numerator, b.denominator) for b in (improved_bound(p, h, t) for t in grid)
+            ]
+        tails = _abs_tail_weights(total, grid, strict=True)
+        den = total.den
         report.instances += 1
-        for t in ts:
-            if not 0 <= t < n * h:
-                continue
-            bkey = (p, t)
-            if bkey not in bound_cache:
-                bound_cache[bkey] = improved_bound(p, h, t)
-            bound = bound_cache[bkey]
-            tail = suffix[bisect_right(points, t)]
-            slack = tail - bound
-            report.checks += 1
-            if report.min_slack is None or slack < report.min_slack:
-                report.min_slack = slack
-                report.min_slack_at = (index, t)
-            if slack < 0:
-                report.violations.append((index, t, bound, tail))
+        report.checks += len(grid)
+        for j, (tail, (b_num, b_den)) in enumerate(zip(tails, bounds)):
+            # slack = tail/den - b_num/b_den
+            s_num, s_den = tail * b_den - b_num * den, den * b_den
+            if not min_den or s_num * min_den < min_num * s_den:
+                min_num, min_den = s_num, s_den
+                report.min_slack_at = (index, grid[j])
+            if s_num < 0:
+                report.violations.append(
+                    (index, grid[j], Fraction(b_num, b_den), Fraction(tail, den))
+                )
+    if min_den:
+        report.min_slack = Fraction(min_num, min_den)
     return report
 
 

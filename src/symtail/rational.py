@@ -16,7 +16,9 @@ def parse_rational(value) -> Fraction:
     """Parse an int, Fraction, or a "num/den" / integer string."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
+import symtail
 from symtail.bounds import (
+    BoundReport,
     evaluate_bounds,
     extremal_distribution,
     extremal_interval_check,
@@ -139,6 +144,43 @@ class TestEvaluateBounds:
                 (w * bk for k, bk, w in report.per_k_terms if k > t / h), Fraction(0)
             )
             assert rebuilt == report.improved
+
+
+    # Each corrupts one invariant of the valid report at p = (1/2,), h = 1,
+    # t = 0: nagaev = 1/4, improved = 1/4, kanter_sup = 3/4.
+    CORRUPTIONS = (
+        {"nagaev": Fraction(-1, 4)},
+        {"improved": Fraction(5, 4)},
+        {"nagaev": Fraction(1, 2)},
+        {"kanter_sup": Fraction(1, 2)},
+    )
+
+    @pytest.mark.parametrize("change", CORRUPTIONS)
+    def test_corrupted_report_rejected(self, change):
+        fields = vars(evaluate_bounds(["1/2"], 1, 0)) | change
+        with pytest.raises(ValueError):
+            BoundReport(**fields)
+
+    def test_invariants_survive_optimize_flag(self):
+        # python -O strips asserts; the invariant checks must still fire.
+        code = (
+            "from fractions import Fraction\n"
+            "from symtail.bounds import BoundReport, evaluate_bounds\n"
+            "fired = 0\n"
+            f"for change in {self.CORRUPTIONS!r}:\n"
+            "    try:\n"
+            "        BoundReport(**(vars(evaluate_bounds(['1/2'], 1, 0)) | change))\n"
+            "    except ValueError:\n"
+            "        fired += 1\n"
+            "print(fired)\n"
+        )
+        src = os.path.dirname(os.path.dirname(symtail.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(len(self.CORRUPTIONS))]
 
 
 class TestSoundness:

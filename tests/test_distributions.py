@@ -1,6 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +47,13 @@ class TestConstruction:
     def test_json_round_trip(self):
         d = dist({"-1/2": "1/4", 0: "1/2", "1/2": "1/4"})
         assert LatticeDistribution.from_json_dict(d.to_json_dict()) == d
+
+    def test_immutable_and_copyable(self):
+        d = dist({"-1/2": "1/4", 0: "1/2", "1/2": "1/4"})
+        with pytest.raises(AttributeError):
+            d.den = 2
+        assert copy.deepcopy(d) == d
+        assert pickle.loads(pickle.dumps(d)) == d
 
     def test_json_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -218,6 +228,12 @@ class TestPredicates:
 
     def test_unimodal_span_zero_only_point_masses(self):
         assert not is_unimodal_with_span(coin(), 0)
+
+    def test_unimodal_fine_span_needs_no_dense_scan(self):
+        # two atoms 2*10^9 spans apart: rejected from the lattice form alone
+        started = time.perf_counter()
+        assert not is_unimodal_with_span(coin(), Fraction(1, 10**9))
+        assert time.perf_counter() - started < 1
 
     def test_unimodal_off_lattice(self):
         assert not is_unimodal_with_span(dist({0: "1/2", "1/3": "1/2"}), 1)

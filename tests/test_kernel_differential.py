@@ -1,0 +1,212 @@
+"""Differential tests: the integer-lattice kernel against the per-atom
+Fraction references in util.py, on random rational laws (non-integer steps,
+half-lattice offsets, wide sparse gaps, point masses, mixed denominators)."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from symtail.distributions import (
+    LatticeDistribution,
+    abs_stochastically_geq,
+    abs_tail,
+    convolve,
+    interval_mass,
+    is_symmetric,
+    is_unimodal_with_span,
+    poisson_binomial,
+    symmetric_three_point,
+)
+from symtail.oracles import SupportCapExceeded, exact_sum_distribution
+
+from util import (
+    ref_abs_stochastically_geq,
+    ref_abs_tail,
+    ref_convolve,
+    ref_interval_mass,
+    ref_is_symmetric,
+    ref_is_unimodal_with_span,
+    ref_poisson_binomial,
+    ref_symmetric_three_point,
+)
+
+offsets = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6]))
+steps = st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 2, 3, 5]))
+probabilities = st.builds(
+    lambda num, den: Fraction(min(num, den), den), st.integers(0, 12), st.integers(1, 12)
+)
+
+
+def _normalized(points, raw_masses):
+    total = sum(raw_masses)
+    return tuple((x, m / total) for x, m in zip(points, raw_masses))
+
+
+def _raw_masses(draw, size):
+    # each mass over its own denominator, so the law's denominators are mixed
+    return [
+        Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 7))) for _ in range(size)
+    ]
+
+
+@st.composite
+def laws(draw, wide=True):
+    """Atoms of a random law on offset + step*Z; size 1 gives a point mass.
+
+    Equal masses (drawn half the time) make palindromic weight sequences
+    common, so symmetry must be decided by the support as well.
+    """
+    offset, step = draw(offsets), draw(steps)
+    size = draw(st.integers(1, 6))
+    top = 10**6 if wide and draw(st.booleans()) else 12
+    indices = sorted(draw(st.sets(st.integers(0, top), min_size=size, max_size=size)))
+    masses = [Fraction(1)] * size if draw(st.booleans()) else _raw_masses(draw, size)
+    return _normalized([offset + step * i for i in indices], masses)
+
+
+@st.composite
+def symmetric_laws(draw):
+    """Atoms of a random symmetric law on step*Z or step*(Z + 1/2)."""
+    step = draw(steps)
+    shift = step / 2 if draw(st.booleans()) else Fraction(0)
+    masses: dict[Fraction, Fraction] = {}
+    for k in draw(st.sets(st.integers(0, 20), min_size=1, max_size=4)):
+        x = step * k + shift
+        m = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 5)))
+        masses[x] = masses.get(x, Fraction(0)) + m
+        masses[-x] = masses.get(-x, Fraction(0)) + m
+    points = sorted(masses)
+    return _normalized(points, [masses[x] for x in points])
+
+
+@st.composite
+def unimodal_candidates(draw):
+    """Atoms on consecutive lattice points, often with rise-then-fall masses."""
+    offset, step = draw(offsets), draw(steps)
+    size = draw(st.integers(1, 7))
+    masses = _raw_masses(draw, size)
+    if draw(st.booleans()):
+        peak = draw(st.integers(0, size))
+        masses = sorted(masses[:peak]) + sorted(masses[peak:], reverse=True)
+    if size > 2 and draw(st.booleans()):  # punch a gap
+        hole = draw(st.integers(1, size - 2))
+        return _normalized(
+            [offset + step * i for i in range(size) if i != hole],
+            [m for i, m in enumerate(masses) if i != hole],
+        )
+    return _normalized([offset + step * i for i in range(size)], masses)
+
+
+@st.composite
+def centred_laws(draw):
+    """A support whose end points are symmetric about 0, with equal masses
+    (symmetric exactly when the interior points are) or random ones."""
+    step, last = draw(steps), draw(st.integers(2, 12))
+    interior = draw(st.sets(st.integers(1, last - 1), max_size=last - 1))
+    indices = sorted({0, last} | interior)
+    size = len(indices)
+    masses = [Fraction(1)] * size if draw(st.booleans()) else _raw_masses(draw, size)
+    return _normalized([step * (2 * i - last) / 2 for i in indices], masses)
+
+
+any_laws = st.one_of(laws(), symmetric_laws())
+
+
+def law(atoms) -> LatticeDistribution:
+    return LatticeDistribution(atoms)
+
+
+def thresholds(atoms):
+    """Support points, their negations and midpoints: every boundary case."""
+    xs = sorted({x for x, _ in atoms} | {-x for x, _ in atoms})
+    return st.sampled_from(xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [Fraction(0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_laws, any_laws)
+def test_convolve(a1, a2):
+    out = convolve(law(a1), law(a2))
+    expected = ref_convolve(a1, a2)
+    assert out.atoms == expected
+    rebuilt = law(expected)
+    assert out == rebuilt and hash(out) == hash(rebuilt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(probabilities, min_size=1, max_size=9))
+def test_poisson_binomial(p):
+    out = poisson_binomial(p)
+    assert out.atoms == ref_poisson_binomial(p)
+    assert out == law(out.atoms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(probabilities, min_size=1, max_size=7), steps)
+def test_symmetric_three_point(p, h):
+    out = symmetric_three_point(p, h)
+    assert out.atoms == ref_symmetric_three_point(p, h)
+    assert out == law(out.atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_laws, st.data())
+def test_abs_tail(atoms, data):
+    t = abs(data.draw(thresholds(atoms)))
+    for strict in (True, False):
+        assert abs_tail(law(atoms), t, strict=strict) == ref_abs_tail(atoms, t, strict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_laws, st.data())
+def test_interval_mass(atoms, data):
+    lo, hi = sorted((data.draw(thresholds(atoms)), data.draw(thresholds(atoms))))
+    for lo_closed in (True, False):
+        for hi_closed in (True, False):
+            assert interval_mass(law(atoms), lo, hi, lo_closed, hi_closed) == (
+                ref_interval_mass(atoms, lo, hi, lo_closed, hi_closed)
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_laws, centred_laws()))
+def test_is_symmetric(atoms):
+    assert is_symmetric(law(atoms)) == ref_is_symmetric(atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(unimodal_candidates(), laws(wide=False)), st.data())
+def test_is_unimodal_with_span(atoms, data):
+    d = law(atoms)
+    base = d.span or Fraction(1)
+    h = data.draw(
+        st.sampled_from([base, 2 * base, base / 2, base * 3 / 2, Fraction(0), Fraction(1, 7)])
+    )
+    assert is_unimodal_with_span(d, h) == ref_is_unimodal_with_span(atoms, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_laws, any_laws, st.booleans())
+def test_abs_stochastically_geq(u, v, same):
+    v = u if same else v
+    assert abs_stochastically_geq(law(u), law(v)) == ref_abs_stochastically_geq(u, v)
+    w = ref_convolve(u, v)
+    assert abs_stochastically_geq(law(w), law(v)) == ref_abs_stochastically_geq(w, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(laws(wide=False), min_size=1, max_size=4), st.integers(1, 80))
+def test_exact_sum_support_cap(terms, cap):
+    total = ((Fraction(0), Fraction(1)),)
+    over = False
+    for atoms in terms:
+        if len(total) * len(atoms) > cap:
+            over = True
+            break
+        total = ref_convolve(total, atoms)
+    laws_ = [law(atoms) for atoms in terms]
+    if over:
+        with pytest.raises(SupportCapExceeded):
+            exact_sum_distribution(laws_, max_support=cap)
+    else:
+        assert exact_sum_distribution(laws_, max_support=cap).atoms == total

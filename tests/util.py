@@ -54,3 +54,90 @@ def random_symmetric_law(
             masses[k * h] = Fraction(units[k], den)
             masses[-k * h] = Fraction(units[k], den)
     return dist(masses)
+
+
+# --- Straight-line Fraction references ---------------------------------------
+#
+# Per-atom Fraction implementations of the distribution kernel, kept here
+# only, as the oracle for the integer-lattice kernel in symtail.  Laws are
+# plain tuples of (support point, mass) pairs, sorted ascending.
+
+
+def ref_convolve(a1, a2) -> tuple:
+    masses: dict[Fraction, Fraction] = {}
+    for x, mx in a1:
+        for y, my in a2:
+            masses[x + y] = masses.get(x + y, Fraction(0)) + mx * my
+    return tuple(sorted(masses.items()))
+
+
+def ref_poisson_binomial(p) -> tuple:
+    out = ((Fraction(0), Fraction(1)),)
+    for pi in p:
+        coin_p = tuple((x, m) for x, m in ((Fraction(0), 1 - pi), (Fraction(1), pi)) if m)
+        out = ref_convolve(out, coin_p)
+    return out
+
+
+def ref_symmetric_three_point(p, h) -> tuple:
+    out = ((Fraction(0), Fraction(1)),)
+    for pi in p:
+        term = tuple(
+            (x, m) for x, m in ((-h, pi / 2), (Fraction(0), 1 - pi), (h, pi / 2)) if m
+        )
+        out = ref_convolve(out, term)
+    return out
+
+
+def ref_interval_mass(a, lo, hi, lo_closed=True, hi_closed=True) -> Fraction:
+    total = Fraction(0)
+    for x, m in a:
+        above = x > lo or (lo_closed and x == lo)
+        below = x < hi or (hi_closed and x == hi)
+        if above and below:
+            total += m
+    return total
+
+
+def ref_abs_tail(a, t, strict=True) -> Fraction:
+    total = Fraction(0)
+    for x, m in a:
+        if abs(x) > t or (not strict and abs(x) == t):
+            total += m
+    return total
+
+
+def ref_is_symmetric(a) -> bool:
+    masses = dict(a)
+    return all(masses.get(-x) == m for x, m in a)
+
+
+def ref_is_unimodal_with_span(a, h) -> bool:
+    # Dense over the lattice h*Z + min(support): only for narrow supports.
+    if len(a) == 1:
+        return True
+    if h == 0:
+        return False
+    x0 = a[0][0]
+    seq: dict[int, Fraction] = {}
+    for x, m in a:
+        q = (x - x0) / h
+        if q.denominator != 1:
+            return False
+        seq[int(q)] = m
+    dense = [seq.get(k, Fraction(0)) for k in range(max(seq) + 1)]
+    descending = False
+    for prev, cur in zip(dense, dense[1:]):
+        if cur < prev:
+            descending = True
+        elif cur > prev and descending:
+            return False
+    return True
+
+
+def ref_abs_stochastically_geq(u, v) -> bool:
+    thresholds = {abs(x) for x, _ in u} | {abs(x) for x, _ in v}
+    return all(
+        ref_abs_tail(u, t, strict=False) >= ref_abs_tail(v, t, strict=False)
+        for t in thresholds
+    )
