@@ -26,16 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .distributions import (
-    LatticeDistribution,
+from .distributions import (  # noqa: F401  (extremal_distribution is re-exported)
     _poisson_binomial_weights,
     as_success_vector,
-    convolve,
+    extremal_distribution,
     interval_mass,
-    point_mass,
     symmetric_three_point,
 )
 from .exactmath import largest_binomial_sum
@@ -49,7 +47,8 @@ class BoundReport:
     per_k_terms lists (k, B_p({k}), improved weight 1 - 2^{-k} F_k(m)) for
     every k in 0..n; weights for k <= t/h do not enter the bounds but make
     the complement identity improved = 1 - kanter_sup checkable from the
-    report alone.  Construction raises ValueError if the invariants fail.
+    report alone.  It is built from p when read.  Construction raises
+    ValueError if the invariants fail.
     """
 
     t: Fraction
@@ -59,7 +58,7 @@ class BoundReport:
     nagaev: Fraction
     improved: Fraction
     kanter_sup: Fraction
-    per_k_terms: tuple[tuple[int, Fraction, Fraction], ...]
+    p: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if not 0 <= self.nagaev <= 1:
@@ -72,6 +71,15 @@ class BoundReport:
             raise ValueError(
                 f"improved bound {self.improved} != 1 - kanter_sup {self.kanter_sup}"
             )
+
+    @property
+    def per_k_terms(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
+        scaled, common = _scaled_pmf(self.p)
+        m = self.m
+        return tuple(
+            (k, Fraction(w << k, common), Fraction((1 << k) - largest_binomial_sum(k, m), 1 << k))
+            for k, w in enumerate(scaled)
+        )
 
 
 @lru_cache(maxsize=1)
@@ -163,15 +171,6 @@ def evaluate_bounds(p: Sequence, h, t) -> BoundReport:
     """Evaluate both bounds at (t, h) with the per-k audit decomposition."""
     p, h, t, m = _validated(p, h, t)
     nagaev, improved, kanter, common = _bound_sums(p, m)
-    scaled, _ = _scaled_pmf(p)
-    terms = tuple(
-        (
-            k,
-            Fraction(w << k, common),
-            Fraction((1 << k) - largest_binomial_sum(k, m), 1 << k),
-        )
-        for k, w in enumerate(scaled)
-    )
     return BoundReport(
         t=t,
         h=h,
@@ -180,24 +179,8 @@ def evaluate_bounds(p: Sequence, h, t) -> BoundReport:
         nagaev=Fraction(nagaev, common),
         improved=Fraction(improved, common),
         kanter_sup=Fraction(kanter, common),
-        per_k_terms=terms,
+        p=p,
     )
-
-
-def extremal_distribution(p: Sequence, h) -> list[LatticeDistribution]:
-    """The n three-point laws (1-p_i) d_0 + (p_i/2)(d_{-h} + d_{+h}).
-
-    Their convolution attains the concentration supremum among all
-    independent symmetric terms with P(|X_i| < h) <= 1 - p_i.
-    """
-    p = as_success_vector(p)
-    h = parse_rational(h)
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    return [
-        LatticeDistribution.from_masses({-h: pi / 2, 0: 1 - pi, h: pi / 2})
-        for pi in p
-    ]
 
 
 def extremal_interval_check(p: Sequence, h, H) -> tuple[Fraction, Fraction]:
@@ -217,7 +200,7 @@ def extremal_interval_check(p: Sequence, h, H) -> tuple[Fraction, Fraction]:
         raise ValueError(f"half-integer condition fails: ceil(H/h)={m} >= H/h + 1/2")
     a = m * h - H
     sup = kanter_supremum(p, m)
-    total = reduce(convolve, extremal_distribution(p, h), point_mass(0))
+    total = symmetric_three_point(p, h)
     attained = interval_mass(total, -H + a, H + a, lo_closed=False, hi_closed=True)
     return sup, attained
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from . import bounds, oracles, ordering
 from .distributions import LatticeDistribution, abs_tail, as_success_vector, is_symmetric
+from .exactmath import largest_binomial_sum
 from .rational import decimal_str, format_rational, parse_rational
 
 EXIT_OK = 0
@@ -46,6 +47,11 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
         writer.writerows(rows)
 
 
+def _exit_code(rows: Sequence[Sequence]) -> int:
+    """Exit 1 exactly when some row's status (last column) is a violation."""
+    return EXIT_VIOLATION if any(row[-1] == "VIOLATION" for row in rows) else EXIT_OK
+
+
 def _parse_distribution(literal) -> LatticeDistribution:
     try:
         return LatticeDistribution.from_json_dict(literal)
@@ -53,11 +59,11 @@ def _parse_distribution(literal) -> LatticeDistribution:
         raise InputError(f"bad distribution literal: {exc}") from exc
 
 
-def _rational_field(data: dict, key: str) -> Fraction:
-    if key not in data:
+def _rational_field(data: dict, key: str, default=None) -> Fraction:
+    if key not in data and default is None:
         raise InputError(f"missing field {key!r}")
     try:
-        return parse_rational(data[key])
+        return parse_rational(data.get(key, default))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -134,70 +140,61 @@ def cmd_sweep(args) -> int:
     t_grid = _rational_list(data, "t_grid")
     # Self-test knob: shifts the bound before comparison so the negative
     # path (a reported violation, exit 1) is exercisable from a fixture.
-    inflate = parse_rational(data.get("inflate_bound", 0))
+    inflate = _rational_field(data, "inflate_bound", 0)
 
     if "instances" in data:
         instances = [
             [_parse_distribution(lit) for lit in inst] for inst in data["instances"]
         ]
+        for index, terms in enumerate(instances):
+            if len(terms) > args.max_n:
+                raise InputError(f"instance {index} has n={len(terms)} > cap {args.max_n}")
     elif "family" in data:
         fam = data["family"]
         try:
-            instances = list(
-                oracles.symmetric_lattice_family(
-                    max_n=int(fam["max_n"]),
-                    denominator=int(fam.get("denominator", 8)),
-                    radius=int(fam.get("radius", 2)),
-                    h=h,
-                )
+            fam_n = int(fam["max_n"])
+            instances = oracles.symmetric_lattice_family(
+                max_n=fam_n,
+                denominator=int(fam.get("denominator", 8)),
+                radius=int(fam.get("radius", 2)),
+                h=h,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad family description: {exc}") from exc
+        if fam_n > args.max_n:
+            raise InputError(f"family max_n={fam_n} > cap {args.max_n}")
     else:
         raise InputError("input must supply 'instances' or 'family'")
 
-    max_n = args.max_n or 8
     rows = []
-    violations = 0
-    for index, terms in enumerate(instances):
-        if len(terms) > max_n:
-            raise InputError(f"instance {index} has n={len(terms)} > cap {max_n}")
-        for i, term in enumerate(terms):
-            if not is_symmetric(term):
-                raise InputError(f"instance {index} term {i} is not symmetric")
-        n = len(terms)
-        p = tuple(abs_tail(term, h, strict=False) for term in terms)
-        total = oracles.exact_sum_distribution(
-            terms, max_support=args.max_width or 200_000
-        )
-        for t in sorted(t_grid):
-            if not 0 <= t < n * h:
-                continue
-            bound = bounds.improved_bound(p, h, t) + inflate
-            tail = abs_tail(total, t, strict=True)
-            slack = tail - bound
-            ok = slack >= 0
-            if not ok:
-                violations += 1
-            rows.append(
-                [
-                    index,
-                    format_rational(t),
-                    format_rational(bound),
-                    decimal_str(bound),
-                    format_rational(tail),
-                    decimal_str(tail),
-                    format_rational(slack),
-                    "ok" if ok else "VIOLATION",
-                ]
-            )
+    try:
+        checks = oracles.sweep_checks(instances, h, t_grid, args.max_width)
+        for index, grid, tails, den, bound_pairs in checks:
+            for t, tail_num, (b_num, b_den) in zip(grid, tails, bound_pairs):
+                bound = Fraction(b_num, b_den) + inflate
+                tail = Fraction(tail_num, den)
+                slack = tail - bound
+                rows.append(
+                    [
+                        index,
+                        format_rational(t),
+                        format_rational(bound),
+                        decimal_str(bound),
+                        format_rational(tail),
+                        decimal_str(tail),
+                        format_rational(slack),
+                        "ok" if slack >= 0 else "VIOLATION",
+                    ]
+                )
+    except ValueError as exc:  # a non-symmetric term, a bad family, the support cap
+        raise InputError(str(exc)) from exc
     _write_csv(
         args.output,
         ["instance", "t", "bound", "bound_decimal", "tail", "tail_decimal",
          "slack", "status"],
         rows,
     )
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return _exit_code(rows)
 
 
 def cmd_kleitman(args) -> int:
@@ -205,7 +202,7 @@ def cmd_kleitman(args) -> int:
     raw_instances = data.get("instances")
     if raw_instances is None:
         raw_instances = [data]
-    rows = []
+    instances = []
     for index, raw in enumerate(raw_instances):
         try:
             inst = oracles.KleitmanInstance.make(
@@ -217,15 +214,16 @@ def cmd_kleitman(args) -> int:
             inst.validate()
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"instance {index}: {exc}") from exc
-        n = len(inst.vectors)
-        if args.max_n and n > args.max_n:
-            raise InputError(f"instance {index} has n={n} > cap {args.max_n}")
-        m = len(inst.targets)
-        count = oracles.kleitman_count(inst)
-        ceiling = oracles.largest_binomial_sum(n, m)
-        rows.append([index, n, m, count, ceiling, "ok"])
+        if args.max_n is not None and len(inst.vectors) > args.max_n:
+            raise InputError(f"instance {index} has n={len(inst.vectors)} > cap {args.max_n}")
+        instances.append(inst)
+    rows = []
+    for index, inst in enumerate(instances):
+        n, m = len(inst.vectors), len(inst.targets)
+        count, ceiling = oracles.kleitman_count(inst), largest_binomial_sum(n, m)
+        rows.append([index, n, m, count, ceiling, "ok" if count <= ceiling else "VIOLATION"])
     _write_csv(args.output, ["instance", "n", "m", "count", "ceiling", "status"], rows)
-    return EXIT_OK
+    return _exit_code(rows)
 
 
 def cmd_compare(args) -> int:
@@ -233,8 +231,13 @@ def cmd_compare(args) -> int:
     xs = tuple(_parse_distribution(lit) for lit in data.get("xs", []))
     ys = tuple(_parse_distribution(lit) for lit in data.get("ys", []))
     h = _rational_field(data, "h")
+    if h <= 0:
+        raise InputError(f"h must be positive, got {h}")
     t_grid = _rational_list(data, "t_grid") if "t_grid" in data else []
-    m_max = int(data.get("m_max", len(xs)))
+    try:
+        m_max = int(data.get("m_max", len(xs)))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad m_max: {exc}") from exc
     try:
         inst = ordering.ComparisonInstance(xs, ys)
         inst.validate()
@@ -242,13 +245,9 @@ def cmd_compare(args) -> int:
         raise InputError(str(exc)) from exc
 
     rows = []
-    violations = 0
-
     pruss = ordering.pruss_check(inst, t_grid)
     for t, s_tail, t_tail in pruss.rows:
         ok = s_tail >= Fraction(1, 2) * t_tail
-        if not ok:
-            violations += 1
         rows.append(
             ["pruss", format_rational(t), format_rational(s_tail),
              format_rational(Fraction(1, 2) * t_tail), "ok" if ok else "VIOLATION"]
@@ -260,19 +259,14 @@ def cmd_compare(args) -> int:
         rows.append(["half_mass", "", "", "", f"hypothesis-violated: {exc}"])
     else:
         for m, lhs, rhs in half.rows:
-            ok = lhs >= rhs
-            if not ok:
-                violations += 1
             rows.append(
                 ["half_mass", str(m), format_rational(lhs), format_rational(rhs),
-                 "ok" if ok else "VIOLATION"]
+                 "ok" if lhs >= rhs else "VIOLATION"]
             )
 
     birnbaum = ordering.birnbaum_check(inst, h)
     if birnbaum.hypothesis_ok:
         status = "ok" if birnbaum.conclusion_holds else "VIOLATION"
-        if not birnbaum.conclusion_holds:
-            violations += 1
     else:
         status = "hypothesis-violated: " + "; ".join(birnbaum.violations)
     rows.append(
@@ -280,7 +274,7 @@ def cmd_compare(args) -> int:
     )
 
     _write_csv(args.output, ["check", "param", "lhs", "rhs", "status"], rows)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return _exit_code(rows)
 
 
 def cmd_tighten(args) -> int:
@@ -315,17 +309,7 @@ def cmd_tighten(args) -> int:
          "gap", "best_outer_atom", "best_split", "status"],
         rows,
     )
-    return EXIT_OK if report.gap >= 0 else EXIT_VIOLATION
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="input JSON path")
-    parser.add_argument("--output", required=True, help="output CSV path")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (recorded)")
-    parser.add_argument("--max-n", type=int, default=None, help="cap on term count")
-    parser.add_argument(
-        "--max-width", type=int, default=None, help="cap on exact support size"
-    )
+    return _exit_code(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "of independent symmetric random variables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, func in (
         ("bound", cmd_bound),
         ("sweep", cmd_sweep),
@@ -342,9 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", cmd_compare),
         ("tighten", cmd_tighten),
     ):
-        p = sub.add_parser(name)
-        _add_common(p)
+        p = commands[name] = sub.add_parser(name)
+        p.add_argument("--input", required=True, help="input JSON path")
+        p.add_argument("--output", required=True, help="output CSV path")
         p.set_defaults(func=func)
+    commands["sweep"].add_argument(
+        "--max-n", type=int, default=8, help="cap on the terms of an instance (default 8)"
+    )
+    commands["sweep"].add_argument(
+        "--max-width", type=int, default=200_000,
+        help="cap on the support-size product of one convolution (default 200000)",
+    )
+    commands["kleitman"].add_argument(
+        "--max-n", type=int, default=None, help="cap on the vectors of an instance"
+    )
     return parser
 
 
@@ -356,10 +352,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -279,22 +280,25 @@ def poisson_binomial(p: Sequence) -> LatticeDistribution:
     return LatticeDistribution._from_dense(Fraction(0), Fraction(1), den, coeffs)
 
 
-def symmetric_three_point(p: Sequence, h) -> LatticeDistribution:
-    """Convolution of the laws (1-p_i) d_0 + (p_i/2)(d_{-h} + d_{+h}).
+def extremal_distribution(p: Sequence, h) -> list[LatticeDistribution]:
+    """The n three-point laws (1-p_i) d_0 + (p_i/2)(d_{-h} + d_{+h}).
 
-    This is the extremal family for the concentration supremum: each term
-    puts mass p_i split evenly on +-h and the rest at the origin.
+    Their convolution attains the concentration supremum among all
+    independent symmetric terms with P(|X_i| < h) <= 1 - p_i.
     """
     p = as_success_vector(p)
     h = parse_rational(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    dist = point_mass(0)
-    for pi in p:
-        a, b = pi.numerator, pi.denominator
-        term = LatticeDistribution._from_dense(-h, h, 2 * b, (a, 2 * (b - a), a))
-        dist = convolve(dist, term)
-    return dist
+    return [
+        LatticeDistribution._from_dense(-h, h, 2 * b, (a, 2 * (b - a), a))
+        for a, b in ((pi.numerator, pi.denominator) for pi in p)
+    ]
+
+
+def symmetric_three_point(p: Sequence, h) -> LatticeDistribution:
+    """Law of the sum of the extremal three-point laws extremal_distribution(p, h)."""
+    return reduce(convolve, extremal_distribution(p, h))
 
 
 def convolve(d1: LatticeDistribution, d2: LatticeDistribution) -> LatticeDistribution:
@@ -354,6 +358,13 @@ def abs_tail(d: LatticeDistribution, t, strict: bool = True) -> Fraction:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return Fraction(_abs_tail_weights(d, (t,), strict)[0], d.den)
+
+
+def half_mass(d: LatticeDistribution, t) -> Fraction:
+    """P(|X| > t) + (1/2) P(|X| = t)."""
+    strict = abs_tail(d, t, strict=True)
+    weak = abs_tail(d, t, strict=False)
+    return strict + Fraction(1, 2) * (weak - strict)
 
 
 def is_symmetric(d: LatticeDistribution) -> bool:

@@ -12,22 +12,21 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import improved_bound, window_index
+from .bounds import improved_bound
 from .distributions import (
     LatticeDistribution,
     _abs_tail_weights,
     abs_tail,
     as_success_vector,
     convolve,
+    half_mass,
     is_symmetric,
     point_mass,
 )
-from .exactmath import largest_binomial_sum
 from .rational import parse_rational
 
 NORMS = ("euclidean", "sup", "one", "absolute")
@@ -137,8 +136,8 @@ def kleitman_count(inst: KleitmanInstance) -> int:
 
     Enumerates all 2^n subsets (empty set included, contributing the zero
     sum) in Gray-code order, so each step is one coordinate update.  The
-    returned count is asserted against the binomial-window ceiling
-    F_n(m).
+    count is returned unchecked; the theorem bounds it by the
+    binomial-window ceiling F_n(m).
     """
     inst.validate()
     n = len(inst.vectors)
@@ -166,8 +165,6 @@ def kleitman_count(inst: KleitmanInstance) -> int:
                 cur[j] -= vec[j]
         if member(cur):
             count += 1
-    ceiling = largest_binomial_sum(n, m)
-    assert count <= ceiling, f"count {count} exceeds window ceiling {ceiling}"
     return count
 
 
@@ -187,13 +184,15 @@ def exact_sum_distribution(
     mass at 0), guarded by a cap on the running support size."""
     total = point_mass(0)
     for term in terms:
-        size, term_size = len(total.indices), len(term.indices)
-        if size * term_size > max_support:
-            raise SupportCapExceeded(
-                f"support product {size}x{term_size} exceeds cap {max_support}"
-            )
-        total = convolve(total, term)
+        total = _capped_convolve(total, term, max_support)
     return total
+
+
+def _capped_convolve(total, term, max_support: int) -> LatticeDistribution:
+    size, term_size = len(total.indices), len(term.indices)
+    if size * term_size > max_support:
+        raise SupportCapExceeded(f"support product {size}x{term_size} exceeds cap {max_support}")
+    return convolve(total, term)
 
 
 @dataclass
@@ -213,19 +212,22 @@ class SweepReport:
         return not self.violations
 
 
-def bound_soundness_sweep(
+def sweep_checks(
     instances: Iterable[Sequence[LatticeDistribution]],
     h,
     t_grid: Sequence,
-    check_symmetry: bool = True,
-) -> SweepReport:
-    """Verify P(|S| > t) >= improved_bound(p, h, t) on every instance.
+    max_support: int = 200_000,
+) -> Iterator[tuple[int, list[Fraction], list[int], int, list[tuple[int, int]]]]:
+    """Exact tails of each instance's sum next to the improved bound.
 
-    Each instance is a list of symmetric lattice laws; p_i = P(|X_i| >= h)
-    is computed exactly.  Convolutions and bound evaluations are cached
-    across instances (sorted-prefix caching), so exhaustive families
-    enumerated in sorted order stay cheap.  Tails, bounds and slacks are
-    compared as integer fractions; Fractions are built only for the report.
+    Each instance is a list of symmetric lattice laws, p_i = P(|X_i| >= h).
+    Yields (index, grid, tails, den, bounds) per instance: grid is the sorted
+    t in [0, n*h), P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the
+    (numerator, denominator) of improved_bound(p, h, grid[j]).  Convolutions
+    and bounds are cached across instances (sorted-prefix caching), so
+    families enumerated in sorted order stay cheap.  Raises ValueError on a
+    non-symmetric term; max_support caps each convolution as in
+    exact_sum_distribution.
     """
     h = parse_rational(h)
     if h <= 0:
@@ -239,20 +241,16 @@ def bound_soundness_sweep(
     # law_by_id keeps keyed objects alive so ids cannot be recycled.
     law_by_id: dict[int, LatticeDistribution] = {}
     conv_cache: dict[tuple[int, ...], LatticeDistribution] = {(): point_mass(0)}
-    sym_cache: dict[int, bool] = {}
     p_code: dict[int, int] = {}  # law id -> code of its p value
     codes: dict[Fraction, int] = {}
     p_values: list[Fraction] = []  # indexed by code
     # bound rows: p-multiset key -> (numerator, denominator) per valid t
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     valid_ts: dict[int, list[Fraction]] = {}  # n -> the t in [0, n*h)
-    report = SweepReport()
-    min_num = min_den = 0  # min slack as an integer fraction, once checked
 
     def conv_of(key: tuple[int, ...]) -> LatticeDistribution:
         if key not in conv_cache:
-            prefix = conv_of(key[:-1])
-            conv_cache[key] = convolve(prefix, law_by_id[key[-1]])
+            conv_cache[key] = _capped_convolve(conv_of(key[:-1]), law_by_id[key[-1]], max_support)
         return conv_cache[key]
 
     for index, terms in enumerate(instances):
@@ -260,18 +258,13 @@ def bound_soundness_sweep(
         for d in terms:
             law_id = id(d)
             if law_id not in law_by_id:
+                if not is_symmetric(d):
+                    raise ValueError(f"instance {index} has a non-symmetric term")
                 law_by_id[law_id] = d
                 p = abs_tail(d, h, strict=False)
                 code = p_code[law_id] = codes.setdefault(p, len(codes))
                 if code == len(p_values):
                     p_values.append(p)
-        if check_symmetry:
-            for d in terms:
-                key = id(d)
-                if key not in sym_cache:
-                    sym_cache[key] = is_symmetric(d)
-                if not sym_cache[key]:
-                    raise ValueError(f"instance {index} has a non-symmetric term")
         n = len(terms)
         ids = tuple(sorted(id(d) for d in terms))
         total = conv_of(ids)
@@ -285,20 +278,32 @@ def bound_soundness_sweep(
             bounds = bound_cache[p_key] = [
                 (b.numerator, b.denominator) for b in (improved_bound(p, h, t) for t in grid)
             ]
-        tails = _abs_tail_weights(total, grid, strict=True)
-        den = total.den
+        yield index, grid, _abs_tail_weights(total, grid, strict=True), total.den, bounds
+
+
+def bound_soundness_sweep(
+    instances: Iterable[Sequence[LatticeDistribution]],
+    h,
+    t_grid: Sequence,
+) -> SweepReport:
+    """Verify P(|S| > t) >= improved_bound(p, h, t) on every instance.
+
+    A fold over sweep_checks: tails, bounds and slacks are compared as
+    integer fractions; Fractions are built only for the report.
+    """
+    report = SweepReport()
+    min_num = min_den = 0  # min slack as an integer fraction, once checked
+    for index, grid, tails, den, bounds in sweep_checks(instances, h, t_grid):
         report.instances += 1
         report.checks += len(grid)
-        for j, (tail, (b_num, b_den)) in enumerate(zip(tails, bounds)):
+        for t, tail, (b_num, b_den) in zip(grid, tails, bounds):
             # slack = tail/den - b_num/b_den
             s_num, s_den = tail * b_den - b_num * den, den * b_den
             if not min_den or s_num * min_den < min_num * s_den:
                 min_num, min_den = s_num, s_den
-                report.min_slack_at = (index, grid[j])
+                report.min_slack_at = (index, t)
             if s_num < 0:
-                report.violations.append(
-                    (index, grid[j], Fraction(b_num, b_den), Fraction(tail, den))
-                )
+                report.violations.append((index, t, Fraction(b_num, b_den), Fraction(tail, den)))
     if min_den:
         report.min_slack = Fraction(min_num, min_den)
     return report
@@ -312,6 +317,8 @@ def symmetric_lattice_family(
     from itertools import combinations_with_replacement
 
     h = parse_rational(h)
+    if denominator < 1 or radius < 0:
+        raise ValueError(f"need denominator >= 1 and radius >= 0, got {denominator}, {radius}")
     laws = []
     for profile in _symmetric_mass_profiles(denominator, radius):
         masses = {}
@@ -375,8 +382,8 @@ def tightness_search(
 
     The objective P(|S| > mh) + (1/2) P(|S| = mh) is minimized over the
     grid and compared against the improved bound at t = m*h.  This is a
-    falsification harness: it asserts minimum >= bound and records the gap,
-    it does not claim the bound is attained.
+    falsification harness: it records the gap, which the theorem makes
+    nonnegative, and does not claim the bound is attained.
     """
     p = as_success_vector(p)
     h = parse_rational(h)
@@ -389,8 +396,8 @@ def tightness_search(
     if any(v < h for v in outer):
         raise ValueError("grid values h' must satisfy h' >= h")
     splits = sorted({parse_rational(s) for s in split_grid})
-    if any(s < 0 or s > 1 for s in splits):
-        raise ValueError("mass splits must lie in [0, 1]")
+    if not splits or any(s < 0 or s > 1 for s in splits):
+        raise ValueError("need at least one mass split, each in [0, 1]")
 
     best: tuple[Fraction, tuple[Fraction, Fraction]] | None = None
     for h2 in outer:
@@ -404,14 +411,9 @@ def tightness_search(
                         masses.get(sign * h2, Fraction(0)) + (1 - s) * pi / 2
                     )
                 terms.append(LatticeDistribution.from_masses(masses))
-            total = exact_sum_distribution(terms)
-            value = abs_tail(total, t, strict=True) + Fraction(1, 2) * (
-                abs_tail(total, t, strict=False) - abs_tail(total, t, strict=True)
-            )
+            value = half_mass(exact_sum_distribution(terms), t)
             if best is None or value < best[0]:
                 best = (value, (h2, s))
-    assert best is not None
-    assert best[0] >= bound, f"tightness probe found value {best[0]} below bound {bound}"
     return TightnessReport(
         t=t, bound=bound, best_value=best[0], best_params=best[1], gap=best[0] - bound
     )

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .distributions import (
     LatticeDistribution,
     abs_stochastically_geq,
     abs_tail,
+    half_mass,
     is_symmetric,
     is_unimodal_with_span,
 )
@@ -40,7 +42,10 @@ class HypothesisViolation(ValueError):
 
 @dataclass(frozen=True)
 class ComparisonInstance:
-    """Paired term lists (X_i), (Y_i); all symmetric, with |X_i| >= |Y_i|."""
+    """Paired term lists (X_i), (Y_i); all symmetric, with |X_i| >= |Y_i|.
+
+    The hypothesis check and the two sum laws are computed once per instance.
+    """
 
     xs: tuple[LatticeDistribution, ...]
     ys: tuple[LatticeDistribution, ...]
@@ -49,24 +54,27 @@ class ComparisonInstance:
         if len(self.xs) != len(self.ys) or not self.xs:
             raise ValueError("need equally many X and Y terms, at least one pair")
 
-    def validate(self) -> None:
+    @cached_property
+    def _violation(self) -> str | None:
         for i, (x, y) in enumerate(zip(self.xs, self.ys)):
             if not is_symmetric(x):
-                raise HypothesisViolation(f"X_{i + 1} is not symmetric")
+                return f"X_{i + 1} is not symmetric"
             if not is_symmetric(y):
-                raise HypothesisViolation(f"Y_{i + 1} is not symmetric")
+                return f"Y_{i + 1} is not symmetric"
             if not abs_stochastically_geq(x, y):
-                raise HypothesisViolation(f"|X_{i + 1}| does not dominate |Y_{i + 1}|")
+                return f"|X_{i + 1}| does not dominate |Y_{i + 1}|"
+        return None
 
-    def sums(self) -> tuple[LatticeDistribution, LatticeDistribution]:
+    def validate(self) -> None:
+        if self._violation is not None:
+            raise HypothesisViolation(self._violation)
+
+    @cached_property
+    def _sums(self) -> tuple[LatticeDistribution, LatticeDistribution]:
         return exact_sum_distribution(self.xs), exact_sum_distribution(self.ys)
 
-
-def half_mass(d: LatticeDistribution, t) -> Fraction:
-    """P(|X| > t) + (1/2) P(|X| = t)."""
-    strict = abs_tail(d, t, strict=True)
-    weak = abs_tail(d, t, strict=False)
-    return strict + Fraction(1, 2) * (weak - strict)
+    def sums(self) -> tuple[LatticeDistribution, LatticeDistribution]:
+        return self._sums
 
 
 @dataclass

@@ -176,7 +176,7 @@ def test_criterion_06_subset_sum_counting():
     sizes = [rng.randint(4, 13) for _ in range(490)] + [14, 14, 14, 15, 15, 16, 16, 17, 18, 18]
     for n in sizes:
         inst = _random_kleitman_instance(rng, n)
-        count = kleitman_count(inst)  # asserts count <= F_n(m) internally
+        count = kleitman_count(inst)  # returned unchecked: the ceiling is checked here
         assert count <= largest_binomial_sum(n, len(inst.targets))
     for n in range(1, 17):
         for m in range(1, 6):

@@ -7,6 +7,7 @@ import pytest
 from symtail.bounds import improved_bound, kanter_supremum
 from symtail.distributions import abs_tail, point_mass
 from symtail.exactmath import largest_binomial_sum
+from symtail import oracles
 from symtail.oracles import (
     KleitmanInstance,
     SampleConfig,
@@ -201,6 +202,16 @@ class TestBoundSoundnessSweep:
         report = bound_soundness_sweep([[coin(), coin()]], 1, [1])
         assert report.min_slack == Fraction(1, 2) - Fraction(1, 4)
 
+    def test_support_cap(self):
+        # 447^2 <= 200 000 < 449^2, the cap of exact_sum_distribution
+        for atoms, capped in ((447, False), (449, True)):
+            wide = dist({k - atoms // 2: Fraction(1, atoms) for k in range(atoms)})
+            if capped:
+                with pytest.raises(SupportCapExceeded):
+                    bound_soundness_sweep([[wide, wide]], 1, [0])
+            else:
+                assert bound_soundness_sweep([[wide, wide]], 1, [0]).ok
+
 
 class TestTightnessSearch:
     def test_two_sure_coins(self):
@@ -225,6 +236,13 @@ class TestTightnessSearch:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             tightness_search([1], 1, 1)  # t = n*h is out of domain
+        with pytest.raises(ValueError):
+            tightness_search([1, 1], 1, 1, split_grid=[])
+
+    def test_negative_gap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(oracles, "improved_bound", lambda p, h, t: Fraction(1))
+        report = tightness_search([1, 1], 1, 1)
+        assert report.gap == Fraction(-1, 2)
 
 
 class TestMonteCarlo:

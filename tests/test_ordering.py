@@ -88,6 +88,14 @@ class TestComparisonInstance:
         inst = ComparisonInstance((dist({0: "1/2", 1: "1/2"}),), (point_mass(0),))
         with pytest.raises(HypothesisViolation):
             inst.validate()
+        with pytest.raises(HypothesisViolation):
+            inst.validate()  # a failed check is not cached as a pass
+
+    def test_sums_built_once(self):
+        inst = two_coin_example()
+        assert inst.sums() is inst.sums()
+        assert inst.sums() == (exact_sum_distribution(inst.xs), exact_sum_distribution(inst.ys))
+        assert inst == two_coin_example() and hash(inst) == hash(two_coin_example())
 
 
 class TestPruss:

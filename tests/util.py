@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from symtail.distributions import LatticeDistribution
+from symtail.bounds import improved_bound
+from symtail.distributions import LatticeDistribution, abs_tail
+from symtail.oracles import exact_sum_distribution
+from symtail.rational import decimal_str, format_rational
 
 
 def dist(masses) -> LatticeDistribution:
@@ -141,3 +144,24 @@ def ref_abs_stochastically_geq(u, v) -> bool:
         ref_abs_tail(u, t, strict=False) >= ref_abs_tail(v, t, strict=False)
         for t in thresholds
     )
+
+
+def ref_sweep_rows(instances, h, t_grid, inflate=Fraction(0)) -> list[list[str]]:
+    """The rows of `symtail sweep`, recomputed per (instance, t) without any
+    cache: each instance's sum law and each bound are built from scratch."""
+    rows = []
+    for index, terms in enumerate(instances):
+        p = [abs_tail(term, h, strict=False) for term in terms]
+        total = exact_sum_distribution(terms)
+        for t in sorted(t_grid):
+            if not 0 <= t < len(terms) * h:
+                continue
+            bound = improved_bound(p, h, t) + inflate
+            tail = abs_tail(total, t, strict=True)
+            slack = tail - bound
+            rows.append([
+                str(index), format_rational(t), format_rational(bound), decimal_str(bound),
+                format_rational(tail), decimal_str(tail), format_rational(slack),
+                "ok" if slack >= 0 else "VIOLATION",
+            ])
+    return rows
