@@ -32,12 +32,17 @@ class InputError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read input {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("top-level JSON value must be an object")
     return data
+
+
+def _reject_constant(name: str):
+    # json accepts NaN and +-Infinity, which are not JSON and not rationals.
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -68,11 +73,22 @@ def _rational_field(data: dict, key: str, default=None) -> Fraction:
         raise InputError(str(exc)) from exc
 
 
+def _as_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _list_field(data: dict, key: str, default=None) -> list:
+    if key not in data and default is None:
+        raise InputError(f"missing field {key!r}")
+    return _as_list(data.get(key, default), f"field {key!r}")
+
+
 def _rational_list(data: dict, key: str) -> list[Fraction]:
-    if key not in data or not isinstance(data[key], list):
-        raise InputError(f"missing or non-list field {key!r}")
+    values = _list_field(data, key)
     try:
-        return [parse_rational(v) for v in data[key]]
+        return [parse_rational(v) for v in values]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -80,11 +96,11 @@ def _rational_list(data: dict, key: str) -> list[Fraction]:
 def _success_vector_from_input(data: dict, h: Fraction) -> tuple[Fraction, ...]:
     if "p" in data:
         try:
-            return as_success_vector(data["p"])
+            return as_success_vector(_list_field(data, "p"))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if "terms" in data:
-        terms = [_parse_distribution(lit) for lit in data["terms"]]
+        terms = [_parse_distribution(lit) for lit in _list_field(data, "terms")]
         for i, term in enumerate(terms):
             if not is_symmetric(term):
                 raise InputError(f"term {i} is not symmetric")
@@ -144,7 +160,8 @@ def cmd_sweep(args) -> int:
 
     if "instances" in data:
         instances = [
-            [_parse_distribution(lit) for lit in inst] for inst in data["instances"]
+            [_parse_distribution(lit) for lit in _as_list(inst, f"instance {index}")]
+            for index, inst in enumerate(_list_field(data, "instances"))
         ]
         for index, terms in enumerate(instances):
             if len(terms) > args.max_n:
@@ -199,9 +216,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_kleitman(args) -> int:
     data = _load_json(args.input)
-    raw_instances = data.get("instances")
-    if raw_instances is None:
-        raw_instances = [data]
+    raw_instances = [data] if data.get("instances") is None else _list_field(data, "instances")
     instances = []
     for index, raw in enumerate(raw_instances):
         try:
@@ -228,8 +243,8 @@ def cmd_kleitman(args) -> int:
 
 def cmd_compare(args) -> int:
     data = _load_json(args.input)
-    xs = tuple(_parse_distribution(lit) for lit in data.get("xs", []))
-    ys = tuple(_parse_distribution(lit) for lit in data.get("ys", []))
+    xs = tuple(_parse_distribution(lit) for lit in _list_field(data, "xs", []))
+    ys = tuple(_parse_distribution(lit) for lit in _list_field(data, "ys", []))
     h = _rational_field(data, "h")
     if h <= 0:
         raise InputError(f"h must be positive, got {h}")
@@ -238,6 +253,8 @@ def cmd_compare(args) -> int:
         m_max = int(data.get("m_max", len(xs)))
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad m_max: {exc}") from exc
+    if m_max > oracles.MAX_HALF_MASS_M:
+        raise InputError(f"m_max={m_max} exceeds cap {oracles.MAX_HALF_MASS_M}")
     try:
         inst = ordering.ComparisonInstance(xs, ys)
         inst.validate()
@@ -280,7 +297,7 @@ def cmd_compare(args) -> int:
 def cmd_tighten(args) -> int:
     data = _load_json(args.input)
     try:
-        p = as_success_vector(data["p"])
+        p = as_success_vector(_list_field(data, "p"))
         h = _rational_field(data, "h")
         m = int(data["m"])
         h_grid = _rational_list(data, "h_grid") if "h_grid" in data else []

@@ -9,12 +9,11 @@ seeded, fully deterministic cross-check for continuous terms.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .bounds import improved_bound
 from .distributions import (
@@ -32,6 +31,12 @@ from .rational import parse_rational
 NORMS = ("euclidean", "sup", "one", "absolute")
 
 MAX_ENUMERATION_TERMS = 24
+
+# Work caps, checked before the work starts: the instances one
+# symmetric_lattice_family may yield (criterion 05's family(6) has 54 263),
+# and the half-mass rows (m = 1..m_max) one `symtail compare` may write.
+MAX_FAMILY_INSTANCES = 100_000
+MAX_HALF_MASS_M = 10_000
 
 
 class SupportCapExceeded(ValueError):
@@ -313,12 +318,47 @@ def symmetric_lattice_family(
     max_n: int, denominator: int = 8, radius: int = 2, h=1
 ) -> Iterable[list[LatticeDistribution]]:
     """All instances of 1..max_n symmetric laws on {-radius*h, ..., radius*h}
-    with masses on the 1/denominator grid, up to reordering of terms."""
-    from itertools import combinations_with_replacement
+    with masses on the 1/denominator grid, up to reordering of terms.
 
+    The arguments are checked when called, and a family of more than
+    MAX_FAMILY_INSTANCES instances is rejected before any law is built;
+    the instances are then generated lazily.
+    """
     h = parse_rational(h)
     if denominator < 1 or radius < 0:
         raise ValueError(f"need denominator >= 1 and radius >= 0, got {denominator}, {radius}")
+    # L = C(denominator//2 + radius, radius) laws give C(L + max_n, max_n) - 1
+    # multisets of 1..max_n of them.
+    cap = MAX_FAMILY_INSTANCES
+    laws = _binomial_at_most(denominator // 2 + radius, radius, cap)
+    if max_n >= 1 and _binomial_at_most(laws + max_n, max_n, cap + 1) > cap + 1:
+        raise ValueError(
+            f"family of max_n={max_n}, denominator={denominator}, radius={radius} "
+            f"exceeds the cap of {MAX_FAMILY_INSTANCES} instances"
+        )
+    return _family_instances(max_n, denominator, radius, h)
+
+
+def _binomial_at_most(n: int, k: int, limit: int) -> int:
+    """min(C(n, k), limit + 1) for n >= k >= 0, in O(log limit) steps.
+
+    The running product C(n-k+j, j) at least doubles with each j (k is
+    taken <= n/2), so the loop stops early however large n and k are.
+    """
+    k = min(k, n - k)
+    c = 1
+    for j in range(1, k + 1):
+        c = c * (n - k + j) // j
+        if c > limit:
+            return limit + 1
+    return c
+
+
+def _family_instances(
+    max_n: int, denominator: int, radius: int, h: Fraction
+) -> Iterator[list[LatticeDistribution]]:
+    from itertools import combinations_with_replacement
+
     laws = []
     for profile in _symmetric_mass_profiles(denominator, radius):
         masses = {}
@@ -444,41 +484,37 @@ class SampleConfig:
             raise ValueError("need at least one term")
 
 
-def _magnitudes(term: dict, rng: np.random.Generator, size: int) -> np.ndarray:
+def _magnitudes(term: dict, rng: random.Random, size: int) -> list[float]:
     kind = term.get("kind")
     if kind == "atoms":
         dist = LatticeDistribution.from_masses(term["atoms"])
-        agg: dict[float, float] = {}
-        for x, mass in dist.atoms:
-            a = abs(float(x))
-            agg[a] = agg.get(a, 0.0) + float(mass)
-        values = np.array(sorted(agg))
-        probs = np.array([agg[v] for v in sorted(agg)])
-        probs = probs / probs.sum()
-        return rng.choice(values, size=size, p=probs)
+        return rng.choices([abs(float(x)) for x in dist.support], dist.weights, k=size)
     if kind == "uniform":
-        return rng.uniform(0.0, float(parse_rational(term["scale"])), size=size)
+        scale = float(parse_rational(term["scale"]))
+        return [rng.uniform(0.0, scale) for _ in range(size)]
     if kind == "gaussian":
-        return np.abs(rng.normal(0.0, float(term["sigma"]), size=size))
+        sigma = float(term["sigma"])
+        return [abs(rng.gauss(0.0, sigma)) for _ in range(size)]
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 
 def monte_carlo_tail(config: SampleConfig, t: float) -> tuple[float, float]:
     """Empirical P(|S| > t) with its binomial standard error.
 
-    Deterministic given the seed: a single named generator (PCG64 via
-    numpy's default_rng) drives all draws in a fixed term order.
+    Deterministic given the seed: a single ``random.Random(seed)`` drives
+    all draws in a fixed term order.
     """
     if config.replications < 1000:
         raise ValueError("need at least 1000 replications")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     size = config.replications
-    total = np.zeros(size)
+    total = [0.0] * size
     for term in config.terms:
-        signs = rng.integers(0, 2, size=size) * 2 - 1
-        total += signs * _magnitudes(term, rng, size)
-    estimate = float(np.mean(np.abs(total) > t))
+        signs = rng.choices((-1.0, 1.0), k=size)
+        magnitudes = _magnitudes(term, rng, size)
+        total = [acc + sign * x for acc, sign, x in zip(total, signs, magnitudes)]
+    estimate = sum(abs(x) > t for x in total) / size
     std_error = math.sqrt(estimate * (1.0 - estimate) / size)
     return estimate, std_error

@@ -1,9 +1,11 @@
+import copy
 import csv
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symtail import oracles, ordering
 from symtail.cli import main
@@ -179,6 +181,15 @@ class TestSweepCommand:
             del payload["instances"]
         assert run(tmp_path, "sweep", payload)[0] == 2
 
+    def test_family_size_cap_checked_before_any_law(self, tmp_path, monkeypatch):
+        def no_laws(*args):
+            raise AssertionError("a law was built before the family size was checked")
+
+        monkeypatch.setattr(oracles, "_symmetric_mass_profiles", no_laws)
+        # 1 373 701 laws of max_n 1: far above MAX_FAMILY_INSTANCES
+        family = {"max_n": 1, "denominator": 400, "radius": 3}
+        assert run(tmp_path, "sweep", {"h": "1", "t_grid": ["0"], "family": family})[0] == 2
+
     def test_family_cap_checked_before_enumeration(self, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("the sweep ran before the cap was checked")
@@ -269,6 +280,17 @@ class TestCompareCommand:
         payload = {"xs": [COIN], "ys": [ZERO], "h": "1", "t_grid": ["1"]} | change
         assert run(tmp_path, "compare", payload)[0] == 2
 
+    def test_m_max_cap_checked_before_sum_laws(self, tmp_path, monkeypatch):
+        def no_sums(terms):
+            raise AssertionError("sum laws built before m_max was checked")
+
+        monkeypatch.setattr(oracles, "MAX_HALF_MASS_M", 3)
+        payload = {"xs": [COIN], "ys": [ZERO], "h": "1", "t_grid": ["1"], "m_max": 3}
+        code, rows, _ = run(tmp_path, "compare", payload)
+        assert code == 0 and [r["param"] for r in rows if r["check"] == "half_mass"] == ["1", "2", "3"]
+        monkeypatch.setattr(ordering, "exact_sum_distribution", no_sums)
+        assert run(tmp_path, "compare", payload | {"m_max": 4})[0] == 2
+
     def test_sum_laws_built_once(self, tmp_path, monkeypatch):
         built = []
         real = ordering.exact_sum_distribution
@@ -307,6 +329,80 @@ class TestTightenCommand:
         assert code == 1
         assert rows[0]["gap"] == "-1/2"
         assert rows[0]["status"] == "VIOLATION"
+
+
+BOUND = {"p": ["1/2", "1"], "h": "1", "t_grid": ["0", "1"]}
+SWEEP = {"h": "1", "t_grid": ["0", "1"], "instances": [[COIN, COIN]]}
+KLEITMAN = {"instances": [{"dimension": 1, "vectors": [[1], [1]], "norm": "absolute",
+                           "targets": [{"center": [1], "radius": "1/4"}]}]}
+COMPARE = {"xs": [COIN, COIN], "ys": [COIN, ZERO], "h": "1", "t_grid": ["1"], "m_max": 2}
+TIGHTEN = {"p": ["1", "1"], "h": "1", "m": 1, "h_grid": ["2"], "split_grid": ["1/2"]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [("sweep", SWEEP | {"instances": 5}), ("sweep", SWEEP | {"instances": [5]}),
+     ("kleitman", {"instances": 5}), ("compare", COMPARE | {"xs": 5}),
+     ("compare", COMPARE | {"ys": 5}), ("bound", BOUND | {"p": 5}),
+     ("bound", {"terms": 5, "h": "1", "t_grid": ["0"]}),
+     ("tighten", TIGHTEN | {"m": float("inf")})],
+    ids=["sweep-instances", "sweep-instance", "kleitman-instances", "compare-xs", "compare-ys",
+         "bound-p", "bound-terms", "tighten-infinity"],
+)
+def test_malformed_shape_is_usage_error(tmp_path, command, payload):
+    assert run(tmp_path, command, payload)[0] == 2
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON value, the root included, as a key path."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    value = copy.deepcopy(value)
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return value
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "-1", "1/2", "1/4", "x"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["atoms", "x", "mass", "max_n", "center", "radius", "k"]),
+                      children, max_size=3),
+    max_leaves=8,
+)
+FUZZ_INPUTS = [
+    ("bound", BOUND), ("bound", {"terms": [COIN, COIN], "h": "1", "t_grid": ["1"]}),
+    ("sweep", SWEEP | {"inflate_bound": "0"}),
+    ("sweep", {"h": "1", "t_grid": ["1"], "family": {"max_n": 2, "denominator": 4, "radius": 1}}),
+    ("kleitman", KLEITMAN), ("compare", COMPARE), ("tighten", TIGHTEN),
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_json_exits_cleanly(tmp_path, data):
+    # Random JSON in place of any field of a valid input, at any depth:
+    # every run ends in a CSV verdict or a usage error, never a traceback.
+    command, payload = data.draw(st.sampled_from(FUZZ_INPUTS))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(payload))))
+        payload = _replace(payload, path, data.draw(json_values))
+    assert run(tmp_path, command, payload)[0] in (0, 1, 2)
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,9 +1,14 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import symtail
 from symtail.bounds import improved_bound, kanter_supremum
 from symtail.distributions import abs_tail, point_mass
 from symtail.exactmath import largest_binomial_sum
@@ -189,6 +194,18 @@ class TestBoundSoundnessSweep:
         assert report.min_slack is not None and report.min_slack >= 0
         assert report.instances == 15 + 120 + 680
 
+    def test_family_size_cap(self, monkeypatch):
+        assert sum(1 for _ in symmetric_lattice_family(3, 4, 2)) == 83
+        monkeypatch.setattr(oracles, "MAX_FAMILY_INSTANCES", 83)
+        symmetric_lattice_family(3, 4, 2)
+        monkeypatch.setattr(oracles, "MAX_FAMILY_INSTANCES", 82)
+        with pytest.raises(ValueError, match="cap"):
+            symmetric_lattice_family(3, 4, 2)  # raised at the call, not on iteration
+
+    def test_huge_family_rejected_at_once(self):
+        with pytest.raises(ValueError, match="cap"):
+            symmetric_lattice_family(2, 10**30, 10**30)
+
     def test_all_zero_instance(self):
         report = bound_soundness_sweep([[point_mass(0)] * 3], 1, [0, 1, 2])
         assert report.ok
@@ -304,3 +321,29 @@ class TestMonteCarlo:
         )
         estimate, std_error = monte_carlo_tail(cfg, 2.0)
         assert estimate >= float(bound) - 3 * std_error
+
+    def test_runs_without_numpy(self, tmp_path):
+        # The library is stdlib-only: with numpy unimportable, the package,
+        # the CLI and every sampler kind still run.
+        inp, out = tmp_path / "in.json", tmp_path / "out.csv"
+        inp.write_text(json.dumps({"p": ["1/2", "1"], "h": "1", "t_grid": ["0", "1"]}))
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import symtail\n"
+            "from symtail.cli import main\n"
+            "from symtail.oracles import SampleConfig, monte_carlo_tail\n"
+            f"print(main(['bound', '--input', {str(inp)!r}, '--output', {str(out)!r}]))\n"
+            "cfg = SampleConfig(seed=3, replications=1000, terms=(\n"
+            "    {'kind': 'atoms', 'atoms': {'-1': '1/2', '1': '1/2'}},\n"
+            "    {'kind': 'uniform', 'scale': '1/2'}, {'kind': 'gaussian', 'sigma': 1.0}))\n"
+            "print(0 < monte_carlo_tail(cfg, 0.25)[0] <= 1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(symtail.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "True"]
+        assert out.read_text().splitlines()[2] == "1,1,2,1/8,0.125,1/8,0.125,7/8,0.875,"
