@@ -34,9 +34,15 @@ MAX_ENUMERATION_TERMS = 24
 
 # Work caps, checked before the work starts: the instances one
 # symmetric_lattice_family may yield (criterion 05's family(6) has 54 263),
-# and the half-mass rows (m = 1..m_max) one `symtail compare` may write.
+# the half-mass rows (m = 1..m_max) one `symtail compare` may write, the
+# terms of one `symtail sweep` instance or family, the terms of one
+# `symtail bound` or `tighten` input (the pmf costs grow roughly as n^3),
+# and the support-size product of one exact convolution.
 MAX_FAMILY_INSTANCES = 100_000
 MAX_HALF_MASS_M = 10_000
+MAX_SWEEP_TERMS = 8
+MAX_BOUND_TERMS = 1_000
+MAX_SUPPORT_PRODUCT = 200_000
 
 
 class SupportCapExceeded(ValueError):
@@ -183,7 +189,7 @@ def equality_instance(n: int, m: int) -> KleitmanInstance:
 
 
 def exact_sum_distribution(
-    terms: Sequence[LatticeDistribution], max_support: int = 200_000
+    terms: Sequence[LatticeDistribution], max_support: int = MAX_SUPPORT_PRODUCT
 ) -> LatticeDistribution:
     """Exact law of the sum of independent terms (empty sum is the point
     mass at 0), guarded by a cap on the running support size."""
@@ -221,7 +227,7 @@ def sweep_checks(
     instances: Iterable[Sequence[LatticeDistribution]],
     h,
     t_grid: Sequence,
-    max_support: int = 200_000,
+    max_support: int = MAX_SUPPORT_PRODUCT,
 ) -> Iterator[tuple[int, list[Fraction], list[int], int, list[tuple[int, int]]]]:
     """Exact tails of each instance's sum next to the improved bound.
 

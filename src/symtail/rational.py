@@ -31,9 +31,15 @@ def parse_rational(value) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render exactly: "3", "-1/2", ..."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # More digits than sys.get_int_max_str_digits() lets str() write;
+        # Decimal writes an exact integer without that limit.
+        num, den = (str(decimal.Decimal(n)) for n in (q.numerator, q.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def decimal_str(q: Fraction, digits: int = 12) -> str:

@@ -2,18 +2,27 @@ import copy
 import csv
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symtail import oracles, ordering
+from symtail import bounds, oracles, ordering
 from symtail.cli import main
+from symtail.distributions import LatticeDistribution
 
 from util import random_symmetric_law, ref_sweep_rows
 
 COIN = {"atoms": [{"x": "-1", "mass": "1/2"}, {"x": "1", "mass": "1/2"}]}
 ZERO = {"atoms": [{"x": "0", "mass": "1"}]}
+LAZY = {"atoms": [{"x": "-1", "mass": "1/4"}, {"x": "0", "mass": "1/2"}, {"x": "1", "mass": "1/4"}]}
+
+
+def inflate_sweep_bound(monkeypatch, inflate):
+    """Shift the sweep's bound up by `inflate`, so its violation path runs."""
+    real = oracles.improved_bound
+    monkeypatch.setattr(oracles, "improved_bound", lambda p, h, t: real(p, h, t) + inflate)
 
 
 def run(tmp_path, command, payload, name="in.json", **flags):
@@ -76,6 +85,18 @@ class TestBoundCommand:
         )
         assert code == 2
 
+    def test_rationals_past_str_digit_limit(self, tmp_path):
+        # The improved bound has ~5 700 digits in its denominator, past the
+        # interpreter's default 4 300-digit limit on int-to-str conversion.
+        p = [Fraction(1, 10**299 + k) for k in range(19)]
+        code, rows, _ = run(
+            tmp_path, "bound", {"p": [str(v) for v in p], "h": "1", "t_grid": ["1"]}
+        )
+        assert code == 0
+        num, den = (int(Decimal(part)) for part in rows[0]["improved"].split("/"))
+        assert den > 10**4300
+        assert Fraction(num, den) == bounds.improved_bound(p, 1, 1)
+
     def test_byte_determinism(self, tmp_path):
         payload = {"p": ["1/2", "2/3", "1/7"], "h": "2/3", "t_grid": ["0", "1", "3/2"]}
         _, _, out1 = run(tmp_path, "bound", payload, name="a.json")
@@ -110,19 +131,18 @@ class TestSweepCommand:
         assert code == 0
         assert rows  # 135 instances, several checks each
 
-    def test_corrupted_bound_detected(self, tmp_path):
-        code, rows, _ = run(
-            tmp_path,
-            "sweep",
-            {
-                "h": "1",
-                "t_grid": ["1"],
-                "instances": [[COIN, COIN]],
-                "inflate_bound": "1/2",
-            },
-        )
+    def test_corrupted_bound_detected(self, tmp_path, monkeypatch):
+        inflate = Fraction(1, 8)
+        inflate_sweep_bound(monkeypatch, inflate)
+        payload = {"h": "1", "t_grid": ["0", "1"], "instances": [[COIN] * 2, [LAZY] * 3]}
+        code, _, out = run(tmp_path, "sweep", payload)
         assert code == 1
-        assert any(r["status"] == "VIOLATION" for r in rows)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        instances = [[LatticeDistribution.from_json_dict(law) for law in inst]
+                     for inst in payload["instances"]]
+        assert rows == ref_sweep_rows(instances, Fraction(1), [Fraction(0), Fraction(1)], inflate)
+        assert [r[-1] for r in rows] == ["VIOLATION", "ok", "ok", "VIOLATION"]
 
     def test_cap_enforced(self, tmp_path):
         code, _, _ = run(
@@ -132,7 +152,7 @@ class TestSweepCommand:
         )
         assert code == 2
 
-    def test_rows_match_cacheless_reference(self, tmp_path):
+    def test_rows_match_cacheless_reference(self, tmp_path, monkeypatch):
         rng = random.Random(31)
         h = Fraction(1, 2)
         instances = [
@@ -142,9 +162,10 @@ class TestSweepCommand:
         ]
         t_grid = [Fraction(k, 4) for k in range(-1, 9)] + [Fraction(1, 2), Fraction(1, 3)]
         literals = [[law.to_json_dict() for law in inst] for inst in instances]
+        payload = {"h": "1/2", "t_grid": [str(t) for t in t_grid], "instances": literals}
         for inflate in (Fraction(0), Fraction(1, 64)):
-            payload = {"h": "1/2", "t_grid": [str(t) for t in t_grid], "instances": literals,
-                       "inflate_bound": str(inflate)}
+            if inflate:
+                inflate_sweep_bound(monkeypatch, inflate)
             code, _, out = run(tmp_path, "sweep", payload)
             with open(out, newline="") as fh:
                 rows = list(csv.reader(fh))[1:]
@@ -165,15 +186,17 @@ class TestSweepCommand:
         instances = oracles.symmetric_lattice_family(3, 4, 2)
         assert rows == ref_sweep_rows(instances, Fraction(1), t_grid)
 
-    def test_support_cap_is_usage_error(self, tmp_path):
+    def test_support_cap_is_usage_error(self, tmp_path, monkeypatch):
         payload = {"h": "1", "t_grid": ["0"], "instances": [[COIN] * 3]}
-        assert run(tmp_path, "sweep", payload, max_width=6)[0] == 0
-        assert run(tmp_path, "sweep", payload, max_width=3)[0] == 2
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 6)
+        assert run(tmp_path, "sweep", payload)[0] == 0
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 3)
+        assert run(tmp_path, "sweep", payload)[0] == 2
 
     @pytest.mark.parametrize(
         "change",
-        [{"inflate_bound": "x"}, {"inflate_bound": None}, {"family": {"max_n": 2, "radius": -1}},
-         {"family": {"max_n": 2, "denominator": 0}}],
+        [{"family": {"max_n": 2, "radius": "2"}}, {"family": {"max_n": 2, "denominator": None}},
+         {"family": {"max_n": 2, "radius": -1}}, {"family": {"max_n": 2, "denominator": 0}}],
     )
     def test_malformed_input_is_usage_error(self, tmp_path, change):
         payload = {"h": "1", "t_grid": ["0"], "instances": [[COIN]]} | change
@@ -195,8 +218,9 @@ class TestSweepCommand:
             raise AssertionError("the sweep ran before the cap was checked")
 
         monkeypatch.setattr(oracles, "sweep_checks", no_work)
+        monkeypatch.setattr(oracles, "MAX_SWEEP_TERMS", 5)
         payload = {"h": "1", "t_grid": ["0"], "family": {"max_n": 6}}
-        assert run(tmp_path, "sweep", payload, max_n=5)[0] == 2
+        assert run(tmp_path, "sweep", payload)[0] == 2
 
 
 class TestKleitmanCommand:
@@ -248,7 +272,8 @@ class TestKleitmanCommand:
             raise AssertionError("counted before the cap was checked")
 
         monkeypatch.setattr(oracles, "kleitman_count", no_work)
-        assert run(tmp_path, "kleitman", self.PAYLOAD, max_n=3)[0] == 2
+        monkeypatch.setattr(oracles, "MAX_ENUMERATION_TERMS", 3)
+        assert run(tmp_path, "kleitman", self.PAYLOAD)[0] == 2
 
 
 class TestCompareCommand:
@@ -291,6 +316,12 @@ class TestCompareCommand:
         monkeypatch.setattr(ordering, "exact_sum_distribution", no_sums)
         assert run(tmp_path, "compare", payload | {"m_max": 4})[0] == 2
 
+    def test_support_cap_is_usage_error(self, tmp_path):
+        # The sum of six 201-atom laws outgrows MAX_SUPPORT_PRODUCT.
+        wide = {"atoms": [{"x": str(x), "mass": "1/201"} for x in range(-100, 101)]}
+        payload = {"xs": [wide] * 6, "ys": [wide] * 6, "h": "1", "t_grid": ["1"], "m_max": 1}
+        assert run(tmp_path, "compare", payload)[0] == 2
+
     def test_sum_laws_built_once(self, tmp_path, monkeypatch):
         built = []
         real = ordering.exact_sum_distribution
@@ -331,6 +362,24 @@ class TestTightenCommand:
         assert rows[0]["status"] == "VIOLATION"
 
 
+@pytest.mark.parametrize(
+    "command, payload, work",
+    [("bound", {"p": ["1/2"] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "evaluate_bounds")),
+     ("bound", {"terms": [COIN] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "evaluate_bounds")),
+     ("tighten", {"p": ["1/2"] * 3, "h": "1", "m": 1}, (oracles, "tightness_search"))],
+    ids=["bound-p", "bound-terms", "tighten"],
+)
+def test_term_cap_checked_before_any_pmf(tmp_path, monkeypatch, command, payload, work):
+    def no_work(*args):
+        raise AssertionError("the pmf was built before the term cap was checked")
+
+    monkeypatch.setattr(oracles, "MAX_BOUND_TERMS", 3)
+    assert run(tmp_path, command, payload)[0] == 0
+    monkeypatch.setattr(*work, no_work)
+    monkeypatch.setattr(oracles, "MAX_BOUND_TERMS", 2)
+    assert run(tmp_path, command, payload)[0] == 2
+
+
 BOUND = {"p": ["1/2", "1"], "h": "1", "t_grid": ["0", "1"]}
 SWEEP = {"h": "1", "t_grid": ["0", "1"], "instances": [[COIN, COIN]]}
 KLEITMAN = {"instances": [{"dimension": 1, "vectors": [[1], [1]], "norm": "absolute",
@@ -345,9 +394,18 @@ TIGHTEN = {"p": ["1", "1"], "h": "1", "m": 1, "h_grid": ["2"], "split_grid": ["1
      ("kleitman", {"instances": 5}), ("compare", COMPARE | {"xs": 5}),
      ("compare", COMPARE | {"ys": 5}), ("bound", BOUND | {"p": 5}),
      ("bound", {"terms": 5, "h": "1", "t_grid": ["0"]}),
-     ("tighten", TIGHTEN | {"m": float("inf")})],
+     ("tighten", TIGHTEN | {"m": float("inf")}),
+     ("tighten", TIGHTEN | {"m": True}), ("tighten", TIGHTEN | {"m": 1.9}),
+     ("tighten", TIGHTEN | {"m": "1"}), ("compare", COMPARE | {"m_max": 1.5}),
+     ("sweep", {"h": "1", "t_grid": ["0"], "family": {"max_n": 2.7}}),
+     ("kleitman", {"instances": [KLEITMAN["instances"][0] | {"dimension": 1.5}]}),
+     ("kleitman", {"instances": [KLEITMAN["instances"][0] | {"vectors": {"1": 0, "2": 0}}]}),
+     ("kleitman", {"instances": [KLEITMAN["instances"][0]
+                                 | {"targets": [{"center": "1", "radius": "1/4"}]}]})],
     ids=["sweep-instances", "sweep-instance", "kleitman-instances", "compare-xs", "compare-ys",
-         "bound-p", "bound-terms", "tighten-infinity"],
+         "bound-p", "bound-terms", "tighten-infinity", "tighten-m-bool", "tighten-m-float",
+         "tighten-m-string", "compare-m_max-float", "sweep-max_n-float",
+         "kleitman-dimension-float", "kleitman-vectors-object", "kleitman-center-string"],
 )
 def test_malformed_shape_is_usage_error(tmp_path, command, payload):
     assert run(tmp_path, command, payload)[0] == 2
@@ -387,7 +445,7 @@ json_values = st.recursive(
 )
 FUZZ_INPUTS = [
     ("bound", BOUND), ("bound", {"terms": [COIN, COIN], "h": "1", "t_grid": ["1"]}),
-    ("sweep", SWEEP | {"inflate_bound": "0"}),
+    ("sweep", SWEEP),
     ("sweep", {"h": "1", "t_grid": ["1"], "family": {"max_n": 2, "denominator": 4, "radius": 1}}),
     ("kleitman", KLEITMAN), ("compare", COMPARE), ("tighten", TIGHTEN),
 ]
@@ -397,23 +455,33 @@ FUZZ_INPUTS = [
 @given(data=st.data())
 def test_fuzzed_json_exits_cleanly(tmp_path, data):
     # Random JSON in place of any field of a valid input, at any depth:
-    # every run ends in a CSV verdict or a usage error, never a traceback.
+    # every run ends in a CSV or a usage error, never a traceback.  No
+    # valid input violates a theorem, so exit 1 would be a bug.
     command, payload = data.draw(st.sampled_from(FUZZ_INPUTS))
     for _ in range(data.draw(st.integers(1, 2))):
         path = data.draw(st.sampled_from(list(_paths(payload))))
         payload = _replace(payload, path, data.draw(json_values))
-    assert run(tmp_path, command, payload)[0] in (0, 1, 2)
+    assert run(tmp_path, command, payload)[0] in (0, 2)
 
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
-@pytest.mark.parametrize(
-    "command, flags",
-    [("bound", {"seed": 0}), ("sweep", {"seed": 0}), ("bound", {"max_n": 3}),
-     ("compare", {"max_width": 9}), ("tighten", {"max_n": 3}), ("kleitman", {"max_width": 9})],
-)
+FLAG_CASES = [
+    ("bound", {"seed": 0}), ("sweep", {"seed": 0}), ("bound", {"max_n": 3}),
+    ("compare", {"max_width": 9}), ("tighten", {"max_n": 3}), ("kleitman", {"max_width": 9}),
+]
+FLAG_CASES += [
+    (command, {flag: 3})
+    for command in ("bound", "sweep", "kleitman", "compare", "tighten")
+    for flag in ("seed", "max_n", "max_width")
+    if (command, flag) not in {(c, f) for c, flags in FLAG_CASES for f in flags}
+]
+
+
+@pytest.mark.parametrize("command, flags", FLAG_CASES)
 def test_flags_only_where_read(tmp_path, capsys, command, flags):
+    # Only --input and --output exist; the caps are constants in oracles.
     assert run(tmp_path, command, {}, **flags)[0] == 2
     assert "unrecognized arguments" in capsys.readouterr().err

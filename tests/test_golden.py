@@ -20,7 +20,6 @@ CASES = (
     ("sweep_family", "sweep", 0),
     ("sweep_family_half", "sweep", 0),
     ("sweep_instances", "sweep", 0),
-    ("sweep_inflate", "sweep", 1),
     ("sweep_asymmetric", "sweep", 2),
     ("sweep_ncap", "sweep", 2),
     ("kleitman", "kleitman", 0),
