@@ -29,10 +29,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .distributions import (  # noqa: F401  (extremal_distribution is re-exported)
+from .distributions import (
     _poisson_binomial_weights,
     as_success_vector,
-    extremal_distribution,
     interval_mass,
     symmetric_three_point,
 )

@@ -110,12 +110,17 @@ def _laws(value, name: str) -> tuple[LatticeDistribution, ...]:
         raise InputError(f"bad distribution literal in {name}: {exc}") from exc
 
 
+def _capped(terms: Sequence) -> Sequence:
+    """A term list of at most MAX_TERMS entries, checked before any law is built."""
+    if len(terms) > oracles.MAX_TERMS:
+        raise InputError(f"n={len(terms)} terms exceed cap {oracles.MAX_TERMS}")
+    return terms
+
+
 def _probabilities(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The success vector of `bound` and `tighten`, capped before any pmf."""
-    if len(values) > oracles.MAX_BOUND_TERMS:
-        raise InputError(f"n={len(values)} terms exceed cap {oracles.MAX_BOUND_TERMS}")
     try:
-        return as_success_vector(values)
+        return as_success_vector(_capped(values))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -206,7 +211,6 @@ def cmd_kleitman(data: dict) -> list[list]:
                 tuple((_get(t, "center", _rationals), _get(t, "radius", _rational))
                       for t in _get(raw, "targets", _list)),
             )
-            inst.validate()
         except ValueError as exc:
             raise InputError(f"instance {index}: {exc}") from exc
         instances.append(inst)
@@ -227,8 +231,7 @@ def cmd_compare(data: dict) -> list[list]:
     if m_max > oracles.MAX_HALF_MASS_M:
         raise InputError(f"m_max={m_max} exceeds cap {oracles.MAX_HALF_MASS_M}")
     try:
-        inst = ordering.ComparisonInstance(xs, ys)
-        inst.validate()
+        inst = ordering.ComparisonInstance(_capped(xs), _capped(ys))
         inst.sums()  # builds the sum laws, so the support cap exits 2 here
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -13,7 +13,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import sub
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import improved_bound
 from .distributions import (
@@ -28,21 +29,31 @@ from .distributions import (
 )
 from .rational import parse_rational
 
-NORMS = ("euclidean", "sup", "one", "absolute")
-
 MAX_ENUMERATION_TERMS = 24
 
 # Work caps, checked before the work starts: the instances one
 # symmetric_lattice_family may yield (criterion 05's family(6) has 54 263),
 # the half-mass rows (m = 1..m_max) one `symtail compare` may write, the
 # terms of one `symtail sweep` instance or family, the terms of one
-# `symtail bound` or `tighten` input (the pmf costs grow roughly as n^3),
-# and the support-size product of one exact convolution.
+# `symtail bound`, `tighten` or `compare` list (exact laws cost about n^2
+# to n^3), and the support-size product of one exact convolution.
 MAX_FAMILY_INSTANCES = 100_000
 MAX_HALF_MASS_M = 10_000
 MAX_SWEEP_TERMS = 8
-MAX_BOUND_TERMS = 1_000
+MAX_TERMS = 1_000
 MAX_SUPPORT_PRODUCT = 200_000
+
+# The exact size of a vector in each norm: the norm itself, or its square
+# for the euclidean norm so that it stays rational.  Sizes order vectors as
+# their norms do, so x lies in the open ball (c, r) exactly when
+# size(x - c) < size((r,)).
+_SIZES = {
+    "euclidean": lambda v: sum(c * c for c in v),
+    "sup": lambda v: max(map(abs, v)),
+    "one": lambda v: sum(map(abs, v)),
+}
+_SIZES["absolute"] = _SIZES["one"]  # the one-norm of a 1-vector
+NORMS = tuple(_SIZES)
 
 
 class SupportCapExceeded(ValueError):
@@ -55,7 +66,9 @@ class KleitmanInstance:
 
     Each target is (center, radius) for the open ball {x : ||x - c|| < radius};
     open balls of radius r have diameter < 2r, so the counting bound applies
-    whenever 2 * radius < min_i ||a_i|| for every target.
+    whenever 2 * radius < min_i ||a_i|| for every target.  Construction
+    raises ValueError unless the instance is well formed, holds at most
+    MAX_ENUMERATION_TERMS vectors and meets that diameter hypothesis.
     """
 
     dimension: int
@@ -63,17 +76,7 @@ class KleitmanInstance:
     norm: str
     targets: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
-    @staticmethod
-    def make(dimension, vectors, norm, targets) -> "KleitmanInstance":
-        d = int(dimension)
-        vecs = tuple(tuple(parse_rational(c) for c in v) for v in vectors)
-        tgts = tuple(
-            (tuple(parse_rational(c) for c in center), parse_rational(radius))
-            for center, radius in targets
-        )
-        return KleitmanInstance(d, vecs, str(norm), tgts)
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.norm not in NORMS:
@@ -83,82 +86,45 @@ class KleitmanInstance:
         if not self.vectors or not self.targets:
             raise ValueError("need at least one vector and one target")
         if len(self.vectors) > MAX_ENUMERATION_TERMS:
-            raise ValueError(
-                f"n={len(self.vectors)} exceeds enumeration cap {MAX_ENUMERATION_TERMS}"
-            )
-        for v in self.vectors:
-            if len(v) != self.dimension:
-                raise ValueError("vector dimension mismatch")
+            cap = MAX_ENUMERATION_TERMS
+            raise ValueError(f"n={len(self.vectors)} exceeds enumeration cap {cap}")
+        if any(len(v) != self.dimension for v in self.vectors):
+            raise ValueError("vector dimension mismatch")
         for center, radius in self.targets:
             if len(center) != self.dimension:
                 raise ValueError("target center dimension mismatch")
             if radius < 0:
                 raise ValueError("target radius must be nonnegative")
-        # Diameter hypothesis: 2 * radius < min_i ||a_i||, compared exactly
-        # (squared for the euclidean norm to stay in the rationals).
-        if self.norm == "euclidean":
-            min_sq = min(sum(c * c for c in v) for v in self.vectors)
-            for _, radius in self.targets:
-                if not 4 * radius * radius < min_sq:
-                    raise ValueError(
-                        f"diameter hypothesis violated: 2*{radius} >= min vector norm"
-                    )
-        else:
-            reducer = max if self.norm == "sup" else sum
-            min_norm = min(reducer(abs(c) for c in v) for v in self.vectors)
-            for _, radius in self.targets:
-                if not 2 * radius < min_norm:
-                    raise ValueError(
-                        f"diameter hypothesis violated: 2*{radius} >= min vector norm"
-                    )
-
-
-def _membership_test(inst: KleitmanInstance, scale: int) -> Callable[[list[int]], bool]:
-    # Precompute per-target scaled centers and cross-multiplied thresholds so
-    # the hot loop works on plain ints.
-    checks = []
-    for center, radius in inst.targets:
-        c = [int(x * scale) for x in center]
-        if inst.norm == "euclidean":
-            thr = (radius * scale) ** 2
-        else:
-            thr = radius * scale
-        checks.append((c, thr.numerator, thr.denominator))
-    d = inst.dimension
-    norm = inst.norm
-
-    def member(point: list[int]) -> bool:
-        for c, num, den in checks:
-            if norm == "euclidean":
-                dist = sum((point[i] - c[i]) ** 2 for i in range(d))
-            elif norm == "sup":
-                dist = max(abs(point[i] - c[i]) for i in range(d))
-            else:  # "one" and "absolute"
-                dist = sum(abs(point[i] - c[i]) for i in range(d))
-            if dist * den < num:
-                return True
-        return False
-
-    return member
+        size = _SIZES[self.norm]
+        min_size = min(map(size, self.vectors))
+        for _, radius in self.targets:
+            if not size((2 * radius,)) < min_size:
+                raise ValueError(f"diameter hypothesis violated: 2*{radius} >= min vector norm")
 
 
 def kleitman_count(inst: KleitmanInstance) -> int:
     """Exhaustive count of subsets whose vector sum lands in a target ball.
 
     Enumerates all 2^n subsets (empty set included, contributing the zero
-    sum) in Gray-code order, so each step is one coordinate update.  The
-    count is returned unchecked; the theorem bounds it by the
-    binomial-window ceiling F_n(m).
+    sum) in Gray-code order, so each step is one coordinate update.  All
+    coordinates, centres and radii are scaled to integers by one common
+    factor.  The count is returned unchecked; the theorem bounds it by the
+    binomial-window ceiling F_n(m).  The instance was checked when built.
     """
-    inst.validate()
     n = len(inst.vectors)
-    m = len(inst.targets)
     d = inst.dimension
+    size = _SIZES[inst.norm]
     denoms = [c.denominator for v in inst.vectors for c in v]
-    denoms += [c.denominator for center, _ in inst.targets for c in center]
+    denoms += [q.denominator for center, radius in inst.targets for q in (*center, radius)]
     scale = math.lcm(*denoms)
     scaled = [[int(c * scale) for c in v] for v in inst.vectors]
-    member = _membership_test(inst, scale)
+    balls = [
+        ([int(c * scale) for c in center], size((int(radius * scale),)))
+        for center, radius in inst.targets
+    ]
+
+    def member(point: list[int]) -> bool:
+        return any(size(map(sub, point, c)) < r for c, r in balls)
 
     cur = [0] * d
     count = 1 if member(cur) else 0
@@ -184,8 +150,8 @@ def equality_instance(n: int, m: int) -> KleitmanInstance:
     m consecutive integers of the centered binomial window, fattened to
     open radius 1/4."""
     r = (n - m + 1) // 2
-    targets = [((Fraction(r + j),), Fraction(1, 4)) for j in range(m)]
-    return KleitmanInstance.make(1, [(1,)] * n, "absolute", targets)
+    targets = tuple(((Fraction(r + j),), Fraction(1, 4)) for j in range(m))
+    return KleitmanInstance(1, ((Fraction(1),),) * n, "absolute", targets)
 
 
 def exact_sum_distribution(

@@ -44,7 +44,9 @@ class HypothesisViolation(ValueError):
 class ComparisonInstance:
     """Paired term lists (X_i), (Y_i); all symmetric, with |X_i| >= |Y_i|.
 
-    The hypothesis check and the two sum laws are computed once per instance.
+    Construction raises ValueError for unpaired or empty lists and
+    HypothesisViolation for a non-symmetric term or an undominated pair.
+    The two sum laws are built on first use, once per instance.
     """
 
     xs: tuple[LatticeDistribution, ...]
@@ -53,21 +55,13 @@ class ComparisonInstance:
     def __post_init__(self) -> None:
         if len(self.xs) != len(self.ys) or not self.xs:
             raise ValueError("need equally many X and Y terms, at least one pair")
-
-    @cached_property
-    def _violation(self) -> str | None:
-        for i, (x, y) in enumerate(zip(self.xs, self.ys)):
+        for i, (x, y) in enumerate(zip(self.xs, self.ys), 1):
             if not is_symmetric(x):
-                return f"X_{i + 1} is not symmetric"
+                raise HypothesisViolation(f"X_{i} is not symmetric")
             if not is_symmetric(y):
-                return f"Y_{i + 1} is not symmetric"
+                raise HypothesisViolation(f"Y_{i} is not symmetric")
             if not abs_stochastically_geq(x, y):
-                return f"|X_{i + 1}| does not dominate |Y_{i + 1}|"
-        return None
-
-    def validate(self) -> None:
-        if self._violation is not None:
-            raise HypothesisViolation(self._violation)
+                raise HypothesisViolation(f"|X_{i}| does not dominate |Y_{i}|")
 
     @cached_property
     def _sums(self) -> tuple[LatticeDistribution, LatticeDistribution]:
@@ -89,7 +83,6 @@ class PrussReport:
 
 def pruss_check(inst: ComparisonInstance, t_grid: Sequence) -> PrussReport:
     """Check P(|S| >= t) >= (1/2) P(|T| >= t) at every positive grid t."""
-    inst.validate()
     s, t_dist = inst.sums()
     report = PrussReport()
     for t in sorted(parse_rational(v) for v in t_grid):
@@ -121,7 +114,6 @@ def half_mass_check(inst: ComparisonInstance, h, m_max: int) -> HalfMassReport:
     claimed for positive m; m = 0 genuinely fails (the known two-coin
     example gives 3/4 < 1 there).
     """
-    inst.validate()
     h = parse_rational(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -151,7 +143,6 @@ def birnbaum_check(inst: ComparisonInstance, h) -> BirnbaumReport:
     conclusion is evaluated either way, since a false conclusion under a
     violated hypothesis is informative, not a bug.
     """
-    inst.validate()
     h = parse_rational(h)
     violations: list[str] = []
     for i, (x, y) in enumerate(zip(inst.xs, inst.ys)):

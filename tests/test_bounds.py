@@ -11,7 +11,6 @@ import symtail
 from symtail.bounds import (
     BoundReport,
     evaluate_bounds,
-    extremal_distribution,
     extremal_interval_check,
     improved_bound,
     kanter_supremum,
@@ -20,7 +19,13 @@ from symtail.bounds import (
     optimize_h,
     window_index,
 )
-from symtail.distributions import abs_tail, convolve, point_mass, poisson_binomial
+from symtail.distributions import (
+    abs_tail,
+    convolve,
+    extremal_distribution,
+    point_mass,
+    poisson_binomial,
+)
 from symtail.oracles import exact_sum_distribution
 
 from util import dist, random_probability, random_success_vector, random_symmetric_law

@@ -260,7 +260,7 @@ class TestKleitmanCommand:
 
     def test_count_above_ceiling_is_violation(self, tmp_path, monkeypatch):
         # Every subset sum counts as a hit, so count = 2^n > F_n(1).
-        monkeypatch.setattr(oracles, "_membership_test", lambda inst, scale: lambda point: True)
+        monkeypatch.setattr(oracles, "kleitman_count", lambda inst: 1 << len(inst.vectors))
         code, rows, _ = run(tmp_path, "kleitman", self.PAYLOAD)
         assert code == 1
         assert [(r["count"], r["ceiling"], r["status"]) for r in rows] == [
@@ -366,17 +366,19 @@ class TestTightenCommand:
     "command, payload, work",
     [("bound", {"p": ["1/2"] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "evaluate_bounds")),
      ("bound", {"terms": [COIN] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "evaluate_bounds")),
-     ("tighten", {"p": ["1/2"] * 3, "h": "1", "m": 1}, (oracles, "tightness_search"))],
-    ids=["bound-p", "bound-terms", "tighten"],
+     ("tighten", {"p": ["1/2"] * 3, "h": "1", "m": 1}, (oracles, "tightness_search")),
+     ("compare", {"xs": [COIN] * 3, "ys": [LAZY] * 3, "h": "1", "t_grid": ["1"]},
+      (ordering, "ComparisonInstance"))],
+    ids=["bound-p", "bound-terms", "tighten", "compare"],
 )
 def test_term_cap_checked_before_any_pmf(tmp_path, monkeypatch, command, payload, work):
     def no_work(*args):
         raise AssertionError("the pmf was built before the term cap was checked")
 
-    monkeypatch.setattr(oracles, "MAX_BOUND_TERMS", 3)
+    monkeypatch.setattr(oracles, "MAX_TERMS", 3)
     assert run(tmp_path, command, payload)[0] == 0
     monkeypatch.setattr(*work, no_work)
-    monkeypatch.setattr(oracles, "MAX_BOUND_TERMS", 2)
+    monkeypatch.setattr(oracles, "MAX_TERMS", 2)
     assert run(tmp_path, command, payload)[0] == 2
 
 

@@ -33,51 +33,85 @@ def ball(center, radius):
     return (center, radius)
 
 
+def instance(dimension, vectors, norm, targets) -> KleitmanInstance:
+    """A KleitmanInstance from lists of plain numbers, read as Fractions."""
+    return KleitmanInstance(
+        dimension,
+        tuple(tuple(map(Fraction, v)) for v in vectors),
+        norm,
+        tuple((tuple(map(Fraction, center)), Fraction(radius)) for center, radius in targets),
+    )
+
+
+def norm_of(x, norm):
+    """||x||, or ||x||^2 for the euclidean norm, from the norm's definition."""
+    if norm == "euclidean":
+        return sum(c * c for c in x)
+    if norm == "sup":
+        return max(abs(c) for c in x)
+    return sum(abs(c) for c in x)
+
+
 class TestKleitmanValidation:
     def test_diameter_hypothesis_enforced(self):
-        inst = KleitmanInstance.make(
-            1, [(1,)], "absolute", [ball((0,), Fraction(2, 3))]
-        )
         with pytest.raises(ValueError, match="diameter"):
-            inst.validate()
+            instance(1, [(1,)], "absolute", [ball((0,), Fraction(2, 3))])
 
     def test_enumeration_cap(self):
-        inst = KleitmanInstance.make(
-            1, [(1,)] * 25, "absolute", [ball((0,), Fraction(1, 4))]
-        )
         with pytest.raises(ValueError, match="cap"):
-            inst.validate()
+            instance(1, [(1,)] * 25, "absolute", [ball((0,), Fraction(1, 4))])
 
     def test_absolute_norm_needs_dimension_one(self):
-        inst = KleitmanInstance.make(
-            2, [(1, 0)], "absolute", [ball((0, 0), Fraction(1, 4))]
-        )
         with pytest.raises(ValueError):
-            inst.validate()
+            instance(2, [(1, 0)], "absolute", [ball((0, 0), Fraction(1, 4))])
 
     def test_unknown_norm(self):
-        inst = KleitmanInstance.make(1, [(1,)], "l7", [ball((0,), Fraction(1, 4))])
         with pytest.raises(ValueError, match="norm"):
-            inst.validate()
+            instance(1, [(1,)], "l7", [ball((0,), Fraction(1, 4))])
+
+    @pytest.mark.parametrize(
+        "norm, vectors, min_norm",
+        [("euclidean", [(6, -8), (3, 4)], 5), ("sup", [(6, -8), (3, -4)], 4),
+         ("one", [(6, 8), (-3, 4)], 7), ("absolute", [(5,), (-3,)], 3)],
+        ids=["euclidean", "sup", "one", "absolute"],
+    )
+    def test_diameter_boundary_per_norm(self, norm, vectors, min_norm):
+        # Open balls of radius r have diameter 2r, so 2r = min ||a_i|| is
+        # rejected, for the second target too, and 2r just below is accepted.
+        center = (0,) * len(vectors[0])
+        edge = Fraction(min_norm, 2)
+        ok = ball(center, edge - Fraction(1, 1000))
+        for targets in ([ball(center, edge)], [ok, ball(center, edge)]):
+            with pytest.raises(ValueError, match="diameter"):
+                instance(len(center), vectors, norm, targets)
+        instance(len(center), vectors, norm, [ok, ok])
+
+    def test_bad_shapes_rejected(self):
+        good = dict(dimension=1, vectors=[(1,)], norm="one", targets=[ball((0,), "1/4")])
+        instance(**good)
+        for change, message in [
+            ({"dimension": 0}, "dimension"),
+            ({"vectors": []}, "at least one"),
+            ({"targets": []}, "at least one"),
+            ({"vectors": [(1, 0)]}, "vector dimension"),
+            ({"targets": [ball((0, 0), "1/4")]}, "center dimension"),
+            ({"targets": [ball((0,), "-1/4")]}, "nonnegative"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                instance(**(good | change))
 
 
 class TestKleitmanCount:
     def test_central_window_equality(self):
-        inst = KleitmanInstance.make(
-            1, [(1,)] * 4, "absolute", [ball((2,), Fraction(1, 4))]
-        )
+        inst = instance(1, [(1,)] * 4, "absolute", [ball((2,), Fraction(1, 4))])
         assert kleitman_count(inst) == 6  # C(4,2) = F_4(1)
 
     def test_unreachable_target(self):
-        inst = KleitmanInstance.make(
-            1, [(1,)], "absolute", [ball((10,), Fraction(1, 4))]
-        )
+        inst = instance(1, [(1,)], "absolute", [ball((10,), Fraction(1, 4))])
         assert kleitman_count(inst) == 0
 
     def test_empty_set_counts(self):
-        inst = KleitmanInstance.make(
-            1, [(1,)], "absolute", [ball((0,), Fraction(1, 4))]
-        )
+        inst = instance(1, [(1,)], "absolute", [ball((0,), Fraction(1, 4))])
         assert kleitman_count(inst) == 1
 
     def test_random_planar_instance_below_ceiling(self):
@@ -92,7 +126,7 @@ class TestKleitmanCount:
                  Fraction(1, 4))
             for _ in range(2)
         ]
-        inst = KleitmanInstance.make(2, vectors, "sup", targets)
+        inst = instance(2, vectors, "sup", targets)
         assert kleitman_count(inst) <= largest_binomial_sum(10, 2)
 
     def test_equality_instances(self):
@@ -102,40 +136,50 @@ class TestKleitmanCount:
                     n, m
                 )
 
-    def test_matches_direct_enumeration_euclidean(self):
+    @pytest.mark.parametrize("norm", oracles.NORMS)
+    def test_matches_direct_enumeration(self, norm):
         rng = random.Random(42)
-        for _ in range(5):
+        d = 1 if norm == "absolute" else 2
+        inside = on_boundary = 0
+        for _ in range(30):
             n = rng.randint(3, 8)
-            vectors = [
-                (Fraction(rng.choice([-2, -1, 1, 2]), 2), Fraction(rng.randint(-2, 2), 2))
-                for _ in range(n)
-            ]
-            # radius below half the smallest euclidean norm: sup norm >= 1/2
-            # for every vector here, so euclidean norm >= 1/2 as well
-            targets = [
-                ball((Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2)),
-                     Fraction(1, 5))
-                for _ in range(rng.randint(1, 3))
-            ]
-            inst = KleitmanInstance.make(2, vectors, "euclidean", targets)
+            vectors = []
+            for _ in range(n):
+                # half-integer coordinates, one of them at least 3/2 in size,
+                # so every norm is >= 3/2 and radii up to 2/3 are allowed
+                v = [Fraction(rng.randint(-4, 4), 2) for _ in range(d)]
+                v[rng.randrange(d)] = Fraction(rng.choice([-4, -3, 3, 4]), 2)
+                vectors.append(tuple(v))
+            targets = []
+            for _ in range(rng.randint(1, 3)):
+                # radii in fifths and thirds as well as halves; each centre is
+                # a subset sum moved along one axis, by exactly the radius
+                # (that sum must not count) or by a small offset
+                r = rng.choice([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
+                subset = [v for v in vectors if rng.random() < 0.5]
+                center = [sum(v[k] for v in subset) for k in range(d)]
+                center[rng.randrange(d)] += rng.choice([r, -r, Fraction(1, 3), Fraction(0)])
+                targets.append(ball(tuple(center), r))
+            inst = KleitmanInstance(d, tuple(vectors), norm, tuple(targets))
             # independent oracle: plain itertools subset enumeration
+            radii = [r * r if norm == "euclidean" else r for _, r in targets]
             expected = 0
             for mask in itertools.product([0, 1], repeat=n):
-                sx = sum(b * v[0] for b, v in zip(mask, vectors))
-                sy = sum(b * v[1] for b, v in zip(mask, vectors))
-                for (cx, cy), r in targets:
-                    if (sx - cx) ** 2 + (sy - cy) ** 2 < r * r:
-                        expected += 1
-                        break
+                s = [sum(b * v[k] for b, v in zip(mask, vectors)) for k in range(d)]
+                sizes = [norm_of([sk - ck for sk, ck in zip(s, c)], norm) for c, _ in targets]
+                expected += any(x < r for x, r in zip(sizes, radii))
+                on_boundary += any(x == r for x, r in zip(sizes, radii))
+            inside += expected
             assert kleitman_count(inst) == expected
+        assert inside and on_boundary
 
     def test_translation_and_permutation_invariance_of_bound(self):
         inst = equality_instance(8, 2)
-        shifted = KleitmanInstance.make(
+        shifted = KleitmanInstance(
             1,
-            list(reversed(inst.vectors)),
+            tuple(reversed(inst.vectors)),
             "absolute",
-            [((c[0] + 3,), r) for c, r in inst.targets],
+            tuple(((c[0] + 3,), r) for c, r in inst.targets),
         )
         count = kleitman_count(shifted)
         assert count <= largest_binomial_sum(8, 2)

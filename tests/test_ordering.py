@@ -76,20 +76,24 @@ def half_lattice_laws():
 
 class TestComparisonInstance:
     def test_validation(self):
-        inst = two_coin_example()
-        inst.validate()
+        inst = two_coin_example()  # meets the hypotheses, so it builds
+        assert len(inst.xs) == len(inst.ys) == 2
 
     def test_rejects_undominated_pair(self):
-        inst = ComparisonInstance((point_mass(0),), (coin(),))
-        with pytest.raises(HypothesisViolation):
-            inst.validate()
+        with pytest.raises(HypothesisViolation, match=r"\|X_1\| does not dominate \|Y_1\|"):
+            ComparisonInstance((point_mass(0),), (coin(),))
 
     def test_rejects_asymmetric_terms(self):
-        inst = ComparisonInstance((dist({0: "1/2", 1: "1/2"}),), (point_mass(0),))
-        with pytest.raises(HypothesisViolation):
-            inst.validate()
-        with pytest.raises(HypothesisViolation):
-            inst.validate()  # a failed check is not cached as a pass
+        lopsided = dist({0: "1/2", 1: "1/2"})
+        with pytest.raises(HypothesisViolation, match="X_1 is not symmetric"):
+            ComparisonInstance((lopsided,), (point_mass(0),))
+        with pytest.raises(HypothesisViolation, match="Y_2 is not symmetric"):
+            ComparisonInstance((coin(), coin()), (coin(), lopsided))
+
+    def test_rejects_unpaired_terms(self):
+        for xs, ys in [((coin(),), ()), ((), ())]:
+            with pytest.raises(ValueError, match="equally many"):
+                ComparisonInstance(xs, ys)
 
     def test_sums_built_once(self):
         inst = two_coin_example()
