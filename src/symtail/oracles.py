@@ -1,9 +1,10 @@
 """Independent brute-force verifiers.
 
 Nothing here reuses the closed forms it is meant to check: subset sums are
-enumerated exhaustively (Gray-code order, one vector update per step), sum
-laws are built by exact convolution, and the Monte Carlo sampler is a
-seeded, fully deterministic cross-check for continuous terms.
+counted exactly over the sumset (each distinct sum with its multiplicity,
+so all 2^n subsets are counted), sum laws are built by exact convolution,
+and the Monte Carlo sampler is a seeded, fully deterministic cross-check
+for continuous terms.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from itertools import accumulate
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import improved_bound
@@ -29,14 +31,15 @@ from .distributions import (
 )
 from .rational import parse_rational
 
-MAX_ENUMERATION_TERMS = 24
-
-# Work caps, checked before the work starts: the instances one
+# Work caps, checked before the work starts: the sumset work of one
+# kleitman_count (n vector additions over at most min(2^n, box) distinct
+# sums, see KleitmanInstance), the instances one
 # symmetric_lattice_family may yield (criterion 05's family(6) has 54 263),
 # the half-mass rows (m = 1..m_max) one `symtail compare` may write, the
 # terms of one `symtail sweep` instance or family, the terms of one
 # `symtail bound`, `tighten` or `compare` list (exact laws cost about n^2
 # to n^3), and the support-size product of one exact convolution.
+MAX_SUMSET_WORK = 1 << 24
 MAX_FAMILY_INSTANCES = 100_000
 MAX_HALF_MASS_M = 10_000
 MAX_SWEEP_TERMS = 8
@@ -67,8 +70,10 @@ class KleitmanInstance:
     Each target is (center, radius) for the open ball {x : ||x - c|| < radius};
     open balls of radius r have diameter < 2r, so the counting bound applies
     whenever 2 * radius < min_i ||a_i|| for every target.  Construction
-    raises ValueError unless the instance is well formed, holds at most
-    MAX_ENUMERATION_TERMS vectors and meets that diameter hypothesis.
+    raises ValueError unless the instance is well formed, meets that
+    diameter hypothesis and its sumset work is at most MAX_SUMSET_WORK:
+    n * min(2^n, B).  B = prod_j (sum_i |a_ij| / g_j + 1), with g_j the gcd
+    of coordinate j's entries, bounds the number of distinct subset sums.
     """
 
     dimension: int
@@ -85,9 +90,6 @@ class KleitmanInstance:
             raise ValueError("absolute-value norm requires dimension 1")
         if not self.vectors or not self.targets:
             raise ValueError("need at least one vector and one target")
-        if len(self.vectors) > MAX_ENUMERATION_TERMS:
-            cap = MAX_ENUMERATION_TERMS
-            raise ValueError(f"n={len(self.vectors)} exceeds enumeration cap {cap}")
         if any(len(v) != self.dimension for v in self.vectors):
             raise ValueError("vector dimension mismatch")
         for center, radius in self.targets:
@@ -100,19 +102,31 @@ class KleitmanInstance:
         for _, radius in self.targets:
             if not size((2 * radius,)) < min_size:
                 raise ValueError(f"diameter hypothesis violated: 2*{radius} >= min vector norm")
+        n = len(self.vectors)
+        scale = math.lcm(*(c.denominator for v in self.vectors for c in v))
+        box = _sum_box([[int(c * scale) for c in v] for v in self.vectors])
+        distinct = math.prod(width for _, _, width in box)
+        # min(2^n, distinct), without building 2^n for a large n
+        work = n * min(distinct, 1 << min(n, distinct.bit_length()))
+        if work > MAX_SUMSET_WORK:
+            raise ValueError(
+                f"sumset work {work} (n={n}, at most {distinct} distinct sums) "
+                f"exceeds cap {MAX_SUMSET_WORK}"
+            )
 
 
 def kleitman_count(inst: KleitmanInstance) -> int:
-    """Exhaustive count of subsets whose vector sum lands in a target ball.
+    """Exact count of subsets whose vector sum lands in a target ball.
 
-    Enumerates all 2^n subsets (empty set included, contributing the zero
-    sum) in Gray-code order, so each step is one coordinate update.  All
-    coordinates, centres and radii are scaled to integers by one common
-    factor.  The count is returned unchecked; the theorem bounds it by the
-    binomial-window ceiling F_n(m).  The instance was checked when built.
+    Counts all 2^n subsets (empty set included, contributing the zero sum)
+    through the sumset: a map from each distinct subset sum to its
+    multiplicity, built by adding one vector at a time, after which each
+    distinct sum is tested for membership once.  All coordinates, centres
+    and radii are scaled to integers by one common factor, and each sum is
+    packed into one integer key (see _sum_box).  The count is returned
+    unchecked; the theorem bounds it by the binomial-window ceiling F_n(m).
+    The instance was checked when built.
     """
-    n = len(inst.vectors)
-    d = inst.dimension
     size = _SIZES[inst.norm]
     denoms = [c.denominator for v in inst.vectors for c in v]
     denoms += [q.denominator for center, radius in inst.targets for q in (*center, radius)]
@@ -123,26 +137,41 @@ def kleitman_count(inst: KleitmanInstance) -> int:
         for center, radius in inst.targets
     ]
 
-    def member(point: list[int]) -> bool:
-        return any(size(map(sub, point, c)) < r for c, r in balls)
+    # Mixed-radix packing over the sums' bounding box: coordinate j of every
+    # partial sum is low + g*k with 0 <= k < width and packs as k*stride, so
+    # adding a vector adds its packed step to the key.
+    box = _sum_box(scaled)
+    strides = list(accumulate((width for _, _, width in box[:-1]), mul, initial=1))
+    counts = {sum(-low // g * s for (g, low, _), s in zip(box, strides)): 1}
+    for v in scaled:
+        step = sum(c // g * s for c, (g, _, _), s in zip(v, box, strides))
+        total = counts.copy()
+        for key, mult in counts.items():
+            key += step
+            total[key] = total.get(key, 0) + mult
+        counts = total
 
-    cur = [0] * d
-    count = 1 if member(cur) else 0
-    g_prev = 0
-    for i in range(1, 1 << n):
-        g = i ^ (i >> 1)
-        bit = (g ^ g_prev).bit_length() - 1
-        g_prev = g
-        vec = scaled[bit]
-        if (g >> bit) & 1:
-            for j in range(d):
-                cur[j] += vec[j]
-        else:
-            for j in range(d):
-                cur[j] -= vec[j]
-        if member(cur):
-            count += 1
+    count = 0
+    for key, mult in counts.items():
+        point = []
+        for g, low, width in box:
+            key, k = divmod(key, width)
+            point.append(low + g * k)
+        if any(size(map(sub, point, c)) < r for c, r in balls):
+            count += mult
     return count
+
+
+def _sum_box(scaled: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    """(g, low, width) per coordinate of integer vectors: g is the gcd of the
+    coordinate's entries and every subset sum's coordinate is low + g*k for
+    some 0 <= k < width, so the product of the widths bounds the number of
+    distinct subset sums whatever the scale."""
+    box = []
+    for column in zip(*scaled):
+        g = math.gcd(*column) or 1
+        box.append((g, sum(c for c in column if c < 0), sum(map(abs, column)) // g + 1))
+    return box
 
 
 def equality_instance(n: int, m: int) -> KleitmanInstance:
@@ -478,8 +507,8 @@ def monte_carlo_tail(config: SampleConfig, t: float) -> tuple[float, float]:
     """
     if config.replications < 1000:
         raise ValueError("need at least 1000 replications")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0:  # also rejects NaN
+        raise ValueError(f"t must be nonnegative, got {t}")
     rng = random.Random(config.seed)
     size = config.replications
     total = [0.0] * size

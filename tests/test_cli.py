@@ -272,7 +272,8 @@ class TestKleitmanCommand:
             raise AssertionError("counted before the cap was checked")
 
         monkeypatch.setattr(oracles, "kleitman_count", no_work)
-        monkeypatch.setattr(oracles, "MAX_ENUMERATION_TERMS", 3)
+        # work 3 * 4 and 4 * 5: the second instance is over the cap
+        monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", 12)
         assert run(tmp_path, "kleitman", self.PAYLOAD)[0] == 2
 
 

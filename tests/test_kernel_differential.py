@@ -1,6 +1,7 @@
 """Differential tests: the integer-lattice kernel against the per-atom
 Fraction references in util.py, on random rational laws (non-integer steps,
-half-lattice offsets, wide sparse gaps, point masses, mixed denominators)."""
+half-lattice offsets, wide sparse gaps, point masses, mixed denominators),
+and the sumset Kleitman count against the Gray-code enumeration."""
 
 from fractions import Fraction
 
@@ -18,7 +19,13 @@ from symtail.distributions import (
     poisson_binomial,
     symmetric_three_point,
 )
-from symtail.oracles import SupportCapExceeded, exact_sum_distribution
+from symtail.oracles import (
+    NORMS,
+    KleitmanInstance,
+    SupportCapExceeded,
+    exact_sum_distribution,
+    kleitman_count,
+)
 
 from util import (
     ref_abs_stochastically_geq,
@@ -27,6 +34,7 @@ from util import (
     ref_interval_mass,
     ref_is_symmetric,
     ref_is_unimodal_with_span,
+    ref_kleitman_count,
     ref_poisson_binomial,
     ref_symmetric_three_point,
 )
@@ -210,3 +218,40 @@ def test_exact_sum_support_cap(terms, cap):
             exact_sum_distribution(laws_, max_support=cap)
     else:
         assert exact_sum_distribution(laws_, max_support=cap).atoms == total
+
+
+@st.composite
+def kleitman_instances(draw):
+    """Vectors with one coordinate of size >= 3/2 (so radii up to 2/3 meet
+    the diameter hypothesis in every norm), often repeated from a small pool
+    so that subset sums coincide; radii in thirds and fifths; each centre is
+    a subset sum moved along one axis by exactly r, by -r or not at all."""
+    d = draw(st.integers(1, 3))
+    norm = draw(st.sampled_from([x for x in NORMS if x != "absolute" or d == 1]))
+    coords = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+    long = st.builds(Fraction, st.sampled_from([-4, -3, 3, 4]), st.sampled_from([1, 2]))
+
+    @st.composite
+    def vectors(draw):
+        v = draw(st.lists(coords, min_size=d, max_size=d))
+        v[draw(st.integers(0, d - 1))] = draw(long)
+        return tuple(v)
+
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(vectors(), min_size=1, max_size=n))
+    vecs = tuple(draw(st.sampled_from(pool)) for _ in range(n))
+    radii = st.sampled_from([Fraction(r) for r in ("1/3", "2/3", "1/5", "2/5", "3/5")])
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(radii)
+        picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        center = [sum((v[j] for v, b in zip(vecs, picks) if b), Fraction(0)) for j in range(d)]
+        center[draw(st.integers(0, d - 1))] += draw(st.sampled_from([r, -r, Fraction(0)]))
+        targets.append((tuple(center), r))
+    return KleitmanInstance(d, vecs, norm, tuple(targets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kleitman_instances())
+def test_kleitman_count(inst):
+    assert kleitman_count(inst) == ref_kleitman_count(inst)

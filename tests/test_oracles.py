@@ -58,8 +58,31 @@ class TestKleitmanValidation:
             instance(1, [(1,)], "absolute", [ball((0,), Fraction(2, 3))])
 
     def test_enumeration_cap(self):
+        # Generic vectors: all 2^20 subset sums are distinct, and the work
+        # 20 * 2^20 exceeds MAX_SUMSET_WORK = 2^24.
         with pytest.raises(ValueError, match="cap"):
-            instance(1, [(1,)] * 25, "absolute", [ball((0,), Fraction(1, 4))])
+            instance(1, [(1 << i,) for i in range(20)], "absolute", [ball((0,), Fraction(1, 4))])
+        instance(1, [(1 << i,) for i in range(19)], "absolute", [ball((0,), Fraction(1, 4))])
+
+    @pytest.mark.parametrize(
+        "dimension, vectors, work",
+        [
+            (1, [(1,)] * 5, 5 * 6),  # box: 6 distinct sums < 2^5
+            (1, [("2/3",), ("4/3",), ("-2/3",)], 3 * 5),  # gcd 2/3: sums -2/3 .. 2
+            (2, [(1, 0), (0, 1), (1, 1)], 3 * 8),  # 2^3 < box 3 * 3
+            (3, [(1, 0, 0), (0, 2, 0), (0, 0, 3), (1, 2, 3)], 4 * 16),  # 2^4 < box 3*3*3
+            (2, [(2, 0), (4, 0)], 2 * 4),  # a zero coordinate adds width 1
+        ],
+    )
+    def test_work_cap_boundary(self, monkeypatch, dimension, vectors, work):
+        # work = n * min(2^n, prod_j (sum_i |a_ij| / g_j + 1)) with g_j the
+        # gcd of coordinate j: at the cap it builds, one above it does not.
+        targets = [ball((0,) * dimension, Fraction(1, 4))]
+        monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", work)
+        instance(dimension, vectors, "sup", targets)
+        monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", work - 1)
+        with pytest.raises(ValueError, match="cap"):
+            instance(dimension, vectors, "sup", targets)
 
     def test_absolute_norm_needs_dimension_one(self):
         with pytest.raises(ValueError):
@@ -135,6 +158,10 @@ class TestKleitmanCount:
                 assert kleitman_count(equality_instance(n, m)) == largest_binomial_sum(
                     n, m
                 )
+
+    def test_equality_instance_past_old_enumeration_cap(self):
+        # 2^25 subsets but 26 distinct sums: work 25 * 26
+        assert kleitman_count(equality_instance(25, 1)) == largest_binomial_sum(25, 1)
 
     @pytest.mark.parametrize("norm", oracles.NORMS)
     def test_matches_direct_enumeration(self, norm):
@@ -341,6 +368,14 @@ class TestMonteCarlo:
         )
         estimate, std_error = monte_carlo_tail(cfg, 2.0)
         assert abs(estimate - float(exact)) <= 4 * max(std_error, 1e-9)
+
+    @pytest.mark.parametrize("t", [float("nan"), -0.5, float("-inf")])
+    def test_rejects_t_not_nonnegative(self, t):
+        cfg = SampleConfig(seed=1, replications=1000, terms=(
+            {"kind": "atoms", "atoms": {0: 1}},
+        ))
+        with pytest.raises(ValueError, match="nonnegative"):
+            monte_carlo_tail(cfg, t)
 
     def test_replication_floor(self):
         cfg = SampleConfig(seed=1, replications=10, terms=(

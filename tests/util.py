@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from operator import sub
 
 from symtail.bounds import improved_bound
 from symtail.distributions import LatticeDistribution, abs_tail
-from symtail.oracles import exact_sum_distribution
+from symtail.oracles import _SIZES, exact_sum_distribution
 from symtail.rational import decimal_str, format_rational
 
 
@@ -165,3 +167,45 @@ def ref_sweep_rows(instances, h, t_grid, inflate=Fraction(0)) -> list[list[str]]
                 "ok" if slack >= 0 else "VIOLATION",
             ])
     return rows
+
+
+def ref_kleitman_count(inst) -> int:
+    """Exhaustive count of subsets whose vector sum lands in a target ball.
+
+    Enumerates all 2^n subsets (empty set included, contributing the zero
+    sum) in Gray-code order, so each step is one coordinate update.  All
+    coordinates, centres and radii are scaled to integers by one common
+    factor.  The reference for the sumset count of symtail's kleitman_count.
+    """
+    n = len(inst.vectors)
+    d = inst.dimension
+    size = _SIZES[inst.norm]
+    denoms = [c.denominator for v in inst.vectors for c in v]
+    denoms += [q.denominator for center, radius in inst.targets for q in (*center, radius)]
+    scale = math.lcm(*denoms)
+    scaled = [[int(c * scale) for c in v] for v in inst.vectors]
+    balls = [
+        ([int(c * scale) for c in center], size((int(radius * scale),)))
+        for center, radius in inst.targets
+    ]
+
+    def member(point: list[int]) -> bool:
+        return any(size(map(sub, point, c)) < r for c, r in balls)
+
+    cur = [0] * d
+    count = 1 if member(cur) else 0
+    g_prev = 0
+    for i in range(1, 1 << n):
+        g = i ^ (i >> 1)
+        bit = (g ^ g_prev).bit_length() - 1
+        g_prev = g
+        vec = scaled[bit]
+        if (g >> bit) & 1:
+            for j in range(d):
+                cur[j] += vec[j]
+        else:
+            for j in range(d):
+                cur[j] -= vec[j]
+        if member(cur):
+            count += 1
+    return count
