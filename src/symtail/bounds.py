@@ -19,6 +19,10 @@ diameter < 2h, attained by the symmetric three-point laws
 (1-p_i) d_0 + (p_i/2)(d_{-h} + d_{+h}).  Everything is exact: the three
 sums are formed on integers over one common denominator, 2^n times that of
 the Poisson binomial pmf, and become Fractions only when returned.
+
+All three depend on t only through m, so bound_table evaluates a whole
+t-grid over one pmf with one pass of the sums per distinct m; a grid of T
+values of t for n terms needs at most min(T, n) passes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .distributions import (
     _poisson_binomial_weights,
@@ -93,13 +97,14 @@ def _scaled_pmf(p: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(c << (n - k) for k, c in enumerate(coeffs)), den << n
 
 
-def _bound_sums(p: tuple[Fraction, ...], m: int) -> tuple[int, int, int, int]:
+def _bound_sums(pmf: tuple[tuple[int, ...], int], m: int) -> tuple[int, int, int, int]:
     """Numerators of the Nagaev bound, the improved bound and the Kanter
-    supremum at window index m, and their common denominator.
+    supremum at window index m, and their common denominator, from the
+    pmf as _scaled_pmf returns it.
 
     k > t/h is k >= m, since m = floor(t/h) + 1.
     """
-    scaled, common = _scaled_pmf(p)
+    scaled, common = pmf
     nagaev = improved = kanter = 0
     for k, w in enumerate(scaled):
         f = largest_binomial_sum(k, m)
@@ -110,11 +115,12 @@ def _bound_sums(p: tuple[Fraction, ...], m: int) -> tuple[int, int, int, int]:
     return nagaev, improved, kanter, common
 
 
-def _check_domain(n: int, h: Fraction, t: Fraction) -> None:
+def _check_domain(n: int, h: Fraction, t_grid: Iterable[Fraction]) -> None:
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    if t < 0 or t >= n * h:
-        raise ValueError(f"t={t} outside the bound domain [0, {n * h})")
+    for t in t_grid:
+        if t < 0 or t >= n * h:
+            raise ValueError(f"t={t} outside the bound domain [0, {n * h})")
 
 
 def window_index(t, h) -> int:
@@ -126,21 +132,21 @@ def window_index(t, h) -> int:
 def _validated(p: Sequence, h, t) -> tuple[tuple[Fraction, ...], Fraction, Fraction, int]:
     p = as_success_vector(p)
     h, t = parse_rational(h), parse_rational(t)
-    _check_domain(len(p), h, t)
+    _check_domain(len(p), h, (t,))
     return p, h, t, window_index(t, h)
 
 
 def nagaev_bound(p: Sequence, h, t) -> Fraction:
     """Exact value of sum_{k > t/h} 2^{-k} B_p({k})."""
     p, _, _, m = _validated(p, h, t)
-    nagaev, _, _, common = _bound_sums(p, m)
+    nagaev, _, _, common = _bound_sums(_scaled_pmf(p), m)
     return Fraction(nagaev, common)
 
 
 def improved_bound(p: Sequence, h, t) -> Fraction:
     """Exact value of sum_{k > t/h} (1 - 2^{-k} F_k(m)) B_p({k})."""
     p, _, _, m = _validated(p, h, t)
-    _, improved, _, common = _bound_sums(p, m)
+    _, improved, _, common = _bound_sums(_scaled_pmf(p), m)
     return Fraction(improved, common)
 
 
@@ -149,7 +155,7 @@ def kanter_supremum(p: Sequence, m: int) -> Fraction:
     p = as_success_vector(p)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    _, _, kanter, common = _bound_sums(p, m)
+    _, _, kanter, common = _bound_sums(_scaled_pmf(p), m)
     return Fraction(kanter, common)
 
 
@@ -166,20 +172,40 @@ def kanter_supremum_via_stpc(p: Sequence, m: int) -> Fraction:
     return interval_mass(stpc, -m + 1, m, lo_closed=True, hi_closed=True)
 
 
+def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
+    """One BoundReport per t of t_grid, in grid order.
+
+    p and h are validated once and every t is checked against the domain
+    0 <= t < n*h before the pmf is built.  The sums and their Fractions are
+    formed once per distinct window index m and shared by the reports with
+    that m.
+    """
+    p = as_success_vector(p)
+    h = parse_rational(h)
+    t_grid = [parse_rational(t) for t in t_grid]
+    n = len(p)
+    _check_domain(n, h, t_grid)
+    if not t_grid:
+        return []
+    pmf = _scaled_pmf(p)
+    values: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
+    reports = []
+    for t in t_grid:
+        m = window_index(t, h)
+        if m not in values:
+            nagaev, improved, kanter, common = _bound_sums(pmf, m)
+            values[m] = (Fraction(nagaev, common), Fraction(improved, common),
+                         Fraction(kanter, common))
+        nagaev, improved, kanter = values[m]
+        reports.append(BoundReport(t=t, h=h, n=n, m=m, nagaev=nagaev, improved=improved,
+                                   kanter_sup=kanter, p=p))
+    return reports
+
+
 def evaluate_bounds(p: Sequence, h, t) -> BoundReport:
-    """Evaluate both bounds at (t, h) with the per-k audit decomposition."""
-    p, h, t, m = _validated(p, h, t)
-    nagaev, improved, kanter, common = _bound_sums(p, m)
-    return BoundReport(
-        t=t,
-        h=h,
-        n=len(p),
-        m=m,
-        nagaev=Fraction(nagaev, common),
-        improved=Fraction(improved, common),
-        kanter_sup=Fraction(kanter, common),
-        p=p,
-    )
+    """Both bounds at (t, h) with the per-k audit decomposition: the
+    one-row bound_table."""
+    return bound_table(p, h, (t,))[0]
 
 
 def extremal_interval_check(p: Sequence, h, H) -> tuple[Fraction, Fraction]:

@@ -143,20 +143,21 @@ def cmd_bound(data: dict) -> list[list]:
         p = _probabilities([abs_tail(term, h, strict=False) for term in terms])
     else:
         raise InputError("input must supply either 'p' or 'terms'")
-    n = len(p)
+    top = len(p) * h
+    reports = iter(bounds.bound_table(p, h, [t for t in t_grid if 0 <= t < top]))
+    h_cell = format_rational(h)
+    note = f"domain: t outside [0, {format_rational(top)})"
+    cells: dict[int, list[str]] = {}  # the six bound cells of each window index m
     rows = []
     for t in t_grid:
-        if t < 0 or t >= n * h:
-            rows.append(
-                [format_rational(t), format_rational(h), "", "", "", "", "", "", "",
-                 f"domain: t outside [0, {format_rational(n * h)})"]
-            )
+        if not 0 <= t < top:
+            rows.append([format_rational(t), h_cell, "", "", "", "", "", "", "", note])
             continue
-        report = bounds.evaluate_bounds(p, h, t)
-        rows.append(
-            [format_rational(t), format_rational(h), report.m, *_exact(report.nagaev),
-             *_exact(report.improved), *_exact(report.kanter_sup), ""]
-        )
+        report = next(reports)
+        if report.m not in cells:
+            cells[report.m] = [*_exact(report.nagaev), *_exact(report.improved),
+                               *_exact(report.kanter_sup)]
+        rows.append([format_rational(t), h_cell, report.m, *cells[report.m], ""])
     return rows
 
 

@@ -32,9 +32,9 @@ from .distributions import (
 from .rational import parse_rational
 
 # Work caps, checked before the work starts: the sumset work of one
-# kleitman_count (n vector additions over at most min(2^n, box) distinct
-# sums, see KleitmanInstance), the instances one
-# symmetric_lattice_family may yield (criterion 05's family(6) has 54 263),
+# kleitman_count (n vector additions and m*d coordinate tests for each of
+# at most min(2^n, box) distinct sums, see KleitmanInstance), the instances
+# one symmetric_lattice_family may yield (criterion 05's family(6) has 54 263),
 # the half-mass rows (m = 1..m_max) one `symtail compare` may write, the
 # terms of one `symtail sweep` instance or family, the terms of one
 # `symtail bound`, `tighten` or `compare` list (exact laws cost about n^2
@@ -72,8 +72,10 @@ class KleitmanInstance:
     whenever 2 * radius < min_i ||a_i|| for every target.  Construction
     raises ValueError unless the instance is well formed, meets that
     diameter hypothesis and its sumset work is at most MAX_SUMSET_WORK:
-    n * min(2^n, B).  B = prod_j (sum_i |a_ij| / g_j + 1), with g_j the gcd
-    of coordinate j's entries, bounds the number of distinct subset sums.
+    S * (n + m*d) for S = min(2^n, B) distinct subset sums, that is n vector
+    additions per sum to build the sumset and m*d coordinate tests per sum
+    to test membership.  B = prod_j (sum_i |a_ij| / g_j + 1), with g_j the
+    gcd of coordinate j's entries, bounds the number of distinct subset sums.
     """
 
     dimension: int
@@ -107,11 +109,13 @@ class KleitmanInstance:
         box = _sum_box([[int(c * scale) for c in v] for v in self.vectors])
         distinct = math.prod(width for _, _, width in box)
         # min(2^n, distinct), without building 2^n for a large n
-        work = n * min(distinct, 1 << min(n, distinct.bit_length()))
+        sums = min(distinct, 1 << min(n, distinct.bit_length()))
+        m = len(self.targets)
+        work = sums * (n + m * self.dimension)
         if work > MAX_SUMSET_WORK:
             raise ValueError(
-                f"sumset work {work} (n={n}, at most {distinct} distinct sums) "
-                f"exceeds cap {MAX_SUMSET_WORK}"
+                f"sumset work {work} (n={n}, m={m}, d={self.dimension}, at most "
+                f"{distinct} distinct sums) exceeds cap {MAX_SUMSET_WORK}"
             )
 
 

@@ -272,9 +272,30 @@ class TestKleitmanCommand:
             raise AssertionError("counted before the cap was checked")
 
         monkeypatch.setattr(oracles, "kleitman_count", no_work)
-        # work 3 * 4 and 4 * 5: the second instance is over the cap
-        monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", 12)
+        # work 4 * (3 + 1) and 5 * (4 + 1): the second instance is over the cap
+        monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", 16)
         assert run(tmp_path, "kleitman", self.PAYLOAD)[0] == 2
+
+    def test_target_cap_checked_before_counting(self, tmp_path, monkeypatch, capsys):
+        # 12 generic vectors in Q^3: S = 2^12 distinct sums, work S * (12 + 3m),
+        # which the constant admits up to m_max targets.
+        sums = 1 << 12
+        m_max = (oracles.MAX_SUMSET_WORK // sums - 12) // 3
+
+        def payload(m):
+            return {"dimension": 3, "vectors": [[1 << i, 0, 0] for i in range(12)],
+                    "norm": "sup",
+                    "targets": [{"center": [j, 0, 0], "radius": "1/4"} for j in range(m)]}
+
+        monkeypatch.setattr(oracles, "kleitman_count", lambda inst: 0)
+        assert run(tmp_path, "kleitman", payload(m_max))[0] == 0
+
+        def no_work(inst):
+            raise AssertionError("counted before the cap was checked")
+
+        monkeypatch.setattr(oracles, "kleitman_count", no_work)
+        assert run(tmp_path, "kleitman", payload(m_max + 1))[0] == 2
+        assert "exceeds cap" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -365,8 +386,8 @@ class TestTightenCommand:
 
 @pytest.mark.parametrize(
     "command, payload, work",
-    [("bound", {"p": ["1/2"] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "evaluate_bounds")),
-     ("bound", {"terms": [COIN] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "evaluate_bounds")),
+    [("bound", {"p": ["1/2"] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "_scaled_pmf")),
+     ("bound", {"terms": [COIN] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "_scaled_pmf")),
      ("tighten", {"p": ["1/2"] * 3, "h": "1", "m": 1}, (oracles, "tightness_search")),
      ("compare", {"xs": [COIN] * 3, "ys": [LAZY] * 3, "h": "1", "t_grid": ["1"]},
       (ordering, "ComparisonInstance"))],

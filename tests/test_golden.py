@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = (
     ("bound", "bound", 0),
     ("bound_terms", "bound", 0),
+    ("bound_grid_order", "bound", 0),
     ("sweep_family", "sweep", 0),
     ("sweep_family_half", "sweep", 0),
     ("sweep_instances", "sweep", 0),

@@ -1,13 +1,17 @@
 """Differential tests: the integer-lattice kernel against the per-atom
 Fraction references in util.py, on random rational laws (non-integer steps,
 half-lattice offsets, wide sparse gaps, point masses, mixed denominators),
-and the sumset Kleitman count against the Gray-code enumeration."""
+the sumset Kleitman count against the Gray-code enumeration, and the bound
+table against the bounds' defining sums."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symtail import bounds
+from symtail.bounds import bound_table
 from symtail.distributions import (
     LatticeDistribution,
     abs_stochastically_geq,
@@ -255,3 +259,61 @@ def kleitman_instances(draw):
 @given(kleitman_instances())
 def test_kleitman_count(inst):
     assert kleitman_count(inst) == ref_kleitman_count(inst)
+
+
+def ref_bound_row(p, h, t):
+    """(m, nagaev, improved, kanter_sup, per-k terms) at t, from the sums in
+    the bounds module's docstring over ref_poisson_binomial's pmf, with F_k(m)
+    the sum of the m largest C(k, i)."""
+    m = math.floor(t / h) + 1
+    pmf = dict(ref_poisson_binomial(p))
+    nagaev = improved = kanter = Fraction(0)
+    terms = []
+    for k in range(len(p) + 1):
+        bk = pmf.get(k, Fraction(0))
+        f = sum(sorted((math.comb(k, i) for i in range(k + 1)), reverse=True)[:m])
+        weight = 1 - Fraction(f, 2**k)
+        kanter += Fraction(f, 2**k) * bk
+        if k > t / h:
+            nagaev += bk / 2**k
+            improved += weight * bk
+        terms.append((k, bk, weight))
+    return m, nagaev, improved, kanter, tuple(terms)
+
+
+@st.composite
+def bound_grids(draw):
+    """p, h and a t-grid in [0, n*h) drawn from a small pool, so values of t
+    repeat and several t share one window index."""
+    p = draw(st.lists(probabilities, min_size=1, max_size=8))
+    h = draw(steps)
+    den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    pool = [len(p) * h * Fraction(k, len(p) * den) for k in range(len(p) * den)]
+    return p, h, draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_grids())
+def test_bound_table(case):
+    p, h, t_grid = case
+    reports = bound_table(p, h, t_grid)
+    assert len(reports) == len(t_grid)
+    for t, report in zip(t_grid, reports):
+        m, nagaev, improved, kanter, terms = ref_bound_row(p, h, t)
+        assert (report.t, report.h, report.n, report.m, report.p) == (t, h, len(p), m, tuple(p))
+        assert (report.nagaev, report.improved, report.kanter_sup) == (nagaev, improved, kanter)
+        assert report.per_k_terms == terms
+
+
+def test_bound_table_empty_grid():
+    assert bound_table(["1/2", "1/3"], "1/2", []) == []
+
+
+def test_bound_table_domain_checked_before_pmf(monkeypatch):
+    def no_work(p):
+        raise AssertionError("the pmf was built before the grid was checked")
+
+    monkeypatch.setattr(bounds, "_scaled_pmf", no_work)
+    for bad in ("-1/3", "1", "3/2"):  # below 0, exactly n*h, above n*h
+        with pytest.raises(ValueError, match="outside the bound domain"):
+            bound_table(["1/2", "1/3"], "1/2", ["0", "1/4", bad, "1/2"])

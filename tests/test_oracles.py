@@ -59,13 +59,13 @@ class TestKleitmanValidation:
 
     def test_enumeration_cap(self):
         # Generic vectors: all 2^20 subset sums are distinct, and the work
-        # 20 * 2^20 exceeds MAX_SUMSET_WORK = 2^24.
+        # 2^20 * (20 + 1) exceeds MAX_SUMSET_WORK = 2^24.
         with pytest.raises(ValueError, match="cap"):
             instance(1, [(1 << i,) for i in range(20)], "absolute", [ball((0,), Fraction(1, 4))])
         instance(1, [(1 << i,) for i in range(19)], "absolute", [ball((0,), Fraction(1, 4))])
 
     @pytest.mark.parametrize(
-        "dimension, vectors, work",
+        "dimension, vectors, additions",
         [
             (1, [(1,)] * 5, 5 * 6),  # box: 6 distinct sums < 2^5
             (1, [("2/3",), ("4/3",), ("-2/3",)], 3 * 5),  # gcd 2/3: sums -2/3 .. 2
@@ -74,12 +74,33 @@ class TestKleitmanValidation:
             (2, [(2, 0), (4, 0)], 2 * 4),  # a zero coordinate adds width 1
         ],
     )
-    def test_work_cap_boundary(self, monkeypatch, dimension, vectors, work):
-        # work = n * min(2^n, prod_j (sum_i |a_ij| / g_j + 1)) with g_j the
-        # gcd of coordinate j: at the cap it builds, one above it does not.
+    def test_work_cap_boundary(self, monkeypatch, dimension, vectors, additions):
+        # additions = n * S for S = min(2^n, prod_j (sum_i |a_ij| / g_j + 1))
+        # distinct sums, g_j the gcd of coordinate j; the work adds m * d
+        # coordinate tests per sum.  At the cap it builds, one above it does not.
         targets = [ball((0,) * dimension, Fraction(1, 4))]
+        work = additions + additions // len(vectors) * len(targets) * dimension
         monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", work)
         instance(dimension, vectors, "sup", targets)
+        monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", work - 1)
+        with pytest.raises(ValueError, match="cap"):
+            instance(dimension, vectors, "sup", targets)
+
+    @pytest.mark.parametrize(
+        "dimension, vectors, m, work",
+        [
+            (1, [(1,)] * 5, 4, 6 * (5 + 4 * 1)),
+            (2, [(1, 0), (0, 1), (1, 1)], 2, 8 * (3 + 2 * 2)),
+            (3, [(1, 0, 0), (0, 2, 0), (0, 0, 3), (1, 2, 3)], 3, 16 * (4 + 3 * 3)),
+        ],
+    )
+    def test_target_work_cap_boundary(self, monkeypatch, dimension, vectors, m, work):
+        # S * (n + m * d): every target adds d coordinate tests per distinct sum.
+        targets = [ball((j,) + (0,) * (dimension - 1), Fraction(1, 4)) for j in range(m)]
+        monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", work)
+        instance(dimension, vectors, "sup", targets)
+        with pytest.raises(ValueError, match="cap"):
+            instance(dimension, vectors, "sup", targets + targets[:1])
         monkeypatch.setattr(oracles, "MAX_SUMSET_WORK", work - 1)
         with pytest.raises(ValueError, match="cap"):
             instance(dimension, vectors, "sup", targets)
