@@ -22,7 +22,9 @@ the Poisson binomial pmf, and become Fractions only when returned.
 
 All three depend on t only through m, so bound_table evaluates a whole
 t-grid over one pmf with one pass of the sums per distinct m; a grid of T
-values of t for n terms needs at most min(T, n) passes.
+values of t for n terms needs at most min(T, n) passes.  It is the one
+evaluator: nagaev_bound, improved_bound and evaluate_bounds read one row
+of it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .distributions import (
@@ -85,12 +86,12 @@ class BoundReport:
         )
 
 
-@lru_cache(maxsize=1)
 def _scaled_pmf(p: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     """B_p over the bounds' common denominator: (w_0, ..., w_n) and C with
     2^{-k} B_p({k}) = w_k / C, where C = 2^n D for the pmf's denominator D.
 
-    One entry is enough: a bound table evaluates one p at many t.
+    Built once per bound_table, kanter_supremum or per_k_terms call, and
+    not cached: a table evaluates one p at all its t.
     """
     coeffs, den = _poisson_binomial_weights(p)
     n = len(p)
@@ -115,39 +116,21 @@ def _bound_sums(pmf: tuple[tuple[int, ...], int], m: int) -> tuple[int, int, int
     return nagaev, improved, kanter, common
 
 
-def _check_domain(n: int, h: Fraction, t_grid: Iterable[Fraction]) -> None:
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    for t in t_grid:
-        if t < 0 or t >= n * h:
-            raise ValueError(f"t={t} outside the bound domain [0, {n * h})")
-
-
 def window_index(t, h) -> int:
     """m = floor(t/h) + 1, the number of width-2h sets covering [-t, t]-ish."""
     t, h = parse_rational(t), parse_rational(h)
     return t.numerator * h.denominator // (t.denominator * h.numerator) + 1
 
 
-def _validated(p: Sequence, h, t) -> tuple[tuple[Fraction, ...], Fraction, Fraction, int]:
-    p = as_success_vector(p)
-    h, t = parse_rational(h), parse_rational(t)
-    _check_domain(len(p), h, (t,))
-    return p, h, t, window_index(t, h)
-
-
 def nagaev_bound(p: Sequence, h, t) -> Fraction:
-    """Exact value of sum_{k > t/h} 2^{-k} B_p({k})."""
-    p, _, _, m = _validated(p, h, t)
-    nagaev, _, _, common = _bound_sums(_scaled_pmf(p), m)
-    return Fraction(nagaev, common)
+    """Exact value of sum_{k > t/h} 2^{-k} B_p({k}): one bound_table row."""
+    return evaluate_bounds(p, h, t).nagaev
 
 
 def improved_bound(p: Sequence, h, t) -> Fraction:
-    """Exact value of sum_{k > t/h} (1 - 2^{-k} F_k(m)) B_p({k})."""
-    p, _, _, m = _validated(p, h, t)
-    _, improved, _, common = _bound_sums(_scaled_pmf(p), m)
-    return Fraction(improved, common)
+    """Exact value of sum_{k > t/h} (1 - 2^{-k} F_k(m)) B_p({k}): one
+    bound_table row."""
+    return evaluate_bounds(p, h, t).improved
 
 
 def kanter_supremum(p: Sequence, m: int) -> Fraction:
@@ -184,7 +167,11 @@ def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     h = parse_rational(h)
     t_grid = [parse_rational(t) for t in t_grid]
     n = len(p)
-    _check_domain(n, h, t_grid)
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
+    for t in t_grid:
+        if t < 0 or t >= n * h:
+            raise ValueError(f"t={t} outside the bound domain [0, {n * h})")
     if not t_grid:
         return []
     pmf = _scaled_pmf(p)
@@ -238,14 +225,9 @@ def optimize_h(candidates: Mapping, t) -> tuple[Fraction, Fraction]:
     domain 0 <= t < n*h are skipped; ties break toward smaller h.
     """
     t = parse_rational(t)
-    parsed = [(parse_rational(h), as_success_vector(p)) for h, p in candidates.items()]
-    best: tuple[Fraction, Fraction] | None = None
-    for h, p in sorted(parsed, key=lambda item: item[0]):
-        if h <= 0 or t < 0 or t >= len(p) * h:
-            continue
-        value = improved_bound(p, h, t)
-        if best is None or value > best[1]:
-            best = (h, value)
-    if best is None:
+    parsed = sorted(((parse_rational(h), as_success_vector(p)) for h, p in candidates.items()),
+                    key=lambda item: item[0])
+    values = [(h, improved_bound(p, h, t)) for h, p in parsed if h > 0 and 0 <= t < len(p) * h]
+    if not values:
         raise ValueError("no candidate h admits the requested t")
-    return best
+    return max(values, key=lambda item: item[1])  # the first maximum, so the smallest h

@@ -37,7 +37,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_constant=_reject_constant)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InputError(f"cannot read input {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("top-level JSON value must be an object")

@@ -14,11 +14,11 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .bounds import improved_bound
+from .bounds import bound_table
 from .distributions import (
     LatticeDistribution,
     _abs_tail_weights,
@@ -233,9 +233,10 @@ def sweep_checks(
     Each instance is a list of symmetric lattice laws, p_i = P(|X_i| >= h).
     Yields (index, grid, tails, den, bounds) per instance: grid is the sorted
     t in [0, n*h), P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the
-    (numerator, denominator) of improved_bound(p, h, grid[j]).  Convolutions
-    and bounds are cached across instances (sorted-prefix caching), so
-    families enumerated in sorted order stay cheap.  Raises ValueError on a
+    (numerator, denominator) of the improved bound at grid[j], read from
+    one bound_table per distinct multiset of p.  Convolutions and bound
+    rows are cached across instances (sorted-prefix caching), so families
+    enumerated in sorted order stay cheap.  Raises ValueError on a
     non-symmetric term; max_support caps each convolution as in
     exact_sum_distribution.
     """
@@ -252,8 +253,7 @@ def sweep_checks(
     law_by_id: dict[int, LatticeDistribution] = {}
     conv_cache: dict[tuple[int, ...], LatticeDistribution] = {(): point_mass(0)}
     p_code: dict[int, int] = {}  # law id -> code of its p value
-    codes: dict[Fraction, int] = {}
-    p_values: list[Fraction] = []  # indexed by code
+    codes: dict[Fraction, int] = {}  # in insertion order, so keys are indexed by code
     # bound rows: p-multiset key -> (numerator, denominator) per valid t
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     valid_ts: dict[int, list[Fraction]] = {}  # n -> the t in [0, n*h)
@@ -271,10 +271,7 @@ def sweep_checks(
                 if not is_symmetric(d):
                     raise ValueError(f"instance {index} has a non-symmetric term")
                 law_by_id[law_id] = d
-                p = abs_tail(d, h, strict=False)
-                code = p_code[law_id] = codes.setdefault(p, len(codes))
-                if code == len(p_values):
-                    p_values.append(p)
+                p_code[law_id] = codes.setdefault(abs_tail(d, h, strict=False), len(codes))
         n = len(terms)
         ids = tuple(sorted(id(d) for d in terms))
         total = conv_of(ids)
@@ -284,9 +281,12 @@ def sweep_checks(
         p_key = tuple(sorted(p_code[law_id] for law_id in ids))
         bounds = bound_cache.get(p_key)
         if bounds is None:
-            p = tuple(sorted(p_values[code] for code in p_key))
+            by_code = list(codes)
+            p = [by_code[code] for code in p_key]
+            # An empty instance has an empty grid; bound_table rejects its empty p.
+            rows = bound_table(p, h, grid) if grid else []
             bounds = bound_cache[p_key] = [
-                (b.numerator, b.denominator) for b in (improved_bound(p, h, t) for t in grid)
+                (r.improved.numerator, r.improved.denominator) for r in rows
             ]
         yield index, grid, _abs_tail_weights(total, grid, strict=True), total.den, bounds
 
@@ -296,7 +296,7 @@ def bound_soundness_sweep(
     h,
     t_grid: Sequence,
 ) -> SweepReport:
-    """Verify P(|S| > t) >= improved_bound(p, h, t) on every instance.
+    """Verify P(|S| > t) >= the improved bound at (p, h, t) on every instance.
 
     A fold over sweep_checks: tails, bounds and slacks are compared as
     integer fractions; Fractions are built only for the report.
@@ -362,20 +362,12 @@ def _binomial_at_most(n: int, k: int, limit: int) -> int:
 def _family_instances(
     max_n: int, denominator: int, radius: int, h: Fraction
 ) -> Iterator[list[LatticeDistribution]]:
-    from itertools import combinations_with_replacement
-
-    laws = []
-    for profile in _symmetric_mass_profiles(denominator, radius):
-        masses = {}
-        for k, units in enumerate(profile):
-            if units:
-                mass = Fraction(units, denominator)
-                if k == 0:
-                    masses[Fraction(0)] = mass
-                else:
-                    masses[k * h] = mass
-                    masses[-k * h] = mass
-        laws.append(LatticeDistribution.from_masses(masses))
+    # Each profile (u_0, ..., u_radius) is the law's weights over denominator
+    # at -radius*h, ..., radius*h: (u_radius, ..., u_1, u_0, u_1, ..., u_radius).
+    laws = [
+        LatticeDistribution._from_dense(-radius * h, h, denominator, profile[:0:-1] + profile)
+        for profile in _symmetric_mass_profiles(denominator, radius)
+    ]
     for n in range(1, max_n + 1):
         for combo in combinations_with_replacement(range(len(laws)), n):
             yield [laws[i] for i in combo]
@@ -436,7 +428,7 @@ def tightness_search(
     if not 1 <= m <= n - 1:
         raise ValueError(f"need 1 <= m <= n-1 = {n - 1} so that t = m*h < n*h")
     t = m * h
-    bound = improved_bound(p, h, t)
+    bound = bound_table(p, h, (t,))[0].improved
     outer = sorted({h} | {parse_rational(v) for v in h_grid})
     if any(v < h for v in outer):
         raise ValueError("grid values h' must satisfy h' >= h")

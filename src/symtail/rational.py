@@ -1,29 +1,32 @@
 """Parsing and rendering helpers for exact rationals.
 
 The wire format used by JSON inputs and CSV outputs represents a rational
-either as an integer or as a string ``"num/den"`` (also accepting plain
-integer strings).  Rendering is lossless; the decimal column emitted next
-to it is a 12-significant-digit convenience view, never a source of truth.
+either as an integer or as a string ``"num/den"`` or ``"num"``: an optional
+sign, ASCII digits and an optional ``/`` with more digits, with surrounding
+whitespace.  Exponents, decimal points and underscores are not rationals.
+Rendering is lossless; the decimal column emitted next to it is a
+12-significant-digit convenience view, never a source of truth.
 """
 
 from __future__ import annotations
 
 import decimal
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an int, Fraction, or a "num/den" / integer string."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
+    """Parse an int, Fraction, or a "num/den" / integer string (see above)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError) as exc:  # "/0", or too many digits for int()
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r}")
 

@@ -4,6 +4,7 @@ import json
 import random
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,7 +13,7 @@ from symtail import bounds, oracles, ordering
 from symtail.cli import main
 from symtail.distributions import LatticeDistribution
 
-from util import random_symmetric_law, ref_sweep_rows
+from util import random_symmetric_law, ref_sweep_rows, shifted_bound_table
 
 COIN = {"atoms": [{"x": "-1", "mass": "1/2"}, {"x": "1", "mass": "1/2"}]}
 ZERO = {"atoms": [{"x": "0", "mass": "1"}]}
@@ -21,8 +22,7 @@ LAZY = {"atoms": [{"x": "-1", "mass": "1/4"}, {"x": "0", "mass": "1/2"}, {"x": "
 
 def inflate_sweep_bound(monkeypatch, inflate):
     """Shift the sweep's bound up by `inflate`, so its violation path runs."""
-    real = oracles.improved_bound
-    monkeypatch.setattr(oracles, "improved_bound", lambda p, h, t: real(p, h, t) + inflate)
+    monkeypatch.setattr(oracles, "bound_table", shifted_bound_table(inflate))
 
 
 def run(tmp_path, command, payload, name="in.json", **flags):
@@ -376,7 +376,8 @@ class TestTightenCommand:
         assert run(tmp_path, "tighten", payload)[0] == 2
 
     def test_value_below_bound_is_violation(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(oracles, "improved_bound", lambda p, h, t: Fraction(1))
+        monkeypatch.setattr(oracles, "bound_table",
+                            lambda p, h, t_grid: [SimpleNamespace(improved=Fraction(1))])
         payload = {"p": ["1", "1"], "h": "1", "m": 1}
         code, rows, _ = run(tmp_path, "tighten", payload)
         assert code == 1
@@ -486,6 +487,28 @@ def test_fuzzed_json_exits_cleanly(tmp_path, data):
         path = data.draw(st.sampled_from(list(_paths(payload))))
         payload = _replace(payload, path, data.draw(json_values))
     assert run(tmp_path, command, payload)[0] in (0, 2)
+
+
+@pytest.mark.parametrize("literal", ["1e1000000", "1e-1000000", "0.5", "1_0/2_0", "1/0"])
+def test_rational_outside_wire_format_is_usage_error(tmp_path, literal):
+    code, _, out = run(tmp_path, "bound", {"p": ["1/2"], "h": literal, "t_grid": ["0"]})
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal, t", [("-3/4", "-3/4"), (" 7 ", "7"), ("+2", "2")])
+def test_rational_wire_forms_parse(tmp_path, literal, t):
+    code, rows, _ = run(tmp_path, "bound", {"p": ["1/2"], "h": "1", "t_grid": [literal]})
+    assert code == 0
+    assert rows[0]["t"] == t
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path):
+    inp = tmp_path / "deep.json"
+    out = tmp_path / "deep.csv"
+    inp.write_text('{"p": ' + "[" * 100_000 + "]" * 100_000 + ', "h": "1", "t_grid": ["0"]}')
+    assert main(["bound", "--input", str(inp), "--output", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -3,8 +3,8 @@
 Each ``tests/golden/<name>.json`` is a CLI input; ``<name>.csv`` is the CSV
 the CLI wrote for it when the fixtures were made.  A case expected to exit 2
 writes no CSV and has none stored.  A case listed in ``INFLATE`` runs with
-``oracles.improved_bound`` shifted up by the given amount, so the sweep's
-``VIOLATION`` rows and exit 1 stay pinned.
+each row of ``oracles.bound_table`` shifted up by the given amount, so the
+sweep's ``VIOLATION`` rows and exit 1 stay pinned.
 """
 
 import shutil
@@ -15,6 +15,8 @@ import pytest
 
 from symtail import oracles
 from symtail.cli import main
+
+from util import shifted_bound_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,10 +43,7 @@ INFLATE = {"sweep_inflate": Fraction(1, 8)}
 @pytest.mark.parametrize("name, command, code", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(tmp_path, monkeypatch, name, command, code):
     if name in INFLATE:
-        real = oracles.improved_bound
-        monkeypatch.setattr(
-            oracles, "improved_bound", lambda p, h, t: real(p, h, t) + INFLATE[name]
-        )
+        monkeypatch.setattr(oracles, "bound_table", shifted_bound_table(INFLATE[name]))
     inp = tmp_path / f"{name}.json"
     shutil.copy(GOLDEN / f"{name}.json", inp)
     out = tmp_path / f"{name}.csv"

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -294,6 +295,29 @@ class TestBoundSoundnessSweep:
         with pytest.raises(ValueError, match="cap"):
             symmetric_lattice_family(3, 4, 2)  # raised at the call, not on iteration
 
+    @pytest.mark.parametrize(
+        "denominator, radius, h",
+        [(8, 2, 1), (7, 3, Fraction(1, 2)), (5, 0, 2), (6, 1, Fraction(3, 2))],
+    )
+    def test_family_matches_product_enumeration(self, denominator, radius, h):
+        # Profiles (u_radius, ..., u_1) from a product, in lexicographic order,
+        # each law built from its masses; then every multiset of 1 or 2 laws.
+        laws = []
+        for outer in itertools.product(range(denominator // 2 + 1), repeat=radius):
+            if 2 * sum(outer) <= denominator:
+                masses = {0: Fraction(denominator - 2 * sum(outer), denominator)}
+                for k, units in zip(range(radius, 0, -1), outer):
+                    masses[k * h] = masses[-k * h] = Fraction(units, denominator)
+                laws.append(dist(masses))
+        expected = [[law] for law in laws] + [
+            [law, other] for i, law in enumerate(laws) for other in laws[i:]
+        ]
+        family = list(symmetric_lattice_family(2, denominator, radius, h))
+        assert family == expected
+        assert [[law.atoms for law in inst] for inst in family] == [
+            [law.atoms for law in inst] for inst in expected
+        ]
+
     def test_huge_family_rejected_at_once(self):
         with pytest.raises(ValueError, match="cap"):
             symmetric_lattice_family(2, 10**30, 10**30)
@@ -349,7 +373,8 @@ class TestTightnessSearch:
             tightness_search([1, 1], 1, 1, split_grid=[])
 
     def test_negative_gap_is_reported(self, monkeypatch):
-        monkeypatch.setattr(oracles, "improved_bound", lambda p, h, t: Fraction(1))
+        monkeypatch.setattr(oracles, "bound_table",
+                            lambda p, h, t_grid: [SimpleNamespace(improved=Fraction(1))])
         report = tightness_search([1, 1], 1, 1)
         assert report.gap == Fraction(-1, 2)
 
