@@ -14,7 +14,6 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .rational import format_rational, parse_rational
@@ -76,11 +75,13 @@ class LatticeDistribution:
         object.__setattr__(self, "_atoms", atoms)
 
     def _init(self, offset, step, den, indices, weights) -> None:
-        for name, value in zip(
-            ("offset", "step", "den", "indices", "weights", "_atoms"),
-            (offset, step, den, indices, weights, None),
-        ):
-            object.__setattr__(self, name, value)
+        set_ = object.__setattr__
+        set_(self, "offset", offset)
+        set_(self, "step", step)
+        set_(self, "den", den)
+        set_(self, "indices", indices)
+        set_(self, "weights", weights)
+        set_(self, "_atoms", None)
 
     @classmethod
     def _from_lattice(
@@ -223,23 +224,29 @@ def _ranker(d: LatticeDistribution):
     return ranks
 
 
-def _abs_tail_weights(d: LatticeDistribution, ts: Iterable[Fraction], strict: bool) -> list[int]:
-    """Numerators over d.den of P(|X| > t) (strict) or P(|X| >= t) (weak)
-    for each t >= 0."""
-    ranks = _ranker(d)
-    cum = list(accumulate(d.weights, initial=0))
+def _upper_tail_weights(d: LatticeDistribution, cuts: Sequence[tuple[int, int]]) -> list[int]:
+    """Numerators over d.den of P(X > num/den) for each (num, den) of cuts,
+    given in ascending order with den > 0.
+
+    One walk down d's atoms from the top, taking the cuts from the highest:
+    one integer floor per cut, and only the atoms above the lowest cut are
+    visited.
+    """
+    on, od = d.offset.numerator, d.offset.denominator
+    sn, sd = d.step.numerator, d.step.denominator
+    indices, weights = d.indices, d.weights
+    j = len(indices)
+    tail = 0
     out = []
-    for t in ts:
-        num, den = t.numerator, t.denominator
-        if not strict and num == 0:
-            out.append(d.den)
-            continue
-        below_hi, at_or_below_hi = ranks(num, den)
-        below_lo, at_or_below_lo = ranks(-num, den)
-        if strict:
-            out.append(d.den - cum[at_or_below_hi] + cum[below_lo])
-        else:
-            out.append(d.den - cum[below_hi] + cum[at_or_below_lo])
+    for num, den in reversed(cuts):
+        diff = num * od - on * den  # sign of num/den - offset
+        # the atoms above num/den are those with index > q
+        q = diff * sd // (den * od * sn) if sn else -(diff < 0)
+        while j and indices[j - 1] > q:
+            j -= 1
+            tail += weights[j]
+        out.append(tail)
+    out.reverse()
     return out
 
 
@@ -305,13 +312,19 @@ def convolve(d1: LatticeDistribution, d2: LatticeDistribution) -> LatticeDistrib
     """Exact law of the sum of independent draws from d1 and d2.
 
     The product of the two weight polynomials on the common lattice
-    gcd(step1, step2), over the product of the denominators.
+    step = gcd(step1, step2), over the product of the denominators.  The
+    product is already in canonical form, so it is built as it stands:
+    with a = step1/step and b = step2/step, its indices include every i*a
+    and every j*b (each input has index 0), so their gcd divides
+    gcd(a, b) = 1; and the product of two weight polynomials of content 1
+    has content 1 (Gauss's lemma), all its coefficients being positive.
     """
     if not d1.step:
         d1, d2 = d2, d1
-    if not d2.step:
-        offset = d1.offset + d2.offset
-        return LatticeDistribution._from_lattice(offset, d1.step, d1.den, d1.indices, d1.weights)
+    out = object.__new__(LatticeDistribution)
+    if not d2.step:  # a shift: d1's indices and weights stay canonical
+        out._init(d1.offset + d2.offset, d1.step, d1.den, d1.indices, d1.weights)
+        return out
     if d1.step == d2.step:
         step, a, b = d1.step, 1, 1
     else:
@@ -322,14 +335,17 @@ def convolve(d1: LatticeDistribution, d2: LatticeDistribution) -> LatticeDistrib
     # Sparse accumulation: memory follows the number of products, never the
     # width of the lattice range, however wide the gaps.
     acc: dict[int, int] = {}
+    get = acc.get
     for i, v in zip(d1.indices, d1.weights):
         base = i * a
         for jb, w in right:
-            acc[base + jb] = acc.get(base + jb, 0) + v * w
-    indices = sorted(acc)
-    return LatticeDistribution._from_lattice(
-        d1.offset + d2.offset, step, d1.den * d2.den, indices, [acc[k] for k in indices]
+            k = base + jb
+            acc[k] = get(k, 0) + v * w
+    indices = tuple(sorted(acc))
+    out._init(
+        d1.offset + d2.offset, step, d1.den * d2.den, indices, tuple(map(acc.__getitem__, indices))
     )
+    return out
 
 
 def interval_mass(
@@ -353,11 +369,16 @@ def interval_mass(
 
 
 def abs_tail(d: LatticeDistribution, t, strict: bool = True) -> Fraction:
-    """Exact P(|X| > t) (strict) or P(|X| >= t) (weak)."""
+    """Exact P(|X| > t) (strict) or P(|X| >= t) (weak): the mass outside
+    [-t, t] or outside ]-t, t[."""
     t = parse_rational(t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return Fraction(_abs_tail_weights(d, (t,), strict)[0], d.den)
+    ranks = _ranker(d)
+    below_lo, at_or_below_lo = ranks(-t.numerator, t.denominator)
+    below_hi, at_or_below_hi = ranks(t.numerator, t.denominator)
+    inside = d.weights[below_lo:at_or_below_hi] if strict else d.weights[at_or_below_lo:below_hi]
+    return Fraction(d.den - sum(inside), d.den)
 
 
 def half_mass(d: LatticeDistribution, t) -> Fraction:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .bounds import bound_table
 from .distributions import (
     LatticeDistribution,
-    _abs_tail_weights,
+    _upper_tail_weights,
     abs_tail,
     as_success_vector,
     convolve,
@@ -34,13 +35,15 @@ from .rational import parse_rational
 # Work caps, checked before the work starts: the sumset work of one
 # kleitman_count (n vector additions and m*d coordinate tests for each of
 # at most min(2^n, box) distinct sums, see KleitmanInstance), the instances
-# one symmetric_lattice_family may yield (criterion 05's family(6) has 54 263),
+# one symmetric_lattice_family may yield (criterion 05's family(6) has 54 263)
+# and the work of building its laws (laws x (2*radius + 1) lattice points),
 # the half-mass rows (m = 1..m_max) one `symtail compare` may write, the
 # terms of one `symtail sweep` instance or family, the terms of one
 # `symtail bound`, `tighten` or `compare` list (exact laws cost about n^2
 # to n^3), and the support-size product of one exact convolution.
 MAX_SUMSET_WORK = 1 << 24
 MAX_FAMILY_INSTANCES = 100_000
+MAX_FAMILY_BUILD_WORK = 1 << 20
 MAX_HALF_MASS_M = 10_000
 MAX_SWEEP_TERMS = 8
 MAX_TERMS = 1_000
@@ -222,6 +225,35 @@ class SweepReport:
         return not self.violations
 
 
+class _SumCache:
+    """Called with a list of terms, returns the law of their sum.
+
+    Sums are cached by the sorted ids of their terms, each built from the
+    sum of its key's prefix, so a family that reuses term objects and is
+    enumerated in sorted order makes about one convolution per instance.
+    Every term seen is kept alive, so its id cannot be recycled;
+    max_support caps each convolution as in exact_sum_distribution.
+    """
+
+    def __init__(self, max_support: int = MAX_SUPPORT_PRODUCT) -> None:
+        self._terms: dict[int, LatticeDistribution] = {}
+        self._sums: dict[tuple[int, ...], LatticeDistribution] = {(): point_mass(0)}
+        self._max_support = max_support
+
+    def __call__(self, terms: Sequence[LatticeDistribution]) -> LatticeDistribution:
+        for d in terms:
+            self._terms.setdefault(id(d), d)
+        key = tuple(sorted(map(id, terms)))
+        cached = len(key)
+        while key[:cached] not in self._sums:  # the empty prefix always is
+            cached -= 1
+        total = self._sums[key[:cached]]
+        for k in range(cached, len(key)):
+            total = _capped_convolve(total, self._terms[key[k]], self._max_support)
+            self._sums[key[: k + 1]] = total
+        return total
+
+
 def sweep_checks(
     instances: Iterable[Sequence[LatticeDistribution]],
     h,
@@ -234,51 +266,46 @@ def sweep_checks(
     Yields (index, grid, tails, den, bounds) per instance: grid is the sorted
     t in [0, n*h), P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the
     (numerator, denominator) of the improved bound at grid[j], read from
-    one bound_table per distinct multiset of p.  Convolutions and bound
-    rows are cached across instances (sorted-prefix caching), so families
-    enumerated in sorted order stay cheap.  Raises ValueError on a
-    non-symmetric term; max_support caps each convolution as in
-    exact_sum_distribution.
+    one bound_table per distinct multiset of p.  Sum laws come from one
+    _SumCache (sorted-prefix convolutions shared across instances) and
+    bound rows are cached by p-multiset, so families enumerated in sorted
+    order stay cheap.  Every term is symmetric, so every sum S is too and
+    P(|S| > t) = 2 P(S > t) for t >= 0: the tails are read in one walk
+    down the upper half of S's atoms, with the grid held as integer
+    (num, den) pairs once per n.  Raises ValueError on a non-symmetric
+    term; max_support caps each convolution as in exact_sum_distribution.
     """
     h = parse_rational(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     ts = sorted(t for t in map(parse_rational, t_grid) if t >= 0)
 
-    # Caches keyed by object identity for convolution prefixes (families
-    # reuse term objects heavily) and by the sorted multiset of p values for
-    # bounds (the bound is permutation invariant); each distinct p value
-    # gets a small integer code, so a multiset key is a tuple of ints.
-    # law_by_id keeps keyed objects alive so ids cannot be recycled.
-    law_by_id: dict[int, LatticeDistribution] = {}
-    conv_cache: dict[tuple[int, ...], LatticeDistribution] = {(): point_mass(0)}
-    p_code: dict[int, int] = {}  # law id -> code of its p value
+    sum_of = _SumCache(max_support)
+    # Bounds are cached by the sorted multiset of p values (the bound is
+    # permutation invariant); each distinct p value gets a small integer
+    # code, so a multiset key is a tuple of ints.  p_code is keyed by term
+    # id, which stays valid because sum_of keeps every term alive.
+    p_code: dict[int, int] = {}
     codes: dict[Fraction, int] = {}  # in insertion order, so keys are indexed by code
     # bound rows: p-multiset key -> (numerator, denominator) per valid t
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    valid_ts: dict[int, list[Fraction]] = {}  # n -> the t in [0, n*h)
-
-    def conv_of(key: tuple[int, ...]) -> LatticeDistribution:
-        if key not in conv_cache:
-            conv_cache[key] = _capped_convolve(conv_of(key[:-1]), law_by_id[key[-1]], max_support)
-        return conv_cache[key]
+    # n -> the t in [0, n*h), and the same t as (numerator, denominator)
+    grids: dict[int, tuple[list[Fraction], list[tuple[int, int]]]] = {}
 
     for index, terms in enumerate(instances):
         terms = list(terms)
         for d in terms:
-            law_id = id(d)
-            if law_id not in law_by_id:
+            if id(d) not in p_code:
                 if not is_symmetric(d):
                     raise ValueError(f"instance {index} has a non-symmetric term")
-                law_by_id[law_id] = d
-                p_code[law_id] = codes.setdefault(abs_tail(d, h, strict=False), len(codes))
+                p_code[id(d)] = codes.setdefault(abs_tail(d, h, strict=False), len(codes))
+        total = sum_of(terms)
         n = len(terms)
-        ids = tuple(sorted(id(d) for d in terms))
-        total = conv_of(ids)
-        if n not in valid_ts:
-            valid_ts[n] = ts[: bisect_left(ts, n * h)]
-        grid = valid_ts[n]
-        p_key = tuple(sorted(p_code[law_id] for law_id in ids))
+        if n not in grids:
+            grid = ts[: bisect_left(ts, n * h)]
+            grids[n] = grid, [(t.numerator, t.denominator) for t in grid]
+        grid, cuts = grids[n]
+        p_key = tuple(sorted(p_code[id(d)] for d in terms))
         bounds = bound_cache.get(p_key)
         if bounds is None:
             by_code = list(codes)
@@ -288,7 +315,8 @@ def sweep_checks(
             bounds = bound_cache[p_key] = [
                 (r.improved.numerator, r.improved.denominator) for r in rows
             ]
-        yield index, grid, _abs_tail_weights(total, grid, strict=True), total.den, bounds
+        tails = [2 * w for w in _upper_tail_weights(total, cuts)]
+        yield index, grid, tails, total.den, bounds
 
 
 def bound_soundness_sweep(
@@ -326,16 +354,24 @@ def symmetric_lattice_family(
     with masses on the 1/denominator grid, up to reordering of terms.
 
     The arguments are checked when called, and a family of more than
-    MAX_FAMILY_INSTANCES instances is rejected before any law is built;
-    the instances are then generated lazily.
+    MAX_FAMILY_INSTANCES instances, or whose laws take more than
+    MAX_FAMILY_BUILD_WORK lattice points to build, is rejected before any
+    law is built; the instances are then generated lazily.
     """
     h = parse_rational(h)
     if denominator < 1 or radius < 0:
         raise ValueError(f"need denominator >= 1 and radius >= 0, got {denominator}, {radius}")
-    # L = C(denominator//2 + radius, radius) laws give C(L + max_n, max_n) - 1
+    # L = C(denominator//2 + radius, radius) laws, each built over the
+    # 2*radius + 1 points of its lattice, give C(L + max_n, max_n) - 1
     # multisets of 1..max_n of them.
+    width = 2 * radius + 1
+    laws = _binomial_at_most(denominator // 2 + radius, radius, MAX_FAMILY_BUILD_WORK // width)
+    if laws * width > MAX_FAMILY_BUILD_WORK:
+        raise ValueError(
+            f"family of denominator={denominator}, radius={radius} exceeds the cap of "
+            f"{MAX_FAMILY_BUILD_WORK} lattice points to build its laws"
+        )
     cap = MAX_FAMILY_INSTANCES
-    laws = _binomial_at_most(denominator // 2 + radius, radius, cap)
     if max_n >= 1 and _binomial_at_most(laws + max_n, max_n, cap + 1) > cap + 1:
         raise ValueError(
             f"family of max_n={max_n}, denominator={denominator}, radius={radius} "
@@ -376,20 +412,25 @@ def _family_instances(
 def _symmetric_mass_profiles(denominator: int, radius: int) -> list[tuple[int, ...]]:
     # Profiles (u_0, u_1, ..., u_radius) of per-atom grid units: the atom at
     # each of -kh and +kh carries u_k/denominator, so u_0 + 2*(u_1 + ... +
-    # u_radius) = denominator.
-    profiles: list[tuple[int, ...]] = []
-
-    def rec(k: int, remaining: int, acc: list[int]) -> None:
-        if k == 0:
-            profiles.append((remaining, *acc[::-1]))
-            return
-        for units in range(0, remaining // 2 + 1):
-            acc.append(units)
-            rec(k - 1, remaining - 2 * units, acc)
-            acc.pop()
-
-    rec(radius, denominator, [])
-    return profiles
+    # u_radius) = denominator.  They come in lexicographic order of
+    # (u_radius, ..., u_1), from an odometer whose last digit u_1 turns
+    # fastest: each step clears the trailing digits that cannot turn and
+    # turns the next one, so the work is linear in the profiles' size.
+    half = denominator // 2
+    outer = [0] * radius  # (u_radius, ..., u_1)
+    used = 0  # u_1 + ... + u_radius
+    profiles = []
+    while True:
+        profiles.append((denominator - 2 * used, *reversed(outer)))
+        k = radius - 1
+        while k >= 0 and used >= half:
+            used -= outer[k]
+            outer[k] = 0
+            k -= 1
+        if k < 0:
+            return profiles
+        outer[k] += 1
+        used += 1
 
 
 @dataclass
@@ -481,37 +522,55 @@ class SampleConfig:
             raise ValueError("need at least one term")
 
 
-def _magnitudes(term: dict, rng: random.Random, size: int) -> list[float]:
+def _sampler(term: dict) -> tuple:
+    """A term's canonical form: its kind and the one value its draws use."""
     kind = term.get("kind")
     if kind == "atoms":
-        dist = LatticeDistribution.from_masses(term["atoms"])
-        return rng.choices([abs(float(x)) for x in dist.support], dist.weights, k=size)
+        return kind, LatticeDistribution.from_masses(term["atoms"])
     if kind == "uniform":
-        scale = float(parse_rational(term["scale"]))
-        return [rng.uniform(0.0, scale) for _ in range(size)]
+        return kind, float(parse_rational(term["scale"]))
     if kind == "gaussian":
-        sigma = float(term["sigma"])
-        return [abs(rng.gauss(0.0, sigma)) for _ in range(size)]
+        return kind, float(term["sigma"])
     raise ValueError(f"unknown sampler kind {kind!r}")
+
+
+def _magnitudes(sampler: tuple, rng: random.Random, size: int) -> list[float]:
+    kind, value = sampler
+    if kind == "atoms":
+        return rng.choices([abs(float(x)) for x in value.support], value.weights, k=size)
+    if kind == "uniform":
+        return [rng.uniform(0.0, value) for _ in range(size)]
+    return [abs(rng.gauss(0.0, value)) for _ in range(size)]
+
+
+@lru_cache(maxsize=1)
+def _sorted_abs_sample(seed: int, size: int, samplers: tuple[tuple, ...]) -> list[float]:
+    # The seed fixes the draw, so the last configuration's sample answers
+    # every t asked of it.  A NaN sum (an infinite sigma) never exceeds t;
+    # leaving it out keeps the sample sorted.
+    rng = random.Random(seed)
+    total = [0.0] * size
+    for sampler in samplers:
+        signs = rng.choices((-1.0, 1.0), k=size)
+        magnitudes = _magnitudes(sampler, rng, size)
+        total = [acc + sign * x for acc, sign, x in zip(total, signs, magnitudes)]
+    return sorted(a for a in map(abs, total) if a == a)
 
 
 def monte_carlo_tail(config: SampleConfig, t: float) -> tuple[float, float]:
     """Empirical P(|S| > t) with its binomial standard error.
 
     Deterministic given the seed: a single ``random.Random(seed)`` drives
-    all draws in a fixed term order.
+    all draws in a fixed term order.  The sorted |S| sample of the last
+    configuration (seed, replications and canonical terms) is kept, so
+    further t on it cost one bisection each.
     """
     if config.replications < 1000:
         raise ValueError("need at least 1000 replications")
     if not t >= 0:  # also rejects NaN
         raise ValueError(f"t must be nonnegative, got {t}")
-    rng = random.Random(config.seed)
     size = config.replications
-    total = [0.0] * size
-    for term in config.terms:
-        signs = rng.choices((-1.0, 1.0), k=size)
-        magnitudes = _magnitudes(term, rng, size)
-        total = [acc + sign * x for acc, sign, x in zip(total, signs, magnitudes)]
-    estimate = sum(abs(x) > t for x in total) / size
+    sample = _sorted_abs_sample(config.seed, size, tuple(map(_sampler, config.terms)))
+    estimate = (len(sample) - bisect_right(sample, t)) / size
     std_error = math.sqrt(estimate * (1.0 - estimate) / size)
     return estimate, std_error

@@ -213,6 +213,16 @@ class TestSweepCommand:
         family = {"max_n": 1, "denominator": 400, "radius": 3}
         assert run(tmp_path, "sweep", {"h": "1", "t_grid": ["0"], "family": family})[0] == 2
 
+    def test_wide_family_exits_cleanly(self, tmp_path, capsys):
+        # 2 001 laws over 4 001 lattice points each: above MAX_FAMILY_BUILD_WORK
+        family = {"max_n": 1, "denominator": 2, "radius": 2000}
+        assert run(tmp_path, "sweep", {"h": "1", "t_grid": ["0"], "family": family})[0] == 2
+        assert "lattice points" in capsys.readouterr().err
+        # one law, the point mass at 0, whose profile is 5 001 units deep
+        family = {"max_n": 1, "denominator": 1, "radius": 5000}
+        code, rows, _ = run(tmp_path, "sweep", {"h": "1", "t_grid": ["0"], "family": family})
+        assert code == 0 and [r["status"] for r in rows] == ["ok"]
+
     def test_family_cap_checked_before_enumeration(self, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("the sweep ran before the cap was checked")

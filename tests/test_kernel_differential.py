@@ -1,8 +1,9 @@
 """Differential tests: the integer-lattice kernel against the per-atom
 Fraction references in util.py, on random rational laws (non-integer steps,
 half-lattice offsets, wide sparse gaps, point masses, mixed denominators),
-the sumset Kleitman count against the Gray-code enumeration, and the bound
-table against the bounds' defining sums."""
+the sweep's symmetric tails P(|S| > t) = 2 P(S > t) against per-atom tails
+of the convolved sum, the sumset Kleitman count against the Gray-code
+enumeration, and the bound table against the bounds' defining sums."""
 
 import math
 from fractions import Fraction
@@ -29,6 +30,7 @@ from symtail.oracles import (
     SupportCapExceeded,
     exact_sum_distribution,
     kleitman_count,
+    sweep_checks,
 )
 
 from util import (
@@ -167,6 +169,26 @@ def test_abs_tail(atoms, data):
     t = abs(data.draw(thresholds(atoms)))
     for strict in (True, False):
         assert abs_tail(law(atoms), t, strict=strict) == ref_abs_tail(atoms, t, strict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(symmetric_laws(), st.just(((Fraction(0), Fraction(1)),))), max_size=3),
+    st.data(),
+)
+def test_sweep_tails(terms, data):
+    # The sweep reads P(|S| > t) as 2 P(S > t); h is past every |x|, so
+    # every drawn t (support points, midpoints, 0) is in the grid.
+    total = ((Fraction(0), Fraction(1)),)
+    for atoms in terms:
+        total = ref_convolve(total, atoms)
+    ts = data.draw(st.lists(thresholds(total).map(abs), min_size=1, max_size=6))
+    h = max(abs(x) for x, _ in total) + 1
+    [(_, grid, tails, den, _)] = sweep_checks([[law(atoms) for atoms in terms]], h, ts)
+    assert grid == sorted(t for t in ts if t < len(terms) * h)
+    assert [Fraction(tail, den) for tail in tails] == [
+        ref_abs_tail(total, t, strict=True) for t in grid
+    ]
 
 
 @settings(max_examples=300, deadline=None)

@@ -322,6 +322,11 @@ class TestBoundSoundnessSweep:
         with pytest.raises(ValueError, match="cap"):
             symmetric_lattice_family(2, 10**30, 10**30)
 
+    def test_instance_longer_than_the_recursion_limit(self):
+        # 1 100 prefix sums, each built from the one before it
+        report = bound_soundness_sweep([[coin()] * 1100], 1, [0, 1])
+        assert report.ok and report.checks == 2
+
     def test_all_zero_instance(self):
         report = bound_soundness_sweep([[point_mass(0)] * 3], 1, [0, 1, 2])
         assert report.ok
