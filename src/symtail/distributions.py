@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, rational_pair
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -189,21 +189,48 @@ class LatticeDistribution:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "LatticeDistribution":
+        """Read ``{"atoms": [{"x": ..., "mass": ...}, ...]}`` straight into the
+        integer form.
+
+        Every x is put over one common denominator and every mass over
+        another.  Masses at equal x are merged, then zero masses pruned; the
+        law and the errors are those of from_masses on the merged masses.
+        No Fraction atom is built.
+        """
         try:
             atoms = data["atoms"]
         except (KeyError, TypeError) as exc:
             raise ValueError("distribution literal must have an 'atoms' list") from exc
         if not isinstance(atoms, list) or not atoms:
             raise ValueError("'atoms' must be a non-empty list")
-        masses: dict[Fraction, Fraction] = {}
+        pairs = []
         for entry in atoms:
             try:
-                x = parse_rational(entry["x"])
-                m = parse_rational(entry["mass"])
+                pairs.append((rational_pair(entry["x"]), rational_pair(entry["mass"])))
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad atom entry: {entry!r}") from exc
-            masses[x] = masses.get(x, Fraction(0)) + m
-        return LatticeDistribution.from_masses(masses)
+        scale = math.lcm(*(xd for (_, xd), _ in pairs))
+        den = math.lcm(*(md for _, (_, md) in pairs))
+        merged: dict[int, int] = {}  # x * scale -> mass * den
+        get = merged.get
+        for (xn, xd), (mn, md) in pairs:
+            key = xn * (scale // xd)
+            merged[key] = get(key, 0) + mn * (den // md)
+        points = sorted(x for x, w in merged.items() if w)
+        if not points:
+            raise ValueError("distribution needs at least one atom")
+        weights = [merged[x] for x in points]
+        for x, w in zip(points, weights):
+            if w < 0:
+                raise ValueError(
+                    f"mass at {Fraction(x, scale)} must be positive, got {Fraction(w, den)}"
+                )
+        if sum(weights) != den:
+            raise ValueError(f"masses must sum to 1, got {Fraction(sum(weights), den)}")
+        first = points[0]
+        return LatticeDistribution._from_lattice(
+            Fraction(first, scale), Fraction(1, scale), den, [x - first for x in points], weights
+        )
 
 
 def _ranker(d: LatticeDistribution):
@@ -224,9 +251,12 @@ def _ranker(d: LatticeDistribution):
     return ranks
 
 
-def _upper_tail_weights(d: LatticeDistribution, cuts: Sequence[tuple[int, int]]) -> list[int]:
+def _upper_tail_weights(
+    d: LatticeDistribution, cuts: Sequence[tuple[int, int]], weak: bool = False
+) -> list:
     """Numerators over d.den of P(X > num/den) for each (num, den) of cuts,
-    given in ascending order with den > 0.
+    given in ascending order with den > 0; with weak, the pairs
+    (P(X > num/den), P(X >= num/den)) instead.
 
     One walk down d's atoms from the top, taking the cuts from the highest:
     one integer floor per cut, and only the atoms above the lowest cut are
@@ -245,7 +275,14 @@ def _upper_tail_weights(d: LatticeDistribution, cuts: Sequence[tuple[int, int]])
         while j and indices[j - 1] > q:
             j -= 1
             tail += weights[j]
-        out.append(tail)
+        if weak:
+            # the atom of index q sits on num/den when the floor is exact
+            on_cut = j and indices[j - 1] == q and (
+                diff * sd == q * den * od * sn if sn else not diff
+            )
+            out.append((tail, tail + weights[j - 1] if on_cut else tail))
+        else:
+            out.append(tail)
     out.reverse()
     return out
 

@@ -520,6 +520,10 @@ class SampleConfig:
             raise ValueError("replications must be >= 1")
         if not self.terms:
             raise ValueError("need at least one term")
+        for term in self.terms:
+            # a NaN or infinite sigma makes every draw NaN or infinite
+            if term.get("kind") == "gaussian" and not math.isfinite(float(term["sigma"])):
+                raise ValueError(f"gaussian sigma must be finite, got {term['sigma']!r}")
 
 
 def _sampler(term: dict) -> tuple:
@@ -546,8 +550,8 @@ def _magnitudes(sampler: tuple, rng: random.Random, size: int) -> list[float]:
 @lru_cache(maxsize=1)
 def _sorted_abs_sample(seed: int, size: int, samplers: tuple[tuple, ...]) -> list[float]:
     # The seed fixes the draw, so the last configuration's sample answers
-    # every t asked of it.  A NaN sum (an infinite sigma) never exceeds t;
-    # leaving it out keeps the sample sorted.
+    # every t asked of it.  A NaN sum (magnitudes that overflow to opposite
+    # infinities) never exceeds t; leaving it out keeps the sample sorted.
     rng = random.Random(seed)
     total = [0.0] * size
     for sampler in samplers:

@@ -15,6 +15,12 @@ results relate the sums S = sum X_i and T = sum Y_i:
 All checks are exact; hypothesis violations are reported separately from
 conclusion failures, because the known counterexample to the lattice
 condition is itself a hypothesis-violation demonstration.
+
+The checks read each law's integer form (offset, step, indices, weights)
+and build no atom.  Every term is symmetric, so both sums are: a tail
+P(|S| >= t) is 2 P(S >= t), and one walk down each sum answers a whole
+grid.  The lattice-class and {-h, 0, h} hypotheses take O(1) integer work
+per law.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from typing import Sequence
 
 from .distributions import (
     LatticeDistribution,
+    _upper_tail_weights,
     abs_stochastically_geq,
-    abs_tail,
-    half_mass,
+    half_mass,  # re-exported: the functional that half_mass_check orders
     is_symmetric,
     is_unimodal_with_span,
 )
@@ -82,19 +88,27 @@ class PrussReport:
 
 
 def pruss_check(inst: ComparisonInstance, t_grid: Sequence) -> PrussReport:
-    """Check P(|S| >= t) >= (1/2) P(|T| >= t) at every positive grid t."""
+    """Check P(|S| >= t) >= (1/2) P(|T| >= t) at every positive grid t.
+
+    Both sums are symmetric, so P(|S| >= t) = 2 P(S >= t) for t > 0: one
+    walk down each sum reads the whole grid, and the ratios are compared
+    on integers.
+    """
     s, t_dist = inst.sums()
+    ts = sorted(t for t in map(parse_rational, t_grid) if t.numerator > 0)
+    cuts = [(t.numerator, t.denominator) for t in ts]
+    s_tails = _upper_tail_weights(s, cuts, weak=True)
+    t_tails = _upper_tail_weights(t_dist, cuts, weak=True)
     report = PrussReport()
-    for t in sorted(parse_rational(v) for v in t_grid):
-        if t <= 0:
-            continue
-        s_tail = abs_tail(s, t, strict=False)
-        t_tail = abs_tail(t_dist, t, strict=False)
-        report.rows.append((t, s_tail, t_tail))
-        if t_tail > 0:
-            ratio = s_tail / t_tail
-            if report.min_ratio is None or ratio < report.min_ratio:
-                report.min_ratio = ratio
+    least = None  # min ratio as (numerator, denominator)
+    for t, (_, s_ge), (_, t_ge) in zip(ts, s_tails, t_tails):
+        report.rows.append((t, Fraction(2 * s_ge, s.den), Fraction(2 * t_ge, t_dist.den)))
+        if t_ge:
+            num, den = s_ge * t_dist.den, t_ge * s.den
+            if least is None or num * least[1] < least[0] * den:
+                least = num, den
+    if least is not None:
+        report.min_ratio = Fraction(*least)
     return report
 
 
@@ -112,20 +126,35 @@ def half_mass_check(inst: ComparisonInstance, h, m_max: int) -> HalfMassReport:
 
     Requires every Y_i to be supported on {-h, 0, h}.  The ordering is only
     claimed for positive m; m = 0 genuinely fails (the known two-coin
-    example gives 3/4 < 1 there).
+    example gives 3/4 < 1 there).  For a symmetric sum and t > 0 the
+    half-mass P(|S| > t) + (1/2) P(|S| = t) is P(S > t) + P(S >= t), so
+    one walk down each sum gives every row.
     """
     h = parse_rational(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    allowed = {-h, Fraction(0), h}
     for i, y in enumerate(inst.ys):
-        if not set(y.support) <= allowed:
+        if not _on_three_points(y, h):
             raise HypothesisViolation(f"Y_{i + 1} not supported on {{-h, 0, h}}")
     s, t_dist = inst.sums()
+    ms = range(1, m_max + 1)
+    cuts = [(m * h.numerator, h.denominator) for m in ms]
     report = HalfMassReport()
-    for m in range(1, m_max + 1):
-        report.rows.append((m, half_mass(s, m * h), half_mass(t_dist, m * h)))
+    for m, (s_gt, s_ge), (t_gt, t_ge) in zip(
+        ms, _upper_tail_weights(s, cuts, weak=True), _upper_tail_weights(t_dist, cuts, weak=True)
+    ):
+        report.rows.append((m, Fraction(s_gt + s_ge, s.den), Fraction(t_gt + t_ge, t_dist.den)))
     return report
+
+
+def _on_three_points(d: LatticeDistribution, h: Fraction) -> bool:
+    # Every atom offset + step*i is -h, 0 or h: x/h = (on*sd + sn*od*i)*hd / scale.
+    if len(d.indices) > 3:
+        return False
+    on, od = d.offset.numerator, d.offset.denominator
+    sn, sd = d.step.numerator, d.step.denominator
+    scale = od * sd * h.numerator
+    return all((on * sd + sn * od * i) * h.denominator in (-scale, 0, scale) for i in d.indices)
 
 
 @dataclass
@@ -164,14 +193,17 @@ def birnbaum_check(inst: ComparisonInstance, h) -> BirnbaumReport:
 
 def _lattice_classes(d: LatticeDistribution, h: Fraction) -> set[str]:
     # Which of h*Z / h*(Z+1/2) can carry this law; a point mass at 0 lives
-    # on h*Z only, other laws may fit neither.
-    classes = set()
-    residues = {(x / h) % 1 for x in d.support}
-    if residues <= {Fraction(0)}:
-        classes.add("integer")
-    if residues <= {Fraction(1, 2)}:
-        classes.add("half")
-    return classes
+    # on h*Z only, other laws may fit neither.  The indices have gcd 1, so
+    # every atom offset + step*i is in the offset's class exactly when
+    # step/h is an integer; then offset/h mod 1 names the class.
+    hn, hd = h.numerator, h.denominator
+    if d.step.numerator * hd % (d.step.denominator * hn):
+        return set()
+    scale = d.offset.denominator * hn
+    residue = d.offset.numerator * hd % scale  # (offset/h mod 1) * scale
+    if not residue:
+        return {"integer"}
+    return {"half"} if 2 * residue == scale else set()
 
 
 def _shared_lattice(x: LatticeDistribution, y: LatticeDistribution, h: Fraction) -> bool:

@@ -4,6 +4,9 @@ The wire format used by JSON inputs and CSV outputs represents a rational
 either as an integer or as a string ``"num/den"`` or ``"num"``: an optional
 sign, ASCII digits and an optional ``/`` with more digits, with surrounding
 whitespace.  Exponents, decimal points and underscores are not rationals.
+One parser reads it, ``rational_pair``, into an integer (numerator,
+denominator) pair, which is what the distribution literals are built from;
+``parse_rational`` wraps that pair in a ``Fraction``.
 Rendering is lossless; the decimal column emitted next to it is a
 12-significant-digit convenience view, never a source of truth.
 """
@@ -17,23 +20,35 @@ from fractions import Fraction
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
+def rational_pair(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or a wire string (see
+    above), with a positive denominator; a string's pair is as written, not
+    reduced, so "2/4" gives (2, 4)."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
+        try:
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError as exc:  # too many digits for int()
+            raise ValueError(f"not a rational: {value!r}") from exc
+        if den:
+            return num, den
+    raise ValueError(f"not a rational: {value!r}")
+
+
 def parse_rational(value) -> Fraction:
     """Parse an int, Fraction, or a "num/den" / integer string (see above)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
-        try:
-            return Fraction(int(match[1]), int(match[2] or 1))
-        except (ValueError, ZeroDivisionError) as exc:  # "/0", or too many digits for int()
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r}")
+    return Fraction(*rational_pair(value))
 
 
 def format_rational(q: Fraction) -> str:
     """Render exactly: "3", "-1/2", ..."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     try:
         if q.denominator == 1:
             return str(q.numerator)

@@ -506,6 +506,16 @@ def test_rational_outside_wire_format_is_usage_error(tmp_path, literal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("literal", [True, 0.5, "1e3", "1/0", "1" * 5000])
+@pytest.mark.parametrize("field", ["x", "mass"])
+def test_malformed_atom_literal_is_usage_error(tmp_path, field, literal):
+    law = {"atoms": [{"x": "0", "mass": "1"} | {field: literal}]}
+    payload = {"xs": [law], "ys": [ZERO], "h": "1", "t_grid": ["1"]}
+    code, _, out = run(tmp_path, "compare", payload)
+    assert code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("literal, t", [("-3/4", "-3/4"), (" 7 ", "7"), ("+2", "2")])
 def test_rational_wire_forms_parse(tmp_path, literal, t):
     code, rows, _ = run(tmp_path, "bound", {"p": ["1/2"], "h": "1", "t_grid": [literal]})

@@ -3,10 +3,13 @@ Fraction references in util.py, on random rational laws (non-integer steps,
 half-lattice offsets, wide sparse gaps, point masses, mixed denominators),
 the sweep's symmetric tails P(|S| > t) = 2 P(S > t) against per-atom tails
 of the convolved sum, the sumset Kleitman count against the Gray-code
-enumeration, and the bound table against the bounds' defining sums."""
+enumeration, the bound table against the bounds' defining sums, JSON
+literals read straight into the integer form against from_masses, and the
+comparison queries and lattice checks against per-atom tails and residues."""
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +35,14 @@ from symtail.oracles import (
     kleitman_count,
     sweep_checks,
 )
+from symtail.ordering import (
+    ComparisonInstance,
+    _lattice_classes,
+    _on_three_points,
+    half_mass_check,
+    pruss_check,
+)
+from symtail.rational import parse_rational
 
 from util import (
     ref_abs_stochastically_geq,
@@ -339,3 +350,173 @@ def test_bound_table_domain_checked_before_pmf(monkeypatch):
     for bad in ("-1/3", "1", "3/2"):  # below 0, exactly n*h, above n*h
         with pytest.raises(ValueError, match="outside the bound domain"):
             bound_table(["1/2", "1/3"], "1/2", ["0", "1/4", bad, "1/2"])
+
+
+# --- JSON ingest -------------------------------------------------------------
+
+
+def _literal(q: Fraction):
+    """q as the wire format writes it: "num/den" not reduced, and for an
+    integer also a JSON int or "num"."""
+    forms = st.integers(1, 3).map(lambda c: f"{q.numerator * c}/{q.denominator * c}")
+    if q.denominator == 1:
+        forms = st.one_of(forms, st.just(q.numerator), st.just(str(q.numerator)))
+    return forms
+
+
+@st.composite
+def atom_literals(draw):
+    """A literal's atom list: x from a small pool, so duplicates are common,
+    and masses from integer units, signed half the time (zeros included),
+    over their own sum when that is positive and drawn, else over a random
+    denominator."""
+    size = draw(st.integers(1, 7))
+    xs = [
+        Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 4]))) for _ in range(size)
+    ]
+    low = -2 if draw(st.booleans()) else 0
+    units = [draw(st.integers(low, 6)) for _ in range(size)]
+    total = sum(units)
+    den = total if total > 0 and draw(st.booleans()) else draw(st.integers(1, 9))
+    return [
+        {"x": draw(_literal(x)), "mass": draw(_literal(Fraction(u, den)))}
+        for x, u in zip(xs, units)
+    ]
+
+
+def ref_from_literal(atoms) -> LatticeDistribution:
+    # Masses are merged per x first: from_masses prunes zero masses before
+    # it merges, so it would reject a merged zero such as 1 - 1.
+    masses: dict[Fraction, Fraction] = {}
+    for atom in atoms:
+        x = parse_rational(atom["x"])
+        masses[x] = masses.get(x, Fraction(0)) + parse_rational(atom["mass"])
+    return LatticeDistribution.from_masses(masses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_literals())
+def test_from_json_dict(atoms):
+    try:
+        expected = ref_from_literal(atoms)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            LatticeDistribution.from_json_dict({"atoms": atoms})
+        assert str(raised.value) == str(exc)
+        return
+    got = LatticeDistribution.from_json_dict({"atoms": atoms})
+    assert got == expected and hash(got) == hash(expected)
+    assert got.atoms == expected.atoms
+
+
+@pytest.mark.parametrize(
+    "literal", [True, False, 0.5, 1.0, "1e3", "1/0", "1" * 5000, "1/" + "7" * 5000]
+)
+@pytest.mark.parametrize("field", ["x", "mass"])
+def test_from_json_dict_rejects_malformed_literal(field, literal):
+    atom = {"x": "0", "mass": "1"} | {field: literal}
+    with pytest.raises(ValueError):
+        LatticeDistribution.from_json_dict({"atoms": [atom]})
+
+
+# --- The comparison queries --------------------------------------------------
+
+POINT_MASS = ((Fraction(0), Fraction(1)),)
+
+
+def ref_sum(terms) -> tuple:
+    return reduce(ref_convolve, terms, POINT_MASS)
+
+
+def ref_half_mass(atoms, t) -> Fraction:
+    strict = ref_abs_tail(atoms, t, strict=True)
+    return strict + (ref_abs_tail(atoms, t, strict=False) - strict) / 2
+
+
+@st.composite
+def dominated_pairs(draw, ys):
+    """(X, Y) with |X| >= |Y| stochastically: X a random symmetric law or
+    point mass when it dominates, else Y scaled by 1, 3/2 or 2, so the two
+    steps often differ."""
+    y = draw(ys)
+    x = draw(st.one_of(symmetric_laws(), st.just(POINT_MASS)))
+    if not ref_abs_stochastically_geq(x, y):
+        c = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+        x = tuple((c * v, m) for v, m in y)
+    return x, y
+
+
+def instance(pairs) -> ComparisonInstance:
+    xs, ys = zip(*pairs)
+    return ComparisonInstance(tuple(map(law, xs)), tuple(map(law, ys)))
+
+
+def query_points(atoms):
+    """thresholds(atoms) and two points past the largest |x|."""
+    top = max(abs(x) for x, _ in atoms)
+    return st.one_of(thresholds(atoms), st.sampled_from([top + Fraction(1, 3), 2 * top + 1]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(dominated_pairs(st.one_of(symmetric_laws(), st.just(POINT_MASS))),
+                min_size=1, max_size=3), st.data())
+def test_pruss_check(pairs, data):
+    s = ref_sum(x for x, _ in pairs)
+    t = ref_sum(y for _, y in pairs)
+    grid = data.draw(st.lists(st.one_of(query_points(s), query_points(t)), max_size=8))
+    report = pruss_check(instance(pairs), grid)
+    rows = [(u, ref_abs_tail(s, u, strict=False), ref_abs_tail(t, u, strict=False))
+            for u in sorted(grid) if u > 0]
+    assert report.rows == rows
+    ratios = [s_tail / t_tail for _, s_tail, t_tail in rows if t_tail]
+    assert report.min_ratio == (min(ratios) if ratios else None)
+
+
+@st.composite
+def three_point_laws(draw, h):
+    p = draw(probabilities)
+    return tuple((x, m) for x, m in ((-h, p / 2), (Fraction(0), 1 - p), (h, p / 2)) if m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(steps, st.data())
+def test_half_mass_check(h, data):
+    pairs = data.draw(st.lists(dominated_pairs(three_point_laws(h)), min_size=1, max_size=3))
+    m_max = data.draw(st.integers(0, 6))
+    report = half_mass_check(instance(pairs), h, m_max)
+    s = ref_sum(x for x, _ in pairs)
+    t = ref_sum(y for _, y in pairs)
+    assert report.rows == [
+        (m, ref_half_mass(s, m * h), ref_half_mass(t, m * h)) for m in range(1, m_max + 1)
+    ]
+
+
+def ref_lattice_classes(atoms, h) -> set[str]:
+    residues = {(x / h) % 1 for x, _ in atoms}
+    classes = set()
+    if residues <= {Fraction(0)}:
+        classes.add("integer")
+    if residues <= {Fraction(1, 2)}:
+        classes.add("half")
+    return classes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(any_laws, unimodal_candidates(), st.just(POINT_MASS)), st.data())
+def test_lattice_classes(atoms, data):
+    d = law(atoms)
+    base = d.span or Fraction(1)
+    # h = 2 * span gives a step of h/2
+    h = data.draw(st.one_of(
+        st.sampled_from([base, 2 * base, base / 2, 2 * abs(d.offset) or base]), steps
+    ))
+    assert _lattice_classes(d, h) == ref_lattice_classes(atoms, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps, st.data())
+def test_three_point_support(h, data):
+    pool = [-h, -h / 2, Fraction(0), h / 2, h, 2 * h]
+    points = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4)))
+    atoms = _normalized(points, _raw_masses(data.draw, len(points)))
+    assert _on_three_points(law(atoms), h) == ({x for x, _ in atoms} <= {-h, Fraction(0), h})

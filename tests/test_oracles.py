@@ -428,6 +428,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="nonnegative"):
             monte_carlo_tail(cfg, t)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf"), "nan"])
+    def test_rejects_non_finite_sigma(self, sigma):
+        # Every draw would be NaN or infinite, so every estimate reads 0.
+        with pytest.raises(ValueError, match="finite"):
+            SampleConfig(seed=1, replications=1000, terms=({"kind": "gaussian", "sigma": sigma},))
+
     def test_replication_floor(self):
         cfg = SampleConfig(seed=1, replications=10, terms=(
             {"kind": "atoms", "atoms": {0: 1}},
