@@ -2,8 +2,13 @@
 
 Exit codes: 0 = all asserted inequalities held, 1 = a violation was found,
 2 = input/usage error.  Rational values appear in the CSV as exact
-"num/den" strings with a 12-significant-digit decimal column beside them;
-the decimal column is derived, never authoritative.
+"num/den" strings with a decimal column beside them: 12 significant digits,
+rounded half to even whatever the caller's decimal context.  The decimal
+column is derived, never authoritative.
+
+The argument parser is built once per process, on the first `main` call,
+and reused: parsing changes no parser state, so `main` is safe to call
+repeatedly in one process.
 
 Every subcommand takes only --input and --output.  Each input field has a
 typed reader that accepts only its own JSON type (an integer field takes
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -161,7 +167,7 @@ def cmd_bound(data: dict) -> list[list]:
     return rows
 
 
-def cmd_sweep(data: dict) -> list[list]:
+def cmd_sweep(data: dict) -> list[tuple]:
     h = _get(data, "h", _positive)
     t_grid = _get(data, "t_grid", _rationals)
     cap = oracles.MAX_SWEEP_TERMS
@@ -184,17 +190,36 @@ def cmd_sweep(data: dict) -> list[list]:
     else:
         raise InputError("input must supply 'instances' or 'family'")
 
+    # The cells of each (numerator, denominator) pair, formatted once: bound
+    # rows repeat per p-multiset, and tails and slacks across instances.  The
+    # t cells are formatted again only when the grid list changes, which
+    # sweep_checks shares between instances of one n.
+    cells: dict[tuple[int, int], list[str]] = {}
+    slack_cells: dict[tuple[int, int], str] = {}
+    last_grid, t_cells = None, []
+
+    def exact(pair: tuple[int, int]) -> list[str]:
+        got = cells.get(pair)
+        if got is None:
+            got = cells[pair] = _exact(Fraction(*pair))
+        return got
+
     rows = []
     try:
         checks = oracles.sweep_checks(instances, h, t_grid, oracles.MAX_SUPPORT_PRODUCT)
         for index, grid, tails, den, bound_pairs in checks:
-            for t, tail_num, (b_num, b_den) in zip(grid, tails, bound_pairs):
-                bound = Fraction(b_num, b_den)
-                tail = Fraction(tail_num, den)
-                slack = tail - bound
+            if grid is not last_grid:
+                last_grid, t_cells = grid, [format_rational(t) for t in grid]
+            for t_cell, tail_num, bound in zip(t_cells, tails, bound_pairs):
+                b_num, b_den = bound
+                slack = (tail_num * b_den - b_num * den, den * b_den)  # den * b_den > 0
+                slack_cell = slack_cells.get(slack)
+                if slack_cell is None:
+                    slack_cell = slack_cells[slack] = format_rational(Fraction(*slack))
+                # A tuple of str and int, which the cyclic GC stops tracking.
                 rows.append(
-                    [index, format_rational(t), *_exact(bound), *_exact(tail),
-                     format_rational(slack), "ok" if slack >= 0 else "VIOLATION"]
+                    (index, t_cell, *exact(bound), *exact((tail_num, den)),
+                     slack_cell, "ok" if slack[0] >= 0 else "VIOLATION")
                 )
     except ValueError as exc:  # a non-symmetric term, the support cap
         raise InputError(str(exc)) from exc
@@ -292,7 +317,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="symtail",
         description="Exact tail-bound tables and verification sweeps for sums "

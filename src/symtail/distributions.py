@@ -153,15 +153,13 @@ class LatticeDistribution:
 
     @staticmethod
     def from_masses(masses: Mapping) -> "LatticeDistribution":
-        """Build from a mapping of support point to mass; zero masses are pruned."""
-        cleaned = {}
+        """Build from a mapping of support point to mass.  Masses at equal
+        points ("1" and "2/2") are merged, then zero masses pruned."""
+        merged: dict[Fraction, Fraction] = {}
         for x, mass in masses.items():
             x = parse_rational(x)
-            mass = parse_rational(mass)
-            if mass == 0:
-                continue
-            cleaned[x] = cleaned.get(x, Fraction(0)) + mass
-        return LatticeDistribution(tuple(sorted(cleaned.items())))
+            merged[x] = merged.get(x, Fraction(0)) + parse_rational(mass)
+        return LatticeDistribution(tuple(sorted((x, m) for x, m in merged.items() if m)))
 
     @property
     def support(self) -> tuple[Fraction, ...]:

@@ -8,7 +8,10 @@ One parser reads it, ``rational_pair``, into an integer (numerator,
 denominator) pair, which is what the distribution literals are built from;
 ``parse_rational`` wraps that pair in a ``Fraction``.
 Rendering is lossless; the decimal column emitted next to it is a
-12-significant-digit convenience view, never a source of truth.
+convenience view, never a source of truth: the exact value rounded to 12
+significant digits, half to even, in one fixed decimal context, so the
+caller's ``decimal.getcontext()`` (its precision, rounding, traps and
+exponent letter) never changes it.
 """
 
 from __future__ import annotations
@@ -60,10 +63,20 @@ def format_rational(q: Fraction) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-def decimal_str(q: Fraction, digits: int = 12) -> str:
-    """Round the exact value to the given number of significant digits."""
-    q = Fraction(q)
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        d = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
-    return str(d)
+# The decimal view's context, every field given so that neither the caller's
+# context nor decimal.DefaultContext reaches it.  Its traps are the default
+# ones; rounding to 12 digits is never a trap, and the flags it sets are
+# never read.  It also renders the result: str() would take the exponent
+# letter's case from the caller's context.
+_DECIMAL = decimal.Context(
+    prec=12, rounding=decimal.ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1,
+    clamp=0, flags=[], traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
+
+
+def decimal_str(q: Fraction) -> str:
+    """The exact value rounded to 12 significant digits, half to even."""
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    d = _DECIMAL.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+    return _DECIMAL.to_sci_string(d)

@@ -1,15 +1,17 @@
+import argparse
 import copy
 import csv
 import json
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symtail import bounds, oracles, ordering
+from symtail import bounds, cli, oracles, ordering
 from symtail.cli import main
 from symtail.distributions import LatticeDistribution
 
@@ -533,6 +535,34 @@ def test_deeply_nested_json_is_usage_error(tmp_path):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    built = []  # the prog of each parser constructed, subcommand parsers included
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert run(tmp_path, "bound", {"p": ["1/2"], "h": "1", "t_grid": ["0"]})[0] == 0
+    assert built.count("symtail") == 1
+    assert len(built) == 1 + len(cli.COMMANDS)
+
+
+def test_reused_parser_carries_no_state(tmp_path, capsys):
+    out = tmp_path / "bound.csv"
+    assert main(["frobnicate"]) == 2
+    assert main(["bound", "--input", str(GOLDEN / "bound.json")]) == 2
+    assert main(["--help"]) == 0
+    assert main(["bound", "--input", str(GOLDEN / "bound.json"), "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "bound.csv").read_bytes()
 
 
 FLAG_CASES = [

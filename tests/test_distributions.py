@@ -30,6 +30,15 @@ class TestConstruction:
         d = dist({0: Fraction(1), 1: 0})
         assert d.support == (Fraction(0),)
 
+    def test_equal_points_merged_before_zeros_pruned(self):
+        # "1" and "2/2" are one point whose masses cancel: the merged zero is
+        # pruned, as from_json_dict does with the same atoms.
+        masses = {"1": "1/2", "2/2": "-1/2", 0: 1}
+        atoms = [{"x": x, "mass": m} for x, m in masses.items()]
+        assert dist(masses) == point_mass(0)
+        assert LatticeDistribution.from_json_dict({"atoms": atoms}) == point_mass(0)
+        assert dist({"1": "1", "2/2": "-1/2", 0: "1/2"}) == dist({0: "1/2", 1: "1/2"})
+
     def test_mass_sum_enforced(self):
         with pytest.raises(ValueError):
             LatticeDistribution(((Fraction(0), Fraction(1, 2)),))

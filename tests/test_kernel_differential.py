@@ -4,9 +4,11 @@ half-lattice offsets, wide sparse gaps, point masses, mixed denominators),
 the sweep's symmetric tails P(|S| > t) = 2 P(S > t) against per-atom tails
 of the convolved sum, the sumset Kleitman count against the Gray-code
 enumeration, the bound table against the bounds' defining sums, JSON
-literals read straight into the integer form against from_masses, and the
-comparison queries and lattice checks against per-atom tails and residues."""
+literals read straight into the integer form against from_masses, the
+comparison queries and lattice checks against per-atom tails and residues,
+and the CSV's decimal view against a division in the ambient context."""
 
+import decimal
 import math
 from fractions import Fraction
 from functools import reduce
@@ -42,12 +44,13 @@ from symtail.ordering import (
     half_mass_check,
     pruss_check,
 )
-from symtail.rational import parse_rational
+from symtail.rational import decimal_str, parse_rational
 
 from util import (
     ref_abs_stochastically_geq,
     ref_abs_tail,
     ref_convolve,
+    ref_decimal_str,
     ref_interval_mass,
     ref_is_symmetric,
     ref_is_unimodal_with_span,
@@ -385,8 +388,8 @@ def atom_literals(draw):
 
 
 def ref_from_literal(atoms) -> LatticeDistribution:
-    # Masses are merged per x first: from_masses prunes zero masses before
-    # it merges, so it would reject a merged zero such as 1 - 1.
+    # Masses are merged per x here: atoms may repeat an x literal, which a
+    # mapping holds once.  from_masses then prunes any merged zero.
     masses: dict[Fraction, Fraction] = {}
     for atom in atoms:
         x = parse_rational(atom["x"])
@@ -520,3 +523,54 @@ def test_three_point_support(h, data):
     points = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4)))
     atoms = _normalized(points, _raw_masses(data.draw, len(points)))
     assert _on_three_points(law(atoms), h) == ({x for x, _ in atoms} <= {-h, Fraction(0), h})
+
+
+# --- The decimal view --------------------------------------------------------
+
+BIG = 10**60
+signs = st.sampled_from([1, -1])
+scales = st.integers(0, 40).map(lambda e: 10**e)
+
+
+@st.composite
+def ties(draw):
+    """Exactly 13 significant digits ending in 5: a tie between two
+    12-digit neighbours, either parity, scaled by a power of ten."""
+    digits = draw(st.integers(10**11, 10**12 - 1)) * 10 + 5
+    return Fraction(draw(signs) * digits * draw(scales), draw(scales))
+
+
+@st.composite
+def carries(draw):
+    """At or above the midpoint below 10^k, so rounding carries to 10^k."""
+    extra = draw(st.integers(0, 30))
+    below = draw(st.integers(1, 5 * 10**extra))
+    return Fraction(draw(signs) * (10 ** (12 + extra) - below), draw(scales))
+
+
+rationals = st.one_of(
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.integers(-BIG, BIG).map(Fraction),
+    st.just(Fraction(0)),
+    ties(),
+    carries(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rationals)
+def test_decimal_str(q):
+    assert decimal_str(q) == ref_decimal_str(q)
+
+
+def test_decimal_str_ignores_caller_context():
+    values = [Fraction(2, 3), Fraction(-2, 3), Fraction(1, 3 * 10**10), Fraction(10**13 - 1),
+              Fraction(1, 7), Fraction(0), Fraction(1, 4), Fraction(12345678901235, 10)]
+    expected = [ref_decimal_str(q) for q in values]
+    assert expected[:3] == ["0.666666666667", "-0.666666666667", "3.33333333333E-11"]
+    with decimal.localcontext() as ctx:
+        ctx.rounding = decimal.ROUND_DOWN
+        ctx.traps[decimal.Inexact] = True
+        ctx.capitals = 0
+        ctx.prec = 3
+        assert [decimal_str(q) for q in values] == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 from symtail.bounds import bound_table, improved_bound
 from symtail.distributions import LatticeDistribution, abs_tail
 from symtail.oracles import _SIZES, exact_sum_distribution
-from symtail.rational import decimal_str, format_rational
+from symtail.rational import format_rational
 
 
 def dist(masses) -> LatticeDistribution:
@@ -149,6 +150,18 @@ def ref_abs_stochastically_geq(u, v) -> bool:
     )
 
 
+def ref_decimal_str(q) -> str:
+    """The decimal column's 12-significant-digit view of q, divided in a
+    local copy of the ambient decimal context: the reference for
+    symtail.rational.decimal_str, valid while that context has the default
+    rounding (half even), traps and exponent letter."""
+    q = Fraction(q)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 12
+        d = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
+    return str(d)
+
+
 def shifted_bound_table(shift):
     """bound_table with each row's improved bound shifted up by `shift`, to
     patch over oracles.bound_table.  The rows carry only `improved`: a real
@@ -172,8 +185,8 @@ def ref_sweep_rows(instances, h, t_grid, inflate=Fraction(0)) -> list[list[str]]
             tail = abs_tail(total, t, strict=True)
             slack = tail - bound
             rows.append([
-                str(index), format_rational(t), format_rational(bound), decimal_str(bound),
-                format_rational(tail), decimal_str(tail), format_rational(slack),
+                str(index), format_rational(t), format_rational(bound), ref_decimal_str(bound),
+                format_rational(tail), ref_decimal_str(tail), format_rational(slack),
                 "ok" if slack >= 0 else "VIOLATION",
             ])
     return rows
