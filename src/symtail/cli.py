@@ -191,12 +191,8 @@ def cmd_sweep(data: dict) -> list[tuple]:
         raise InputError("input must supply 'instances' or 'family'")
 
     # The cells of each (numerator, denominator) pair, formatted once: bound
-    # rows repeat per p-multiset, and tails and slacks across instances.  The
-    # t cells are formatted again only when the grid list changes, which
-    # sweep_checks shares between instances of one n.
+    # rows repeat per p-multiset, and tails across instances.
     cells: dict[tuple[int, int], list[str]] = {}
-    slack_cells: dict[tuple[int, int], str] = {}
-    last_grid, t_cells = None, []
 
     def exact(pair: tuple[int, int]) -> list[str]:
         got = cells.get(pair)
@@ -208,18 +204,14 @@ def cmd_sweep(data: dict) -> list[tuple]:
     try:
         checks = oracles.sweep_checks(instances, h, t_grid, oracles.MAX_SUPPORT_PRODUCT)
         for index, grid, tails, den, bound_pairs in checks:
-            if grid is not last_grid:
-                last_grid, t_cells = grid, [format_rational(t) for t in grid]
-            for t_cell, tail_num, bound in zip(t_cells, tails, bound_pairs):
+            for t, tail_num, bound in zip(grid, tails, bound_pairs):
                 b_num, b_den = bound
-                slack = (tail_num * b_den - b_num * den, den * b_den)  # den * b_den > 0
-                slack_cell = slack_cells.get(slack)
-                if slack_cell is None:
-                    slack_cell = slack_cells[slack] = format_rational(Fraction(*slack))
+                slack_num = tail_num * b_den - b_num * den  # over den * b_den > 0
                 # A tuple of str and int, which the cyclic GC stops tracking.
                 rows.append(
-                    (index, t_cell, *exact(bound), *exact((tail_num, den)),
-                     slack_cell, "ok" if slack[0] >= 0 else "VIOLATION")
+                    (index, format_rational(t), *exact(bound), *exact((tail_num, den)),
+                     format_rational(Fraction(slack_num, den * b_den)),
+                     "ok" if slack_num >= 0 else "VIOLATION")
                 )
     except ValueError as exc:  # a non-symmetric term, the support cap
         raise InputError(str(exc)) from exc

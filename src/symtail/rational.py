@@ -76,7 +76,5 @@ _DECIMAL = decimal.Context(
 
 def decimal_str(q: Fraction) -> str:
     """The exact value rounded to 12 significant digits, half to even."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
     d = _DECIMAL.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
     return _DECIMAL.to_sci_string(d)
