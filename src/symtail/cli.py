@@ -108,25 +108,26 @@ def _positive(value, name: str) -> Fraction:
     return q
 
 
+def _capped(terms: Sequence, cap: int, name: str) -> Sequence:
+    """A term list of at most cap entries."""
+    if len(terms) > cap:
+        raise InputError(f"{name}: n={len(terms)} terms exceed cap {cap}")
+    return terms
+
+
 def _laws(value, name: str) -> tuple[LatticeDistribution, ...]:
-    literals = _list(value, name)
+    """A list of distribution literals, capped at MAX_TERMS before any law is built."""
+    literals = _capped(_list(value, name), oracles.MAX_TERMS, name)
     try:
         return tuple(LatticeDistribution.from_json_dict(v) for v in literals)
     except ValueError as exc:
         raise InputError(f"bad distribution literal in {name}: {exc}") from exc
 
 
-def _capped(terms: Sequence) -> Sequence:
-    """A term list of at most MAX_TERMS entries, checked before any law is built."""
-    if len(terms) > oracles.MAX_TERMS:
-        raise InputError(f"n={len(terms)} terms exceed cap {oracles.MAX_TERMS}")
-    return terms
-
-
 def _probabilities(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The success vector of `bound` and `tighten`, capped before any pmf."""
     try:
-        return as_success_vector(_capped(values))
+        return as_success_vector(_capped(values, oracles.MAX_TERMS, "p"))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -172,10 +173,10 @@ def cmd_sweep(data: dict) -> list[tuple]:
     t_grid = _get(data, "t_grid", _rationals)
     cap = oracles.MAX_SWEEP_TERMS
     if "instances" in data:
-        instances = [_laws(inst, "instances") for inst in _get(data, "instances", _list)]
-        for index, terms in enumerate(instances):
-            if len(terms) > cap:
-                raise InputError(f"instance {index} has n={len(terms)} > cap {cap}")
+        # every instance is capped before any law is built
+        literals = [_capped(_list(inst, "instances"), cap, f"instance {index}")
+                    for index, inst in enumerate(_get(data, "instances", _list))]
+        instances = [_laws(inst, "instances") for inst in literals]
     elif "family" in data:
         family = data["family"]
         max_n = _get(family, "max_n", _int)
@@ -249,7 +250,7 @@ def cmd_compare(data: dict) -> list[list]:
     if m_max > oracles.MAX_HALF_MASS_M:
         raise InputError(f"m_max={m_max} exceeds cap {oracles.MAX_HALF_MASS_M}")
     try:
-        inst = ordering.ComparisonInstance(_capped(xs), _capped(ys))
+        inst = ordering.ComparisonInstance(xs, ys)
         inst.sums()  # builds the sum laws, so the support cap exits 2 here
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -3,15 +3,14 @@
 A :class:`LatticeDistribution` is a finite probability mass function whose
 support lies on a lattice ``offset + step*Z``.  It is stored as integers over
 one common denominator, so convolution is an integer polynomial product and
-tail or interval queries are integer prefix sums; a ``Fraction`` is built
-only for a value handed back to the caller.  There is no floating point in
-this module.
+every tail, interval or point query is one walk down the integer weights
+(``_upper_tail_weights``); a ``Fraction`` is built only for a value handed
+back to the caller.  There is no floating point in this module.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -166,11 +165,8 @@ class LatticeDistribution:
         return tuple(x for x, _ in self.atoms)
 
     def mass(self, x) -> Fraction:
-        x = parse_rational(x)
-        below, at_or_below = _ranker(self)(x.numerator, x.denominator)
-        if at_or_below == below:
-            return Fraction(0)
-        return Fraction(self.weights[below], self.den)
+        [(gt, ge)] = _tails(self, parse_rational(x))
+        return Fraction(ge - gt, self.den)
 
     @property
     def span(self) -> Fraction:
@@ -231,24 +227,6 @@ class LatticeDistribution:
         )
 
 
-def _ranker(d: LatticeDistribution):
-    """ranks(num, den) -> (number of atoms below num/den, number at or below),
-    for den > 0, computed on integers."""
-    on, od = d.offset.numerator, d.offset.denominator
-    sn, sd = d.step.numerator, d.step.denominator
-    indices = d.indices
-
-    def ranks(num: int, den: int) -> tuple[int, int]:
-        diff = num * od - on * den  # sign of num/den - offset
-        if not sn:
-            return int(diff > 0), int(diff >= 0)
-        q, r = divmod(diff * sd, den * od * sn)  # floor((x - offset) / step)
-        at_or_below = bisect_right(indices, q)
-        return (bisect_left(indices, q) if r == 0 else at_or_below), at_or_below
-
-    return ranks
-
-
 def _upper_tail_weights(
     d: LatticeDistribution, cuts: Sequence[tuple[int, int]], weak: bool = False
 ) -> list:
@@ -256,9 +234,10 @@ def _upper_tail_weights(
     given in ascending order with den > 0; with weak, the pairs
     (P(X > num/den), P(X >= num/den)) instead.
 
-    One walk down d's atoms from the top, taking the cuts from the highest:
-    one integer floor per cut, and only the atoms above the lowest cut are
-    visited.
+    The one kernel that places a rational cut on a law's lattice: every
+    tail, interval and point query reads it.  One walk down d's atoms from
+    the top, taking the cuts from the highest: one integer floor per cut,
+    and only the atoms above the lowest cut are visited.
     """
     on, od = d.offset.numerator, d.offset.denominator
     sn, sd = d.step.numerator, d.step.denominator
@@ -283,6 +262,11 @@ def _upper_tail_weights(
             out.append(tail)
     out.reverse()
     return out
+
+
+def _tails(d: LatticeDistribution, *qs: Fraction) -> list[tuple[int, int]]:
+    """(P(X > q), P(X >= q)) numerators over d.den for ascending qs."""
+    return _upper_tail_weights(d, [(q.numerator, q.denominator) for q in qs], weak=True)
 
 
 def point_mass(c=0) -> LatticeDistribution:
@@ -395,32 +379,36 @@ def interval_mass(
     hi = parse_rational(hi)
     if lo > hi:
         raise ValueError(f"need lo <= hi, got {lo} > {hi}")
-    ranks = _ranker(d)
-    below_lo, at_or_below_lo = ranks(lo.numerator, lo.denominator)
-    below_hi, at_or_below_hi = ranks(hi.numerator, hi.denominator)
-    start = below_lo if lo_closed else at_or_below_lo
-    stop = at_or_below_hi if hi_closed else below_hi
-    return Fraction(sum(d.weights[start:stop]), d.den)
+    [(lo_gt, lo_ge), (hi_gt, hi_ge)] = _tails(d, lo, hi)
+    # the weight from lo up, less the weight past hi; ]q, q[ holds none
+    inside = (lo_ge if lo_closed else lo_gt) - (hi_gt if hi_closed else hi_ge)
+    return Fraction(max(inside, 0), d.den)
 
 
 def abs_tail(d: LatticeDistribution, t, strict: bool = True) -> Fraction:
     """Exact P(|X| > t) (strict) or P(|X| >= t) (weak): the mass outside
     [-t, t] or outside ]-t, t[."""
-    t = parse_rational(t)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    ranks = _ranker(d)
-    below_lo, at_or_below_lo = ranks(-t.numerator, t.denominator)
-    below_hi, at_or_below_hi = ranks(t.numerator, t.denominator)
-    inside = d.weights[below_lo:at_or_below_hi] if strict else d.weights[at_or_below_lo:below_hi]
-    return Fraction(d.den - sum(inside), d.den)
+    closed, open_ = _abs_inside(d, t)
+    return Fraction(d.den - (closed if strict else open_), d.den)
 
 
 def half_mass(d: LatticeDistribution, t) -> Fraction:
     """P(|X| > t) + (1/2) P(|X| = t)."""
-    strict = abs_tail(d, t, strict=True)
-    weak = abs_tail(d, t, strict=False)
-    return strict + Fraction(1, 2) * (weak - strict)
+    closed, open_ = _abs_inside(d, t)
+    return Fraction(2 * d.den - closed - open_, 2 * d.den)
+
+
+def _abs_inside(d: LatticeDistribution, t) -> tuple[int, int]:
+    """Numerators over d.den of P(|X| <= t) and P(|X| < t), for t >= 0.
+
+    Both are counts inside [-t, t] and ]-t, t[, never one-sided tails added
+    up, which would count an atom at 0 twice when t = 0.
+    """
+    t = parse_rational(t)
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    [(lo_gt, lo_ge), (hi_gt, hi_ge)] = _tails(d, -t, t)
+    return lo_ge - hi_gt, max(lo_gt - hi_ge, 0)
 
 
 def is_symmetric(d: LatticeDistribution) -> bool:

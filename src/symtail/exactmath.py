@@ -15,8 +15,9 @@ from functools import lru_cache
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), with C(n, k) = 0 for k outside [0, n].
 
-    The out-of-range convention lets window sums over arbitrary integer
-    offsets be written without edge-case branching.
+    The out-of-range convention makes a window sum sum_{i=r}^{r+m-1} C(n, i)
+    valid for every integer r, as in the maximum that largest_binomial_sum
+    (which sums math.comb over in-range indices only) attains.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

@@ -19,8 +19,8 @@ condition is itself a hypothesis-violation demonstration.
 The checks read each law's integer form (offset, step, indices, weights)
 and build no atom.  Every term is symmetric, so both sums are: a tail
 P(|S| >= t) is 2 P(S >= t), and one walk down each sum answers a whole
-grid.  The lattice-class and {-h, 0, h} hypotheses take O(1) integer work
-per law.
+grid.  The lattice-class hypothesis takes O(1) integer work per law, and
+the {-h, 0, h} hypothesis one walk over at most the law's atoms.
 """
 
 from __future__ import annotations
@@ -148,13 +148,10 @@ def half_mass_check(inst: ComparisonInstance, h, m_max: int) -> HalfMassReport:
 
 
 def _on_three_points(d: LatticeDistribution, h: Fraction) -> bool:
-    # Every atom offset + step*i is -h, 0 or h: x/h = (on*sd + sn*od*i)*hd / scale.
-    if len(d.indices) > 3:
-        return False
-    on, od = d.offset.numerator, d.offset.denominator
-    sn, sd = d.step.numerator, d.step.denominator
-    scale = od * sd * h.numerator
-    return all((on * sd + sn * od * i) * h.denominator in (-scale, 0, scale) for i in d.indices)
+    # Every atom is -h, 0 or h: the masses there make up the whole law.
+    hn, hd = h.numerator, h.denominator
+    tails = _upper_tail_weights(d, [(-hn, hd), (0, 1), (hn, hd)], weak=True)
+    return sum(ge - gt for gt, ge in tails) == d.den
 
 
 @dataclass

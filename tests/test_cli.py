@@ -403,17 +403,27 @@ class TestTightenCommand:
      ("bound", {"terms": [COIN] * 3, "h": "1", "t_grid": ["1"]}, (bounds, "_scaled_pmf")),
      ("tighten", {"p": ["1/2"] * 3, "h": "1", "m": 1}, (oracles, "tightness_search")),
      ("compare", {"xs": [COIN] * 3, "ys": [LAZY] * 3, "h": "1", "t_grid": ["1"]},
-      (ordering, "ComparisonInstance"))],
-    ids=["bound-p", "bound-terms", "tighten", "compare"],
+      (ordering, "ComparisonInstance")),
+     ("bound", {"terms": [COIN] * 3, "h": "1", "t_grid": ["1"]},
+      (LatticeDistribution, "from_json_dict")),
+     ("compare", {"xs": [COIN] * 3, "ys": [LAZY] * 3, "h": "1", "t_grid": ["1"]},
+      (LatticeDistribution, "from_json_dict")),
+     ("sweep", {"instances": [[COIN] * 2, [COIN] * 3], "h": "1", "t_grid": ["1"]},
+      (LatticeDistribution, "from_json_dict"))],
+    ids=["bound-p", "bound-terms", "tighten", "compare", "bound-terms-laws", "compare-laws",
+         "sweep-instances-laws"],
 )
 def test_term_cap_checked_before_any_pmf(tmp_path, monkeypatch, command, payload, work):
     def no_work(*args):
-        raise AssertionError("the pmf was built before the term cap was checked")
+        raise AssertionError("a law or pmf was built before the term cap was checked")
 
-    monkeypatch.setattr(oracles, "MAX_TERMS", 3)
+    caps = ("MAX_TERMS", "MAX_SWEEP_TERMS")  # `sweep` instances have their own cap
+    for cap in caps:
+        monkeypatch.setattr(oracles, cap, 3)
     assert run(tmp_path, command, payload)[0] == 0
     monkeypatch.setattr(*work, no_work)
-    monkeypatch.setattr(oracles, "MAX_TERMS", 2)
+    for cap in caps:
+        monkeypatch.setattr(oracles, cap, 2)
     assert run(tmp_path, command, payload)[0] == 2
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symtail import bounds
 from symtail.bounds import bound_table
@@ -151,6 +151,16 @@ def thresholds(atoms):
     return st.sampled_from(xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [Fraction(0)])
 
 
+def with_cuts(n):
+    """A law's atoms and n of its thresholds."""
+    return any_laws.flatmap(lambda atoms: st.tuples(st.just(atoms), *[thresholds(atoms)] * n))
+
+
+# Fixed inputs for the cut placement: a point mass, and a law with an atom at 0.
+POINT = ((Fraction(1, 2), Fraction(1)),)
+LAZY = tuple((Fraction(x), Fraction(m)) for x, m in ((-1, "1/4"), (0, "1/2"), (1, "1/4")))
+
+
 @settings(max_examples=300, deadline=None)
 @given(any_laws, any_laws)
 def test_convolve(a1, a2):
@@ -178,9 +188,14 @@ def test_symmetric_three_point(p, h):
 
 
 @settings(max_examples=300, deadline=None)
-@given(any_laws, st.data())
-def test_abs_tail(atoms, data):
-    t = abs(data.draw(thresholds(atoms)))
+@given(with_cuts(1))
+@example((POINT, Fraction(1, 2)))  # a cut on the only atom
+@example((LAZY, Fraction(0)))  # the weak tail at 0 counts the atom at 0 once
+@example((LAZY, Fraction(1)))  # cuts on atoms
+@example((LAZY, Fraction(1, 2)))  # cuts between atoms
+def test_abs_tail(case):
+    atoms, t = case
+    t = abs(t)
     for strict in (True, False):
         assert abs_tail(law(atoms), t, strict=strict) == ref_abs_tail(atoms, t, strict)
 
@@ -206,9 +221,14 @@ def test_sweep_tails(terms, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(any_laws, st.data())
-def test_interval_mass(atoms, data):
-    lo, hi = sorted((data.draw(thresholds(atoms)), data.draw(thresholds(atoms))))
+@given(with_cuts(2))
+@example((POINT, Fraction(1, 2), Fraction(1, 2)))  # ]q, q[ on an atom holds nothing
+@example((LAZY, Fraction(-1), Fraction(1, 2)))  # a cut on an atom, a cut between atoms
+@example((LAZY, Fraction(-1, 2), Fraction(0)))
+def test_interval_mass(case):
+    atoms, *cuts = case
+    lo, hi = sorted(cuts)
+    assert law(atoms).mass(lo) == ref_interval_mass(atoms, lo, lo)
     for lo_closed in (True, False):
         for hi_closed in (True, False):
             assert interval_mass(law(atoms), lo, hi, lo_closed, hi_closed) == (
