@@ -22,9 +22,12 @@ the Poisson binomial pmf, and become Fractions only when returned.
 
 All three depend on t only through m, so bound_table evaluates a whole
 t-grid over one pmf with one pass of the sums per distinct m; a grid of T
-values of t for n terms needs at most min(T, n) passes.  It is the one
-evaluator: nagaev_bound, improved_bound and evaluate_bounds read one row
-of it.
+values of t for n terms needs at most min(T, n) passes.  Each pass builds
+the column F_m(m), ..., F_n(m) by Pascal's rule, two binomials per k, so
+the table needs no cache of window sums.  The domain check and m are
+integer arithmetic on the numerators and denominators of t and h, one
+floor per t.  bound_table is the one evaluator: nagaev_bound,
+improved_bound and evaluate_bounds read one row of it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .distributions import (
     symmetric_three_point,
 )
 from .exactmath import largest_binomial_sum
-from .rational import parse_rational
+from .rational import parse_rational, rational_pair
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,8 @@ class BoundReport:
     every k in 0..n; weights for k <= t/h do not enter the bounds but make
     the complement identity improved = 1 - kanter_sup checkable from the
     report alone.  It is built from p when read.  Construction raises
-    ValueError if the invariants fail.
+    ValueError if the invariants fail; they are checked on numerators and
+    denominators, cross-multiplied.
     """
 
     t: Fraction
@@ -65,13 +69,15 @@ class BoundReport:
     p: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.nagaev <= 1:
+        (na, nb), (ia, ib), (ka, kb) = map(rational_pair, (self.nagaev, self.improved,
+                                                            self.kanter_sup))
+        if not 0 <= na <= nb:
             raise ValueError(f"nagaev bound {self.nagaev} outside [0,1]")
-        if not 0 <= self.improved <= 1:
+        if not 0 <= ia <= ib:
             raise ValueError(f"improved bound {self.improved} outside [0,1]")
-        if self.improved < self.nagaev:
+        if ia * nb < na * ib:
             raise ValueError(f"improved bound {self.improved} below nagaev {self.nagaev}")
-        if self.improved != 1 - self.kanter_sup:
+        if ia * kb != (kb - ka) * ib:
             raise ValueError(
                 f"improved bound {self.improved} != 1 - kanter_sup {self.kanter_sup}"
             )
@@ -103,23 +109,42 @@ def _bound_sums(pmf: tuple[tuple[int, ...], int], m: int) -> tuple[int, int, int
     supremum at window index m, and their common denominator, from the
     pmf as _scaled_pmf returns it.
 
-    k > t/h is k >= m, since m = floor(t/h) + 1.
+    k > t/h is k >= m, since m = floor(t/h) + 1.  F_k(m) = 2^k for k < m.
+    From F_{m-1}(m) = 2^{m-1} the column runs up by Pascal's rule: F_k(m)
+    is the centred window sum of C(k, i) over i = s, ..., s+m-1, with
+    s = floor((k-m+1)/2), and C(k, i) = C(k-1, i-1) + C(k-1, i) turns it
+    into two windows of row k-1.  One is the centred window F_{k-1}(m),
+    starting at r = floor((k-m)/2); the other is its neighbour, one
+    binomial out and one in.  So
+
+        F_k = 2 F_{k-1} - C(k-1, out) + C(k-1, in),
+
+    with (out, in) = (r, r+m) for k-m odd and (r+m-1, r-1) for k-m even,
+    where C(k-1, -1) = 0.  Every step is integer arithmetic, so the column
+    is exact, and it costs two binomials per k.  The Kanter numerator is
+    common minus the improved one, as the weights 2^k w_k sum to common.
     """
     scaled, common = pmf
-    nagaev = improved = kanter = 0
-    for k, w in enumerate(scaled):
-        f = largest_binomial_sum(k, m)
-        kanter += f * w
-        if k >= m:
-            nagaev += w
-            improved += ((1 << k) - f) * w
-    return nagaev, improved, kanter, common
+    nagaev, improved = sum(scaled[m:]), 0
+    f = 1 << (m - 1) if m < len(scaled) else 0  # F_{m-1}(m); the loop is empty if m > n
+    for k, w in enumerate(scaled[m:], m):
+        r, odd = divmod(k - m, 2)
+        out, into = (r, r + m) if odd else (r + m - 1, r - 1)
+        f = 2 * f - math.comb(k - 1, out) + (math.comb(k - 1, into) if into >= 0 else 0)
+        improved += ((1 << k) - f) * w
+    return nagaev, improved, common - improved, common
 
 
 def window_index(t, h) -> int:
-    """m = floor(t/h) + 1, the number of width-2h sets covering [-t, t]-ish."""
-    t, h = parse_rational(t), parse_rational(h)
-    return t.numerator * h.denominator // (t.denominator * h.numerator) + 1
+    """m = floor(t/h) + 1, the number of width-2h sets covering [-t, t]-ish.
+
+    One floor of integers; h must be positive.  t is in the bounds' domain
+    0 <= t < n*h exactly when 1 <= m <= n.
+    """
+    (tn, td), (hn, hd) = rational_pair(t), rational_pair(h)
+    if hn <= 0:
+        raise ValueError(f"h must be positive, got {parse_rational(h)}")
+    return tn * hd // (td * hn) + 1
 
 
 def nagaev_bound(p: Sequence, h, t) -> Fraction:
@@ -159,9 +184,9 @@ def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     """One BoundReport per t of t_grid, in grid order.
 
     p and h are validated once and every t is checked against the domain
-    0 <= t < n*h before the pmf is built.  The sums and their Fractions are
-    formed once per distinct window index m and shared by the reports with
-    that m.
+    0 <= t < n*h, as 1 <= m <= n, before the pmf is built.  The sums and
+    their Fractions are formed once per distinct window index m and shared
+    by the reports with that m.
     """
     p = as_success_vector(p)
     h = parse_rational(h)
@@ -169,20 +194,19 @@ def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     n = len(p)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    for t in t_grid:
-        if t < 0 or t >= n * h:
+    ms = [window_index(t, h) for t in t_grid]
+    for t, m in zip(t_grid, ms):
+        if not 1 <= m <= n:
             raise ValueError(f"t={t} outside the bound domain [0, {n * h})")
     if not t_grid:
         return []
     pmf = _scaled_pmf(p)
     values: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
     reports = []
-    for t in t_grid:
-        m = window_index(t, h)
+    for t, m in zip(t_grid, ms):
         if m not in values:
-            nagaev, improved, kanter, common = _bound_sums(pmf, m)
-            values[m] = (Fraction(nagaev, common), Fraction(improved, common),
-                         Fraction(kanter, common))
+            *sums, common = _bound_sums(pmf, m)
+            values[m] = tuple(Fraction(x, common) for x in sums)
         nagaev, improved, kanter = values[m]
         reports.append(BoundReport(t=t, h=h, n=n, m=m, nagaev=nagaev, improved=improved,
                                    kanter_sup=kanter, p=p))

@@ -150,14 +150,14 @@ def cmd_bound(data: dict) -> list[list]:
         p = _probabilities([abs_tail(term, h, strict=False) for term in terms])
     else:
         raise InputError("input must supply either 'p' or 'terms'")
-    top = len(p) * h
-    reports = iter(bounds.bound_table(p, h, [t for t in t_grid if 0 <= t < top]))
+    in_domain = [1 <= bounds.window_index(t, h) <= len(p) for t in t_grid]  # 0 <= t < n*h
+    reports = iter(bounds.bound_table(p, h, [t for t, ok in zip(t_grid, in_domain) if ok]))
     h_cell = format_rational(h)
-    note = f"domain: t outside [0, {format_rational(top)})"
+    note = f"domain: t outside [0, {format_rational(len(p) * h)})"
     cells: dict[int, list[str]] = {}  # the six bound cells of each window index m
     rows = []
-    for t in t_grid:
-        if not 0 <= t < top:
+    for t, ok in zip(t_grid, in_domain):
+        if not ok:
             rows.append([format_rational(t), h_cell, "", "", "", "", "", "", "", note])
             continue
         report = next(reports)

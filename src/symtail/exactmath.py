@@ -2,14 +2,16 @@
 
 Everything in this module is computed with arbitrary-precision integers
 (plain Python ``int``) and exact rationals (``fractions.Fraction``).  No
-floating point is used anywhere.
+floating point is used anywhere, and nothing is cached:
+largest_binomial_sum is the direct sum of m binomials, for single (n, m)
+queries.  The bounds build whole columns of window sums by Pascal's rule
+instead.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -26,7 +28,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
 def largest_binomial_sum(n: int, m: int) -> int:
     """Sum of the m largest binomial coefficients of order n.
 

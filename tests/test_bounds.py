@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import symtail
 from symtail.bounds import (
     BoundReport,
+    bound_table,
     evaluate_bounds,
     extremal_interval_check,
     improved_bound,
@@ -129,6 +131,46 @@ class TestKanterSupremum:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             kanter_supremum([1], 0)
+
+    def test_saturated_window_forms_no_binomial(self, monkeypatch):
+        # For m > n every F_k(m) is 2^k: no binomial, and no 2^(m-1), is built.
+        def no_comb(n, k):
+            raise AssertionError("a binomial was formed for a saturated window")
+
+        monkeypatch.setattr(math, "comb", no_comb)
+        assert kanter_supremum(["1/2", "1/3", 0, 1], 10**12) == 1
+
+
+class TestWindowIndex:
+    def test_floor_plus_one(self):
+        assert window_index(0, 1) == 1
+        assert window_index("3/2", "1/2") == 4
+        assert window_index("2/4", "1/2") == 2
+        assert window_index(Fraction(-1, 3), 1) == 0
+        assert window_index(Fraction(7, 3), Fraction(2, 3)) == 4
+
+    @pytest.mark.parametrize("h", [0, "-1/2", Fraction(-3)])
+    def test_nonpositive_h_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be positive"):
+            window_index(1, h)
+
+
+def test_bound_table_forms_quadratically_many_binomials(monkeypatch):
+    # n distinct window indices over n terms: the columns by Pascal's rule
+    # take about n^2 binomials, where summing every window takes n^3/6.
+    calls = 0
+    comb = math.comb
+
+    def counted(n, k):
+        nonlocal calls
+        calls += 1
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counted)
+    n = 200
+    reports = bound_table(["1/2"] * n, 1, range(n))
+    assert [r.m for r in reports] == list(range(1, n + 1))
+    assert calls <= 2 * n * n
 
 
 class TestEvaluateBounds:

@@ -341,15 +341,22 @@ def ref_bound_row(p, h, t):
 def bound_grids(draw):
     """p, h and a t-grid in [0, n*h) drawn from a small pool, so values of t
     repeat and several t share one window index."""
-    p = draw(st.lists(probabilities, min_size=1, max_size=8))
+    p = draw(st.lists(probabilities, min_size=1, max_size=40))
     h = draw(steps)
     den = draw(st.sampled_from([1, 2, 3, 4, 6]))
     pool = [len(p) * h * Fraction(k, len(p) * den) for k in range(len(p) * den)]
     return p, h, draw(st.lists(st.sampled_from(pool), max_size=12))
 
 
+# Window indices m = 1, n-1 and n, with p holding 0 and 1: the column's
+# first and last steps, for n odd and even, so k-m takes both parities.
 @settings(max_examples=200, deadline=None)
 @given(bound_grids())
+@example(([Fraction(0), Fraction(1)], Fraction(1), [Fraction(0), Fraction(3, 2), Fraction(1)]))
+@example(([Fraction(v) for v in ("0", "1", "1/2", "1/3", "2/5")], Fraction(1),
+          [Fraction(v) for v in ("0", "3", "4", "7/2", "1/2", "9/2")]))
+@example(([Fraction(v) for v in ("1", "0", "3/7", "1", "5/6", "0")], Fraction(3, 2),
+          [Fraction(v) for v in ("0", "1", "7", "15/2", "8", "35/4")]))
 def test_bound_table(case):
     p, h, t_grid = case
     reports = bound_table(p, h, t_grid)
