@@ -37,12 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .distributions import (
-    _poisson_binomial_weights,
-    as_success_vector,
-    interval_mass,
-    symmetric_three_point,
-)
+from .distributions import _poisson_binomial_weights, as_success_vector
 from .exactmath import largest_binomial_sum
 from .rational import parse_rational, rational_pair
 
@@ -167,19 +162,6 @@ def kanter_supremum(p: Sequence, m: int) -> Fraction:
     return Fraction(kanter, common)
 
 
-def kanter_supremum_via_stpc(p: Sequence, m: int) -> Fraction:
-    """The same supremum read off the symmetric three-point convolution.
-
-    Equals interval mass of [-m+1, m] under the unit-step three-point
-    convolution; must agree with kanter_supremum exactly.
-    """
-    p = as_success_vector(p)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    stpc = symmetric_three_point(p, 1)
-    return interval_mass(stpc, -m + 1, m, lo_closed=True, hi_closed=True)
-
-
 def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     """One BoundReport per t of t_grid, in grid order.
 
@@ -217,28 +199,6 @@ def evaluate_bounds(p: Sequence, h, t) -> BoundReport:
     """Both bounds at (t, h) with the per-k audit decomposition: the
     one-row bound_table."""
     return bound_table(p, h, (t,))[0]
-
-
-def extremal_interval_check(p: Sequence, h, H) -> tuple[Fraction, Fraction]:
-    """Supremum of P(sum in ]-H, H] + a) and its attained extremal value.
-
-    Requires h <= H with m := ceil(H/h) < H/h + 1/2.  The supremum equals
-    kanter_supremum(p, m); it is attained by the extremal three-point laws
-    at the shift a = m*h - H.  Returns (sup, attained); the two must be
-    exactly equal.
-    """
-    p = as_success_vector(p)
-    h, H = parse_rational(h), parse_rational(H)
-    if not 0 < h <= H:
-        raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
-    m = math.ceil(H / h)
-    if not m < H / h + Fraction(1, 2):
-        raise ValueError(f"half-integer condition fails: ceil(H/h)={m} >= H/h + 1/2")
-    a = m * h - H
-    sup = kanter_supremum(p, m)
-    total = symmetric_three_point(p, h)
-    attained = interval_mass(total, -H + a, H + a, lo_closed=False, hi_closed=True)
-    return sup, attained
 
 
 def optimize_h(candidates: Mapping, t) -> tuple[Fraction, Fraction]:

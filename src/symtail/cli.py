@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bounds, oracles, ordering
-from .distributions import LatticeDistribution, abs_tail, as_success_vector, is_symmetric
+from .distributions import LatticeDistribution, abs_tail, is_symmetric
 from .exactmath import largest_binomial_sum
 from .rational import decimal_str, format_rational, parse_rational
 
@@ -124,12 +124,10 @@ def _laws(value, name: str) -> tuple[LatticeDistribution, ...]:
         raise InputError(f"bad distribution literal in {name}: {exc}") from exc
 
 
-def _probabilities(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The success vector of `bound` and `tighten`, capped before any pmf."""
-    try:
-        return as_success_vector(_capped(values, oracles.MAX_TERMS, "p"))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _probabilities(value, name: str) -> Sequence[Fraction]:
+    """A success vector, capped at MAX_TERMS before any pmf is built; the
+    bounds and oracles that read it check that each p_i is in [0, 1]."""
+    return _capped(_rationals(value, name), oracles.MAX_TERMS, name)
 
 
 def _exact(q: Fraction) -> list[str]:
@@ -141,17 +139,20 @@ def cmd_bound(data: dict) -> list[list]:
     h = _get(data, "h", _positive)
     t_grid = _get(data, "t_grid", _rationals)
     if "p" in data:
-        p = _probabilities(_get(data, "p", _rationals))
+        p = _get(data, "p", _probabilities)
     elif "terms" in data:
         terms = _get(data, "terms", _laws)
         for i, term in enumerate(terms):
             if not is_symmetric(term):
                 raise InputError(f"term {i} is not symmetric")
-        p = _probabilities([abs_tail(term, h, strict=False) for term in terms])
+        p = [abs_tail(term, h, strict=False) for term in terms]  # _laws capped the terms
     else:
         raise InputError("input must supply either 'p' or 'terms'")
     in_domain = [1 <= bounds.window_index(t, h) <= len(p) for t in t_grid]  # 0 <= t < n*h
-    reports = iter(bounds.bound_table(p, h, [t for t, ok in zip(t_grid, in_domain) if ok]))
+    try:  # p is validated here, even when no t is in the domain
+        reports = iter(bounds.bound_table(p, h, [t for t, ok in zip(t_grid, in_domain) if ok]))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     h_cell = format_rational(h)
     note = f"domain: t outside [0, {format_rational(len(p) * h)})"
     cells: dict[int, list[str]] = {}  # the six bound cells of each window index m
@@ -278,7 +279,7 @@ def cmd_compare(data: dict) -> list[list]:
 
 
 def cmd_tighten(data: dict) -> list[list]:
-    p = _probabilities(_get(data, "p", _rationals))
+    p = _get(data, "p", _probabilities)
     h = _get(data, "h", _positive)
     m = _get(data, "m", _int)
     h_grid = _get(data, "h_grid", _rationals, ())

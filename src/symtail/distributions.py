@@ -5,7 +5,11 @@ support lies on a lattice ``offset + step*Z``.  It is stored as integers over
 one common denominator, so convolution is an integer polynomial product and
 every tail, interval or point query is one walk down the integer weights
 (``_upper_tail_weights``); a ``Fraction`` is built only for a value handed
-back to the caller.  There is no floating point in this module.
+back to the caller.  Every constructor from (x, mass) pairs (the atoms
+``__init__`` takes, ``from_masses``, ``from_json_dict`` and ``point_mass``)
+merges, prunes and validates masses in one integer core,
+``LatticeDistribution._from_pairs``.  There is no floating point in this
+module.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ class LatticeDistribution:
 
     ``LatticeDistribution(atoms)`` takes (support point, mass) pairs of
     Fractions, sorted ascending.  Every mass must be positive, the masses
-    must sum exactly to 1 and the support must be strictly increasing.
+    must sum exactly to 1 and the support must be strictly increasing; the
+    sum is checked, and the integer form built, by the core _from_pairs.
 
     The law is held as integers: the atom at ``offset + step*indices[j]``
     has mass ``weights[j] / den``.  ``offset`` is the first support point,
@@ -51,8 +56,6 @@ class LatticeDistribution:
 
     def __init__(self, atoms: Iterable[tuple[Fraction, Fraction]]) -> None:
         atoms = tuple((x, mass) for x, mass in atoms)
-        if not atoms:
-            raise ValueError("distribution needs at least one atom")
         prev = None
         for x, mass in atoms:
             if not isinstance(x, Fraction) or not isinstance(mass, Fraction):
@@ -62,15 +65,7 @@ class LatticeDistribution:
             if prev is not None and x <= prev:
                 raise ValueError("support must be strictly increasing")
             prev = x
-        den = math.lcm(*(mass.denominator for _, mass in atoms))
-        weights = tuple(mass.numerator * (den // mass.denominator) for _, mass in atoms)
-        if sum(weights) != den:
-            raise ValueError(f"masses must sum to 1, got {Fraction(sum(weights), den)}")
-        scale = math.lcm(*(x.denominator for x, _ in atoms))
-        points = [x.numerator * (scale // x.denominator) for x, _ in atoms]
-        gap = math.gcd(*(v - points[0] for v in points))
-        indices = tuple((v - points[0]) // gap for v in points) if gap else (0,)
-        self._init(atoms[0][0], Fraction(gap, scale), den, indices, weights)
+        self._init(*LatticeDistribution._from_pairs(atoms)._key())
         object.__setattr__(self, "_atoms", atoms)
 
     def _init(self, offset, step, den, indices, weights) -> None:
@@ -81,6 +76,40 @@ class LatticeDistribution:
         set_(self, "indices", indices)
         set_(self, "weights", weights)
         set_(self, "_atoms", None)
+
+    @staticmethod
+    def _from_pairs(pairs: Iterable[tuple]) -> "LatticeDistribution":
+        """The one constructor core: the law of (x, mass) pairs of rationals
+        as rational_pair reads them.
+
+        Every x is put over one common denominator and every mass over
+        another.  Masses at equal x are merged, then zero masses pruned; the
+        rest must be positive, checked in ascending order of x, and sum to
+        1.  No Fraction atom is built.
+        """
+        pairs = [(rational_pair(x), rational_pair(mass)) for x, mass in pairs]
+        scale = math.lcm(*(xd for (_, xd), _ in pairs))
+        den = math.lcm(*(md for _, (_, md) in pairs))
+        merged: dict[int, int] = {}  # x * scale -> mass * den
+        get = merged.get
+        for (xn, xd), (mn, md) in pairs:
+            key = xn * (scale // xd)
+            merged[key] = get(key, 0) + mn * (den // md)
+        points = sorted(x for x, w in merged.items() if w)
+        if not points:
+            raise ValueError("distribution needs at least one atom")
+        weights = [merged[x] for x in points]
+        for x, w in zip(points, weights):
+            if w < 0:
+                raise ValueError(
+                    f"mass at {Fraction(x, scale)} must be positive, got {Fraction(w, den)}"
+                )
+        if sum(weights) != den:
+            raise ValueError(f"masses must sum to 1, got {Fraction(sum(weights), den)}")
+        first = points[0]
+        return LatticeDistribution._from_lattice(
+            Fraction(first, scale), Fraction(1, scale), den, [x - first for x in points], weights
+        )
 
     @classmethod
     def _from_lattice(
@@ -97,7 +126,7 @@ class LatticeDistribution:
         first = indices[0]
         gap = math.gcd(*indices) if first == 0 else math.gcd(*(i - first for i in indices))
         if not gap:
-            d._init(offset + step * first, Fraction(0), 1, (0,), (1,))
+            d._init(offset + step * first if first else offset, Fraction(0), 1, (0,), (1,))
             return d
         if first or gap != 1:
             offset += step * first
@@ -152,13 +181,10 @@ class LatticeDistribution:
 
     @staticmethod
     def from_masses(masses: Mapping) -> "LatticeDistribution":
-        """Build from a mapping of support point to mass.  Masses at equal
-        points ("1" and "2/2") are merged, then zero masses pruned."""
-        merged: dict[Fraction, Fraction] = {}
-        for x, mass in masses.items():
-            x = parse_rational(x)
-            merged[x] = merged.get(x, Fraction(0)) + parse_rational(mass)
-        return LatticeDistribution(tuple(sorted((x, m) for x, m in merged.items() if m)))
+        """Build from a mapping of support point to mass, through the
+        constructor core _from_pairs: masses at equal points ("1" and "2/2")
+        are merged, then zero masses pruned."""
+        return LatticeDistribution._from_pairs(masses.items())
 
     @property
     def support(self) -> tuple[Fraction, ...]:
@@ -183,14 +209,9 @@ class LatticeDistribution:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "LatticeDistribution":
-        """Read ``{"atoms": [{"x": ..., "mass": ...}, ...]}`` straight into the
-        integer form.
-
-        Every x is put over one common denominator and every mass over
-        another.  Masses at equal x are merged, then zero masses pruned; the
-        law and the errors are those of from_masses on the merged masses.
-        No Fraction atom is built.
-        """
+        """Read ``{"atoms": [{"x": ..., "mass": ...}, ...]}`` through the
+        constructor core _from_pairs, so straight into the integer form: the
+        law and the errors are those of from_masses on the same pairs."""
         try:
             atoms = data["atoms"]
         except (KeyError, TypeError) as exc:
@@ -200,31 +221,10 @@ class LatticeDistribution:
         pairs = []
         for entry in atoms:
             try:
-                pairs.append((rational_pair(entry["x"]), rational_pair(entry["mass"])))
+                pairs.append((entry["x"], entry["mass"]))
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad atom entry: {entry!r}") from exc
-        scale = math.lcm(*(xd for (_, xd), _ in pairs))
-        den = math.lcm(*(md for _, (_, md) in pairs))
-        merged: dict[int, int] = {}  # x * scale -> mass * den
-        get = merged.get
-        for (xn, xd), (mn, md) in pairs:
-            key = xn * (scale // xd)
-            merged[key] = get(key, 0) + mn * (den // md)
-        points = sorted(x for x, w in merged.items() if w)
-        if not points:
-            raise ValueError("distribution needs at least one atom")
-        weights = [merged[x] for x in points]
-        for x, w in zip(points, weights):
-            if w < 0:
-                raise ValueError(
-                    f"mass at {Fraction(x, scale)} must be positive, got {Fraction(w, den)}"
-                )
-        if sum(weights) != den:
-            raise ValueError(f"masses must sum to 1, got {Fraction(sum(weights), den)}")
-        first = points[0]
-        return LatticeDistribution._from_lattice(
-            Fraction(first, scale), Fraction(1, scale), den, [x - first for x in points], weights
-        )
+        return LatticeDistribution._from_pairs(pairs)
 
 
 def _upper_tail_weights(
@@ -270,7 +270,7 @@ def _tails(d: LatticeDistribution, *qs: Fraction) -> list[tuple[int, int]]:
 
 
 def point_mass(c=0) -> LatticeDistribution:
-    return LatticeDistribution(((parse_rational(c), Fraction(1)),))
+    return LatticeDistribution._from_pairs(((c, 1),))
 
 
 def as_success_vector(values: Iterable) -> tuple[Fraction, ...]:

@@ -3,6 +3,7 @@
 Nothing here reuses the closed forms it is meant to check: subset sums are
 counted exactly over the sumset (each distinct sum with its multiplicity,
 so all 2^n subsets are counted), sum laws are built by exact convolution,
+the three-point supremum identity is read off the convolved extremal laws,
 and the Monte Carlo sampler is a seeded, fully deterministic cross-check
 for continuous terms.
 """
@@ -19,7 +20,7 @@ from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .bounds import bound_table
+from .bounds import bound_table, kanter_supremum
 from .distributions import (
     LatticeDistribution,
     _upper_tail_weights,
@@ -27,8 +28,10 @@ from .distributions import (
     as_success_vector,
     convolve,
     half_mass,
+    interval_mass,
     is_symmetric,
     point_mass,
+    symmetric_three_point,
 )
 from .rational import parse_rational
 
@@ -433,6 +436,42 @@ def _symmetric_mass_profiles(denominator: int, radius: int) -> list[tuple[int, .
         used += 1
 
 
+def kanter_supremum_via_stpc(p: Sequence, m: int) -> Fraction:
+    """bounds.kanter_supremum(p, m) read off the symmetric three-point
+    convolution.
+
+    Equals interval mass of [-m+1, m] under the unit-step three-point
+    convolution; must agree with kanter_supremum exactly.
+    """
+    p = as_success_vector(p)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    stpc = symmetric_three_point(p, 1)
+    return interval_mass(stpc, -m + 1, m, lo_closed=True, hi_closed=True)
+
+
+def extremal_interval_check(p: Sequence, h, H) -> tuple[Fraction, Fraction]:
+    """Supremum of P(sum in ]-H, H] + a) and its attained extremal value.
+
+    Requires h <= H with m := ceil(H/h) < H/h + 1/2.  The supremum equals
+    kanter_supremum(p, m); it is attained by the extremal three-point laws
+    at the shift a = m*h - H.  Returns (sup, attained); the two must be
+    exactly equal.
+    """
+    p = as_success_vector(p)
+    h, H = parse_rational(h), parse_rational(H)
+    if not 0 < h <= H:
+        raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
+    m = math.ceil(H / h)
+    if not m < H / h + Fraction(1, 2):
+        raise ValueError(f"half-integer condition fails: ceil(H/h)={m} >= H/h + 1/2")
+    a = m * h - H
+    sup = kanter_supremum(p, m)
+    total = symmetric_three_point(p, h)
+    attained = interval_mass(total, -H + a, H + a, lo_closed=False, hi_closed=True)
+    return sup, attained
+
+
 @dataclass
 class TightnessReport:
     """Outcome of the non-assertive tightness probe at t = m*h."""
@@ -482,13 +521,11 @@ def tightness_search(
         for s in splits:
             terms = []
             for pi in p:
-                masses = {Fraction(0): 1 - pi}
-                for sign in (-1, 1):
-                    masses[sign * h] = masses.get(sign * h, Fraction(0)) + s * pi / 2
-                    masses[sign * h2] = (
-                        masses.get(sign * h2, Fraction(0)) + (1 - s) * pi / 2
-                    )
-                terms.append(LatticeDistribution.from_masses(masses))
+                near, far = s * pi / 2, (1 - s) * pi / 2
+                # the core merges +-h with +-h' when h' = h, and prunes zero masses
+                terms.append(LatticeDistribution._from_pairs(
+                    ((0, 1 - pi), (-h, near), (h, near), (-h2, far), (h2, far))
+                ))
             value = half_mass(exact_sum_distribution(terms), t)
             if best is None or value < best[0]:
                 best = (value, (h2, s))

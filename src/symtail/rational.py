@@ -5,7 +5,7 @@ either as an integer or as a string ``"num/den"`` or ``"num"``: an optional
 sign, ASCII digits and an optional ``/`` with more digits, with surrounding
 whitespace.  Exponents, decimal points and underscores are not rationals.
 One parser reads it, ``rational_pair``, into an integer (numerator,
-denominator) pair, which is what the distribution literals are built from;
+denominator) pair, which is what every law constructor builds from;
 ``parse_rational`` wraps that pair in a ``Fraction``.
 Rendering is lossless; the decimal column emitted next to it is a
 convenience view, never a source of truth: the exact value rounded to 12

@@ -11,13 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from symtail.bounds import (
-    extremal_interval_check,
-    improved_bound,
-    kanter_supremum,
-    kanter_supremum_via_stpc,
-    nagaev_bound,
-)
+from symtail.bounds import improved_bound, kanter_supremum, nagaev_bound
 from symtail.distributions import (
     abs_stochastically_geq,
     abs_tail,
@@ -31,6 +25,8 @@ from symtail.oracles import (
     bound_soundness_sweep,
     equality_instance,
     exact_sum_distribution,
+    extremal_interval_check,
+    kanter_supremum_via_stpc,
     kleitman_count,
     monte_carlo_tail,
     symmetric_lattice_family,

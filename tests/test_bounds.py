@@ -13,10 +13,8 @@ from symtail.bounds import (
     BoundReport,
     bound_table,
     evaluate_bounds,
-    extremal_interval_check,
     improved_bound,
     kanter_supremum,
-    kanter_supremum_via_stpc,
     nagaev_bound,
     optimize_h,
     window_index,
@@ -28,7 +26,11 @@ from symtail.distributions import (
     point_mass,
     poisson_binomial,
 )
-from symtail.oracles import exact_sum_distribution
+from symtail.oracles import (
+    exact_sum_distribution,
+    extremal_interval_check,
+    kanter_supremum_via_stpc,
+)
 
 from util import dist, random_probability, random_success_vector, random_symmetric_law
 

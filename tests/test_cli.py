@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symtail import bounds, cli, oracles, ordering
+from symtail import bounds, cli, distributions, oracles, ordering
 from symtail.cli import main
 from symtail.distributions import LatticeDistribution
 
@@ -86,6 +86,30 @@ class TestBoundCommand:
             tmp_path, "bound", {"terms": [bad], "h": "1", "t_grid": ["0"]}
         )
         assert code == 2
+
+    def test_p_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(values, check=distributions.as_success_vector):
+            calls.append(values)
+            return check(values)
+
+        for module in (distributions, bounds, cli):
+            monkeypatch.setattr(module, "as_success_vector", counted, raising=False)
+        assert run(tmp_path, "bound", {"p": ["1/2", "1"], "h": "1", "t_grid": ["0", "1"]})[0] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [({"p": []}, "success vector must be non-empty"),
+         ({"terms": []}, "success vector must be non-empty"),
+         ({"p": ["1/2", "3/2"]}, "success probability 3/2 outside [0, 1]")],
+        ids=["empty-p", "empty-terms", "p-above-1"],
+    )
+    def test_bad_p_is_usage_error_with_no_t_in_domain(self, tmp_path, capsys, source, message):
+        code, rows, _ = run(tmp_path, "bound", source | {"h": "1", "t_grid": ["5"]})
+        assert (code, rows) == (2, [])
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_rationals_past_str_digit_limit(self, tmp_path):
         # The improved bound has ~5 700 digits in its denominator, past the

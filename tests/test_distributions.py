@@ -49,6 +49,49 @@ class TestConstruction:
                 ((Fraction(0), Fraction(3, 2)), (Fraction(1), Fraction(-1, 2)))
             )
 
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [((), "distribution needs at least one atom"),
+         (((0, Fraction(1)),), "atoms must hold Fractions"),
+         (((Fraction(0), 1),), "atoms must hold Fractions"),
+         (((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),
+          "mass at 0 must be positive, got 0"),
+         (((Fraction(1), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))),
+          "support must be strictly increasing"),
+         (((Fraction(1), Fraction(1, 2)), (Fraction(-1), Fraction(1, 2))),
+          "support must be strictly increasing")],
+        ids=["empty", "int-x", "int-mass", "zero-mass", "equal-points", "decreasing-points"],
+    )
+    def test_atoms_contract(self, atoms, message):
+        with pytest.raises(ValueError) as raised:
+            LatticeDistribution(atoms)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "masses, dense",
+        [({"-1/2": "1/4", 0: "1/2", "3/2": "1/4"},
+          (Fraction(-1, 2), Fraction(1, 2), 8, (2, 4, 0, 0, 2))),
+         ({"3": "1"}, (Fraction(3), Fraction(7), 5, (5, 0))),
+         ({"-1/3": "2/7", "2/3": "5/7"}, (Fraction(-1, 3), Fraction(1, 3), 7, (2, 0, 0, 5)))],
+        ids=["three-atoms", "point-mass", "mixed-denominators"],
+    )
+    def test_every_constructor_builds_one_form(self, masses, dense):
+        atoms = tuple(sorted((Fraction(x), Fraction(m)) for x, m in masses.items()))
+        literal = {"atoms": [{"x": f"{2 * x.numerator}/{2 * x.denominator}", "mass": str(m)}
+                             for x, m in reversed(atoms)]}
+        laws = [
+            LatticeDistribution(atoms),
+            LatticeDistribution.from_masses(masses),
+            LatticeDistribution.from_json_dict(literal),
+            LatticeDistribution._from_dense(*dense),
+        ]
+        if len(atoms) == 1:
+            laws.append(point_mass(atoms[0][0]))
+        for d in laws:
+            copied = pickle.loads(pickle.dumps(d))
+            assert d == laws[0] == copied and hash(d) == hash(laws[0]) == hash(copied)
+            assert d.atoms == copied.atoms == atoms
+
     def test_span_is_gcd_of_gaps(self):
         assert dist({0: "1/2", "3/2": "1/4", 3: "1/4"}).span == Fraction(3, 2)
         assert point_mass(5).span == 0
