@@ -20,14 +20,11 @@ diameter < 2h, attained by the symmetric three-point laws
 sums are formed on integers over one common denominator, 2^n times that of
 the Poisson binomial pmf, and become Fractions only when returned.
 
-All three depend on t only through m, so bound_table evaluates a whole
-t-grid over one pmf with one pass of the sums per distinct m; a grid of T
-values of t for n terms needs at most min(T, n) passes.  Each pass builds
-the column F_m(m), ..., F_n(m) by Pascal's rule, two binomials per k, so
-the table needs no cache of window sums.  The domain check and m are
-integer arithmetic on the numerators and denominators of t and h, one
-floor per t.  bound_table is the one evaluator: nagaev_bound,
-improved_bound and evaluate_bounds read one row of it.
+All three depend on t only through m.  _window_sums, the one evaluator,
+forms them from a validated p over one pmf, once per distinct m, and checks
+each m once.  Each m builds the column F_m(m), ..., F_n(m) by Pascal's rule,
+two binomials per k, so no window sum is cached.  The CLI and the oracles
+read it directly; bound_table and the single-value functions wrap it.
 """
 
 from __future__ import annotations
@@ -91,8 +88,7 @@ def _scaled_pmf(p: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     """B_p over the bounds' common denominator: (w_0, ..., w_n) and C with
     2^{-k} B_p({k}) = w_k / C, where C = 2^n D for the pmf's denominator D.
 
-    Built once per bound_table, kanter_supremum or per_k_terms call, and
-    not cached: a table evaluates one p at all its t.
+    Built once per _window_sums or per_k_terms call, and not cached.
     """
     coeffs, den = _poisson_binomial_weights(p)
     n = len(p)
@@ -158,17 +154,35 @@ def kanter_supremum(p: Sequence, m: int) -> Fraction:
     p = as_success_vector(p)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    _, _, kanter, common = _bound_sums(_scaled_pmf(p), m)
+    *_, kanter, common = _window_sums(p, (m,))[m]
     return Fraction(kanter, common)
+
+
+def _window_sums(p: tuple[Fraction, ...], ms: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """(nagaev, improved, kanter, common) per distinct m of ms, in order of
+    first appearance: _bound_sums over one pmf, none for an empty ms.  p must
+    be validated and each m >= 1.  Each m is checked once, on integers, as
+    BoundReport is: 0 <= nagaev <= improved <= common = improved + kanter.
+    A failure raises ValueError, which python -O keeps.
+    """
+    distinct = dict.fromkeys(ms)
+    pmf = _scaled_pmf(p) if distinct else None
+    sums = {}
+    for m in distinct:
+        nagaev, improved, kanter, common = sums[m] = _bound_sums(pmf, m)
+        if not (0 <= nagaev <= improved <= common and kanter == common - improved):
+            raise ValueError(f"bound sums (nagaev, improved, kanter, common) = {sums[m]} at "
+                             f"m={m} fail 0 <= nagaev <= improved <= common = improved + kanter")
+    return sums
 
 
 def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     """One BoundReport per t of t_grid, in grid order.
 
     p and h are validated once and every t is checked against the domain
-    0 <= t < n*h, as 1 <= m <= n, before the pmf is built.  The sums and
-    their Fractions are formed once per distinct window index m and shared
-    by the reports with that m.
+    0 <= t < n*h, as 1 <= m <= n, before the pmf is built.  The sums come
+    from _window_sums, once per distinct window index m, and their
+    Fractions are shared by the reports with that m.
     """
     p = as_success_vector(p)
     h = parse_rational(h)
@@ -180,19 +194,9 @@ def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     for t, m in zip(t_grid, ms):
         if not 1 <= m <= n:
             raise ValueError(f"t={t} outside the bound domain [0, {n * h})")
-    if not t_grid:
-        return []
-    pmf = _scaled_pmf(p)
-    values: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
-    reports = []
-    for t, m in zip(t_grid, ms):
-        if m not in values:
-            *sums, common = _bound_sums(pmf, m)
-            values[m] = tuple(Fraction(x, common) for x in sums)
-        nagaev, improved, kanter = values[m]
-        reports.append(BoundReport(t=t, h=h, n=n, m=m, nagaev=nagaev, improved=improved,
-                                   kanter_sup=kanter, p=p))
-    return reports
+    values = {m: [Fraction(x, common) for x in sums]
+              for m, (*sums, common) in _window_sums(p, ms).items()}
+    return [BoundReport(t, h, n, m, *values[m], p) for t, m in zip(t_grid, ms)]
 
 
 def evaluate_bounds(p: Sequence, h, t) -> BoundReport:

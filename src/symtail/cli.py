@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bounds, oracles, ordering
-from .distributions import LatticeDistribution, abs_tail, is_symmetric
+from .distributions import LatticeDistribution, abs_tail, as_success_vector, is_symmetric
 from .exactmath import largest_binomial_sum
 from .rational import decimal_str, format_rational, parse_rational
 
@@ -125,8 +125,8 @@ def _laws(value, name: str) -> tuple[LatticeDistribution, ...]:
 
 
 def _probabilities(value, name: str) -> Sequence[Fraction]:
-    """A success vector, capped at MAX_TERMS before any pmf is built; the
-    bounds and oracles that read it check that each p_i is in [0, 1]."""
+    """A success vector, capped at MAX_TERMS before any pmf is built;
+    cmd_bound and tightness_search check once that each p_i is in [0, 1]."""
     return _capped(_rationals(value, name), oracles.MAX_TERMS, name)
 
 
@@ -148,25 +148,20 @@ def cmd_bound(data: dict) -> list[list]:
         p = [abs_tail(term, h, strict=False) for term in terms]  # _laws capped the terms
     else:
         raise InputError("input must supply either 'p' or 'terms'")
-    in_domain = [1 <= bounds.window_index(t, h) <= len(p) for t in t_grid]  # 0 <= t < n*h
+    ms = [bounds.window_index(t, h) for t in t_grid]  # t in [0, n*h) iff 1 <= m <= n
     try:  # p is validated here, even when no t is in the domain
-        reports = iter(bounds.bound_table(p, h, [t for t, ok in zip(t_grid, in_domain) if ok]))
+        p = as_success_vector(p)
+        sums = bounds._window_sums(p, [m for m in ms if 1 <= m <= len(p)])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     h_cell = format_rational(h)
     note = f"domain: t outside [0, {format_rational(len(p) * h)})"
-    cells: dict[int, list[str]] = {}  # the six bound cells of each window index m
-    rows = []
-    for t, ok in zip(t_grid, in_domain):
-        if not ok:
-            rows.append([format_rational(t), h_cell, "", "", "", "", "", "", "", note])
-            continue
-        report = next(reports)
-        if report.m not in cells:
-            cells[report.m] = [*_exact(report.nagaev), *_exact(report.improved),
-                               *_exact(report.kanter_sup)]
-        rows.append([format_rational(t), h_cell, report.m, *cells[report.m], ""])
-    return rows
+    # The six bound cells of each window index m in the domain, formatted once.
+    cells = {m: [cell for num in nums for cell in _exact(Fraction(num, common))]
+             for m, (*nums, common) in sums.items()}
+    return [[format_rational(t), h_cell, m, *cells[m], ""] if m in cells
+            else [format_rational(t), h_cell, "", "", "", "", "", "", "", note]
+            for t, m in zip(t_grid, ms)]
 
 
 def cmd_sweep(data: dict) -> list[tuple]:

@@ -20,7 +20,7 @@ from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .bounds import bound_table, kanter_supremum
+from .bounds import _window_sums, kanter_supremum, window_index
 from .distributions import (
     LatticeDistribution,
     _upper_tail_weights,
@@ -33,7 +33,7 @@ from .distributions import (
     point_mass,
     symmetric_three_point,
 )
-from .rational import parse_rational
+from .rational import parse_rational, rational_pair
 
 # Work caps, checked before the work starts: the sumset work of one
 # kleitman_count (n vector additions and m*d coordinate tests for each of
@@ -268,8 +268,8 @@ def sweep_checks(
     Each instance is a list of symmetric lattice laws, p_i = P(|X_i| >= h).
     Yields (index, grid, tails, den, bounds) per instance: grid is the sorted
     t in [0, n*h), P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the
-    (numerator, denominator) of the improved bound at grid[j], read from
-    one bound_table per distinct multiset of p.  Sum laws come from one
+    reduced (numerator, denominator) of the improved bound at grid[j], from
+    one _window_sums per distinct multiset of p.  Sum laws come from one
     _SumCache (sorted-prefix convolutions shared across instances) and
     bound rows are cached by p-multiset, so families enumerated in sorted
     order stay cheap.  Every term is symmetric, so every sum S is too and
@@ -287,13 +287,14 @@ def sweep_checks(
     # Bounds are cached by the sorted multiset of p values (the bound is
     # permutation invariant); each distinct p value gets a small integer
     # code, so a multiset key is a tuple of ints.  p_code is keyed by term
-    # id, which stays valid because sum_of keeps every term alive.
+    # id, which stays valid because sum_of keeps every term alive.  A p
+    # value is an abs_tail, so in [0, 1]: _window_sums reads p unchecked.
     p_code: dict[int, int] = {}
     codes: dict[Fraction, int] = {}  # in insertion order, so keys are indexed by code
     # bound rows: p-multiset key -> (numerator, denominator) per valid t
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    # n -> the t in [0, n*h), and the same t as (numerator, denominator)
-    grids: dict[int, tuple[list[Fraction], list[tuple[int, int]]]] = {}
+    # n -> the t in [0, n*h), the same t as (numerator, denominator), and their m
+    grids: dict[int, tuple[list[Fraction], list[tuple[int, int]], list[int]]] = {}
 
     for index, terms in enumerate(instances):
         terms = list(terms)
@@ -306,18 +307,17 @@ def sweep_checks(
         n = len(terms)
         if n not in grids:
             grid = ts[: bisect_left(ts, n * h)]
-            grids[n] = grid, [(t.numerator, t.denominator) for t in grid]
-        grid, cuts = grids[n]
+            grids[n] = (grid, [(t.numerator, t.denominator) for t in grid],
+                        [window_index(t, h) for t in grid])
+        grid, cuts, ms = grids[n]
         p_key = tuple(sorted(p_code[id(d)] for d in terms))
         bounds = bound_cache.get(p_key)
         if bounds is None:
             by_code = list(codes)
-            p = [by_code[code] for code in p_key]
-            # An empty instance has an empty grid; bound_table rejects its empty p.
-            rows = bound_table(p, h, grid) if grid else []
-            bounds = bound_cache[p_key] = [
-                (r.improved.numerator, r.improved.denominator) for r in rows
-            ]
+            sums = _window_sums(tuple(by_code[code] for code in p_key), ms)
+            improved = {m: rational_pair(Fraction(num, common))
+                        for m, (_, num, _, common) in sums.items()}
+            bounds = bound_cache[p_key] = [improved[m] for m in ms]
         tails = [2 * w for w in _upper_tail_weights(total, cuts)]
         yield index, grid, tails, total.den, bounds
 
@@ -508,7 +508,9 @@ def tightness_search(
     if not 1 <= m <= n - 1:
         raise ValueError(f"need 1 <= m <= n-1 = {n - 1} so that t = m*h < n*h")
     t = m * h
-    bound = bound_table(p, h, (t,))[0].improved
+    window = window_index(t, h)  # m + 1; rejects h <= 0
+    _, improved, _, common = _window_sums(p, (window,))[window]
+    bound = Fraction(improved, common)
     outer = sorted({h} | {parse_rational(v) for v in h_grid})
     if any(v < h for v in outer):
         raise ValueError("grid values h' must satisfy h' >= h")

@@ -11,6 +11,7 @@ import pytest
 import symtail
 from symtail.bounds import (
     BoundReport,
+    _window_sums,
     bound_table,
     evaluate_bounds,
     improved_bound,
@@ -30,9 +31,19 @@ from symtail.oracles import (
     exact_sum_distribution,
     extremal_interval_check,
     kanter_supremum_via_stpc,
+    sweep_checks,
+    tightness_search,
 )
 
-from util import dist, random_probability, random_success_vector, random_symmetric_law
+from util import (
+    SUM_CORRUPTIONS,
+    coin,
+    corrupt_bound_sums,
+    dist,
+    random_probability,
+    random_success_vector,
+    random_symmetric_law,
+)
 
 
 class TestNagaevBound:
@@ -230,6 +241,34 @@ class TestEvaluateBounds:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(len(self.CORRUPTIONS))]
+
+
+class TestWindowSums:
+    # Every product path reads bounds._window_sums, which checks the sums
+    # of each distinct m as integers; a corrupted _bound_sums makes each
+    # raise ValueError, under python -O too.
+    PATHS = {
+        "window_sums": lambda: _window_sums((Fraction(1, 2),) * 2, [2, 1, 2]),
+        "bound_table": lambda: bound_table(["1/2", "1/2"], 1, ["0", "1"]),
+        "kanter_supremum": lambda: kanter_supremum(["1/2", "1/2"], 3),
+        "tightness_search": lambda: tightness_search(["1/2", "1/2"], 1, 1),
+        "sweep_checks": lambda: list(sweep_checks([[coin(), coin()]], 1, [0, 1])),
+    }
+
+    def test_sums_per_distinct_m(self):
+        # p = (1/2, 1/2): B_p = (1/4, 1/2, 1/4), so common = 2^2 * 4 = 16.
+        sums = _window_sums((Fraction(1, 2),) * 2, [2, 1, 2, 3])
+        assert sums == {2: (1, 1, 15, 16), 1: (5, 6, 10, 16), 3: (0, 0, 16, 16)}
+        assert list(sums) == [2, 1, 3]
+        assert _window_sums((Fraction(1, 2),) * 2, []) == {}
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("corruption", SUM_CORRUPTIONS)
+    def test_corrupted_sums_rejected(self, monkeypatch, path, corruption):
+        self.PATHS[path]()
+        corrupt_bound_sums(monkeypatch, corruption)
+        with pytest.raises(ValueError, match="bound sums"):
+            self.PATHS[path]()
 
 
 class TestSoundness:

@@ -6,16 +6,24 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from symtail import bounds, cli, distributions, oracles, ordering
+from symtail.bounds import evaluate_bounds
 from symtail.cli import main
 from symtail.distributions import LatticeDistribution
+from symtail.rational import format_rational
 
-from util import random_symmetric_law, ref_sweep_rows, shifted_bound_table
+from util import (
+    SUM_CORRUPTIONS,
+    corrupt_bound_sums,
+    random_symmetric_law,
+    ref_decimal_str,
+    ref_sweep_rows,
+    shifted_window_sums,
+)
 
 COIN = {"atoms": [{"x": "-1", "mass": "1/2"}, {"x": "1", "mass": "1/2"}]}
 ZERO = {"atoms": [{"x": "0", "mass": "1"}]}
@@ -24,7 +32,20 @@ LAZY = {"atoms": [{"x": "-1", "mass": "1/4"}, {"x": "0", "mass": "1/2"}, {"x": "
 
 def inflate_sweep_bound(monkeypatch, inflate):
     """Shift the sweep's bound up by `inflate`, so its violation path runs."""
-    monkeypatch.setattr(oracles, "bound_table", shifted_bound_table(inflate))
+    monkeypatch.setattr(oracles, "_window_sums", shifted_window_sums(inflate))
+
+
+def count_p_checks(monkeypatch) -> list:
+    """Count as_success_vector calls in every module that imports it."""
+    calls = []
+
+    def counted(values, check=distributions.as_success_vector):
+        calls.append(values)
+        return check(values)
+
+    for module in (distributions, bounds, oracles, cli):
+        monkeypatch.setattr(module, "as_success_vector", counted, raising=False)
+    return calls
 
 
 def run(tmp_path, command, payload, name="in.json", **flags):
@@ -88,14 +109,7 @@ class TestBoundCommand:
         assert code == 2
 
     def test_p_validated_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counted(values, check=distributions.as_success_vector):
-            calls.append(values)
-            return check(values)
-
-        for module in (distributions, bounds, cli):
-            monkeypatch.setattr(module, "as_success_vector", counted, raising=False)
+        calls = count_p_checks(monkeypatch)
         assert run(tmp_path, "bound", {"p": ["1/2", "1"], "h": "1", "t_grid": ["0", "1"]})[0] == 0
         assert len(calls) == 1
 
@@ -411,9 +425,14 @@ class TestTightenCommand:
         payload = {"p": ["1", "1"], "h": "1", "m": 1, "split_grid": []}
         assert run(tmp_path, "tighten", payload)[0] == 2
 
+    def test_p_validated_once(self, tmp_path, monkeypatch):
+        calls = count_p_checks(monkeypatch)
+        assert run(tmp_path, "tighten", {"p": ["1/2", "1"], "h": "1", "m": 1})[0] == 0
+        assert len(calls) == 1
+
     def test_value_below_bound_is_violation(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(oracles, "bound_table",
-                            lambda p, h, t_grid: [SimpleNamespace(improved=Fraction(1))])
+        # The improved bound 1/4 shifted up to 1.
+        monkeypatch.setattr(oracles, "_window_sums", shifted_window_sums(Fraction(3, 4)))
         payload = {"p": ["1", "1"], "h": "1", "m": 1}
         code, rows, _ = run(tmp_path, "tighten", payload)
         assert code == 1
@@ -481,6 +500,88 @@ TIGHTEN = {"p": ["1", "1"], "h": "1", "m": 1, "h_grid": ["2"], "split_grid": ["1
 def test_malformed_shape_is_usage_error(tmp_path, command, payload):
     assert run(tmp_path, command, payload)[0] == 2
 
+
+
+def _wire(q: Fraction, scale: int) -> str:
+    """q as a wire string with numerator and denominator both times scale,
+    so "2/4" for q = 1/2 and scale 2."""
+    return f"{q.numerator * scale}/{q.denominator * scale}"
+
+
+@st.composite
+def bound_inputs(draw):
+    """A `symtail bound` input over p, with p and t as unreduced wire strings
+    and a grid drawn in quarter steps of h from [-h, n*h + h], so it holds
+    negative t, t = n*h, t past the domain and repeated t."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.lists(st.fractions(0, 1, max_denominator=12), min_size=n, max_size=n))
+    h = draw(st.fractions(Fraction(1, 6), 3, max_denominator=6))
+    ts = draw(st.lists(st.integers(-4, 4 * n + 4).map(lambda k: h * Fraction(k, 4)), max_size=12))
+    scale = st.integers(1, 3)
+    return {"p": [_wire(q, draw(scale)) for q in p], "h": _wire(h, draw(scale)),
+            "t_grid": [_wire(t, draw(scale)) for t in ts]}
+
+
+def ref_bound_rows(payload) -> list[dict]:
+    """The rows of `symtail bound`, one evaluate_bounds call per t, with the
+    domain read as Fraction comparisons and decimals from ref_decimal_str."""
+    p = [Fraction(q) for q in payload["p"]]
+    h = Fraction(payload["h"])
+    note = f"domain: t outside [0, {format_rational(len(p) * h)})"
+    rows = []
+    for t in map(Fraction, payload["t_grid"]):
+        row = {"t": format_rational(t), "h": format_rational(h), "note": ""}
+        if 0 <= t < len(p) * h:
+            report = evaluate_bounds(p, h, t)
+            row["m"] = str(report.m)
+            for name in ("nagaev", "improved", "kanter_sup"):
+                value = getattr(report, name)
+                row[name], row[f"{name}_decimal"] = format_rational(value), ref_decimal_str(value)
+        else:
+            row |= dict.fromkeys(("m", "nagaev", "nagaev_decimal", "improved", "improved_decimal",
+                                  "kanter_sup", "kanter_sup_decimal"), "")
+            row["note"] = note
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bound_inputs())
+@example({"p": ["2/4", "3/3"], "h": "2/2", "t_grid": ["-1/4", "2/1", "0/3", "0", "4/4", "3/2"]})
+def test_bound_rows_match_per_row_reference(tmp_path, payload):
+    code, rows, _ = run(tmp_path, "bound", payload)
+    assert code == 0
+    assert rows == ref_bound_rows(payload)
+
+
+@pytest.mark.parametrize("corruption", SUM_CORRUPTIONS)
+@pytest.mark.parametrize("command, payload", [("bound", BOUND), ("sweep", SWEEP),
+                                              ("tighten", TIGHTEN)])
+def test_corrupted_bound_sums_are_usage_errors(tmp_path, monkeypatch, capsys, command, payload,
+                                               corruption):
+    assert run(tmp_path, command, payload, name="good.json")[0] == 0
+    corrupt_bound_sums(monkeypatch, corruption)
+    code, _, out = run(tmp_path, command, payload)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: bound sums")
+
+
+@pytest.mark.parametrize(
+    "command, payload, passes",
+    # bound: m = 1, 1, 2, 2 in the domain, and t = -1, 3 = n*h, 5 outside it;
+    # sweep: two p-multisets, each with m = 1, 1, 2.
+    [("bound", {"p": ["1/2"] * 3, "h": "1", "t_grid": ["1/2", "0", "5", "-1", "1", "3/2", "3"]}, 2),
+     ("sweep", SWEEP | {"t_grid": ["0", "1/2", "1"],
+                        "instances": [[COIN] * 2, [LAZY] * 2, [COIN] * 2]}, 4),
+     ("tighten", TIGHTEN, 1)],
+)
+def test_bound_sums_once_per_distinct_m(tmp_path, monkeypatch, command, payload, passes):
+    calls = []
+    real = bounds._bound_sums
+    monkeypatch.setattr(bounds, "_bound_sums", lambda pmf, m: calls.append(m) or real(pmf, m))
+    assert run(tmp_path, command, payload)[0] == 0
+    assert len(calls) == passes
 
 def _paths(value, prefix=()):
     """Every position in a JSON value, the root included, as a key path."""

@@ -3,8 +3,8 @@
 Each ``tests/golden/<name>.json`` is a CLI input; ``<name>.csv`` is the CSV
 the CLI wrote for it when the fixtures were made.  A case expected to exit 2
 writes no CSV and has none stored.  A case listed in ``INFLATE`` runs with
-each row of ``oracles.bound_table`` shifted up by the given amount, so the
-sweep's ``VIOLATION`` rows and exit 1 stay pinned.
+every improved bound of ``oracles._window_sums`` shifted up by the given
+amount, so the sweep's ``VIOLATION`` rows and exit 1 stay pinned.
 """
 
 import shutil
@@ -16,7 +16,7 @@ import pytest
 from symtail import oracles
 from symtail.cli import main
 
-from util import shifted_bound_table
+from util import shifted_window_sums
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,7 +44,7 @@ INFLATE = {"sweep_inflate": Fraction(1, 8)}
 @pytest.mark.parametrize("name, command, code", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(tmp_path, monkeypatch, name, command, code):
     if name in INFLATE:
-        monkeypatch.setattr(oracles, "bound_table", shifted_bound_table(INFLATE[name]))
+        monkeypatch.setattr(oracles, "_window_sums", shifted_window_sums(INFLATE[name]))
     inp = tmp_path / f"{name}.json"
     shutil.copy(GOLDEN / f"{name}.json", inp)
     out = tmp_path / f"{name}.csv"

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +26,7 @@ from symtail.oracles import (
     tightness_search,
 )
 
-from util import coin, dist, random_success_vector, random_symmetric_law
+from util import coin, dist, random_success_vector, random_symmetric_law, shifted_window_sums
 
 
 def ball(center, radius):
@@ -378,8 +377,8 @@ class TestTightnessSearch:
             tightness_search([1, 1], 1, 1, split_grid=[])
 
     def test_negative_gap_is_reported(self, monkeypatch):
-        monkeypatch.setattr(oracles, "bound_table",
-                            lambda p, h, t_grid: [SimpleNamespace(improved=Fraction(1))])
+        # The improved bound 1/4 shifted up to 1.
+        monkeypatch.setattr(oracles, "_window_sums", shifted_window_sums(Fraction(3, 4)))
         report = tightness_search([1, 1], 1, 1)
         assert report.gap == Fraction(-1, 2)
 

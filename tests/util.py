@@ -7,9 +7,9 @@ import math
 import random
 from fractions import Fraction
 from operator import sub
-from types import SimpleNamespace
 
-from symtail.bounds import bound_table, improved_bound
+from symtail import bounds
+from symtail.bounds import _window_sums, improved_bound
 from symtail.distributions import LatticeDistribution, abs_tail
 from symtail.oracles import _SIZES, exact_sum_distribution
 from symtail.rational import format_rational
@@ -162,13 +162,33 @@ def ref_decimal_str(q) -> str:
     return str(d)
 
 
-def shifted_bound_table(shift):
-    """bound_table with each row's improved bound shifted up by `shift`, to
-    patch over oracles.bound_table.  The rows carry only `improved`: a real
-    BoundReport with a shifted bound fails its own invariants."""
-    def table(p, h, t_grid):
-        return [SimpleNamespace(improved=r.improved + shift) for r in bound_table(p, h, t_grid)]
-    return table
+def shifted_window_sums(shift):
+    """bounds._window_sums with each improved bound shifted up by `shift`,
+    to patch over oracles._window_sums.  The shift is applied after the real
+    evaluator has checked its invariants, which the shifted sums fail."""
+    num, den = shift.numerator, shift.denominator
+
+    def sums(p, ms):
+        return {m: (nagaev * den, improved * den + num * common, kanter * den, common * den)
+                for m, (nagaev, improved, kanter, common) in _window_sums(p, ms).items()}
+    return sums
+
+
+# Each breaks one invariant of the sums (nagaev, improved, kanter, common)
+# that bounds._bound_sums returns, keeping the others where it can.
+SUM_CORRUPTIONS = {
+    "nagaev-negative": lambda na, im, ka, co: (-1, im, ka, co),
+    "nagaev-above-improved": lambda na, im, ka, co: (im + 1, im, ka, co),
+    "improved-above-1": lambda na, im, ka, co: (na, co + 1, -1, co),
+    "kanter-not-complement": lambda na, im, ka, co: (na, im, ka + 1, co),
+}
+
+
+def corrupt_bound_sums(monkeypatch, name: str) -> None:
+    """Patch bounds._bound_sums so that its result fails SUM_CORRUPTIONS[name]."""
+    real = bounds._bound_sums
+    monkeypatch.setattr(bounds, "_bound_sums",
+                        lambda pmf, m: SUM_CORRUPTIONS[name](*real(pmf, m)))
 
 
 def ref_sweep_rows(instances, h, t_grid, inflate=Fraction(0)) -> list[list[str]]:
