@@ -4,7 +4,10 @@ Exit codes: 0 = all asserted inequalities held, 1 = a violation was found,
 2 = input/usage error.  Rational values appear in the CSV as exact
 "num/den" strings with a decimal column beside them: 12 significant digits,
 rounded half to even whatever the caller's decimal context.  The decimal
-column is derived, never authoritative.
+column is derived, never authoritative.  Bad input writes no CSV: `sweep`,
+whose row count the input does not bound, streams its rows to a temporary
+file that replaces the output only when the sweep ends; the others build
+their rows before they open the output.
 
 The argument parser is built once per process, on the first `main` call,
 and reused: parsing changes no parser state, so `main` is safe to call
@@ -21,9 +24,12 @@ import argparse
 import csv
 import functools
 import json
+import os
+import stat
 import sys
+import tempfile
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bounds, oracles, ordering
 from .distributions import LatticeDistribution, abs_tail, as_success_vector, is_symmetric
@@ -164,7 +170,9 @@ def cmd_bound(data: dict) -> list[list]:
             for t, m in zip(t_grid, ms)]
 
 
-def cmd_sweep(data: dict) -> list[tuple]:
+def cmd_sweep(data: dict) -> Iterator[tuple]:
+    """The sweep's rows, one instance at a time: the family's row count is
+    not bounded by the input's size, so main streams them to the CSV."""
     h = _get(data, "h", _positive)
     t_grid = _get(data, "t_grid", _rationals)
     cap = oracles.MAX_SWEEP_TERMS
@@ -197,22 +205,20 @@ def cmd_sweep(data: dict) -> list[tuple]:
             got = cells[pair] = _exact(Fraction(*pair))
         return got
 
-    rows = []
-    try:
-        checks = oracles.sweep_checks(instances, h, t_grid, oracles.MAX_SUPPORT_PRODUCT)
-        for index, grid, tails, den, bound_pairs in checks:
-            for t, tail_num, bound in zip(grid, tails, bound_pairs):
-                b_num, b_den = bound
-                slack_num = tail_num * b_den - b_num * den  # over den * b_den > 0
-                # A tuple of str and int, which the cyclic GC stops tracking.
-                rows.append(
-                    (index, format_rational(t), *exact(bound), *exact((tail_num, den)),
-                     format_rational(Fraction(slack_num, den * b_den)),
-                     "ok" if slack_num >= 0 else "VIOLATION")
-                )
-    except ValueError as exc:  # a non-symmetric term, the support cap
-        raise InputError(str(exc)) from exc
-    return rows
+    def rows() -> Iterator[tuple]:
+        try:
+            checks = oracles.sweep_checks(instances, h, t_grid, oracles.MAX_SUPPORT_PRODUCT)
+            for index, grid, tails, den, bound_pairs in checks:
+                for t, tail_num, bound in zip(grid, tails, bound_pairs):
+                    b_num, b_den = bound
+                    slack_num = tail_num * b_den - b_num * den  # over den * b_den > 0
+                    yield (index, format_rational(t), *exact(bound), *exact((tail_num, den)),
+                           format_rational(Fraction(slack_num, den * b_den)),
+                           "ok" if slack_num >= 0 else "VIOLATION")
+        except ValueError as exc:  # a non-symmetric term, the support cap
+            raise InputError(str(exc)) from exc
+
+    return rows()
 
 
 def cmd_kleitman(data: dict) -> list[list]:
@@ -331,15 +337,58 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler, header = COMMANDS[args.command]
     try:
         rows = handler(_load_json(args.input))
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        if isinstance(rows, list):
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                violation = _write_rows(fh, header, rows)
+        else:
+            violation = _write_streamed(args.output, header, rows)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Exit 1 exactly when some row's status (last column) is a violation.
-    return EXIT_VIOLATION if any(row[-1] == "VIOLATION" for row in rows) else EXIT_OK
+    return EXIT_VIOLATION if violation else EXIT_OK
+
+
+def _write_rows(fh, header: list, rows: Iterable[Sequence]) -> bool:
+    """Write a CSV; True when some row's status (last column) is a violation."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    violation = False
+    for row in rows:
+        writer.writerow(row)
+        if row[-1] == "VIOLATION":
+            violation = True
+    return violation
+
+
+def _write_streamed(path: str, header: list, rows: Iterator[Sequence]) -> bool:
+    """_write_rows at path, all or nothing.
+
+    The rows go to a temporary file beside the file that path names (through
+    any symlink).  Once the last row is written, the temporary file takes
+    that file's permissions, or those open() gives a new file, and replaces
+    it; on any error it is removed and the file is left as it was.  A path
+    that names no regular file, such as /dev/stdout, is written directly.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):  # a device or a pipe: nothing to replace
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            return _write_rows(fh, header, rows)
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".csv.tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            violation = _write_rows(fh, header, rows)
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return violation
 
 
 if __name__ == "__main__":

@@ -245,18 +245,19 @@ def _upper_tail_weights(
     j = len(indices)
     tail = 0
     out = []
+    last = None
     for num, den in reversed(cuts):
-        diff = num * od - on * den  # sign of num/den - offset
+        if den != last:  # cuts often share a denominator
+            last, base, div = den, on * den, den * od * sn
+        diff = num * od - base  # sign of num/den - offset
         # the atoms above num/den are those with index > q
-        q = diff * sd // (den * od * sn) if sn else -(diff < 0)
+        q = diff * sd // div if sn else -(diff < 0)
         while j and indices[j - 1] > q:
             j -= 1
             tail += weights[j]
         if weak:
             # the atom of index q sits on num/den when the floor is exact
-            on_cut = j and indices[j - 1] == q and (
-                diff * sd == q * den * od * sn if sn else not diff
-            )
+            on_cut = j and indices[j - 1] == q and (diff * sd == q * div if sn else not diff)
             out.append((tail, tail + weights[j - 1] if on_cut else tail))
         else:
             out.append(tail)

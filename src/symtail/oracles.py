@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, cycle
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -205,10 +205,16 @@ def exact_sum_distribution(
 
 
 def _capped_convolve(total, term, max_support: int) -> LatticeDistribution:
+    _check_support(total, term, max_support)
+    return convolve(total, term)
+
+
+def _check_support(total, term, max_support: int) -> None:
+    """The support cap of one exact sum: the product of the two supports,
+    whether the sum is built or its tails are read from total's."""
     size, term_size = len(total.indices), len(term.indices)
     if size * term_size > max_support:
         raise SupportCapExceeded(f"support product {size}x{term_size} exceeds cap {max_support}")
-    return convolve(total, term)
 
 
 @dataclass
@@ -229,32 +235,50 @@ class SweepReport:
 
 
 class _SumCache:
-    """Called with a list of terms, returns the law of their sum.
+    """Called with a key, the ascending codes of some terms, returns the law
+    of their sum.
 
-    Sums are cached by the sorted ids of their terms, each built from the
-    sum of its key's prefix, so a family that reuses term objects and is
-    enumerated in sorted order makes about one convolution per instance.
-    Every term seen is kept alive, so its id cannot be recycled;
-    max_support caps each convolution as in exact_sum_distribution.
+    ``terms`` maps each code to its term, and the caller adds each new term
+    to it, so it keeps every term alive.  Sums are cached by key, each built
+    from the sum of its key's longest cached prefix: a sum is convolved once,
+    and only when it or a longer key is asked for.  max_support caps each
+    convolution as in exact_sum_distribution.
     """
 
     def __init__(self, max_support: int = MAX_SUPPORT_PRODUCT) -> None:
-        self._terms: dict[int, LatticeDistribution] = {}
+        self.terms: dict[int, LatticeDistribution] = {}
         self._sums: dict[tuple[int, ...], LatticeDistribution] = {(): point_mass(0)}
         self._max_support = max_support
 
-    def __call__(self, terms: Sequence[LatticeDistribution]) -> LatticeDistribution:
-        for d in terms:
-            self._terms.setdefault(id(d), d)
-        key = tuple(sorted(map(id, terms)))
+    def __call__(self, key: tuple[int, ...]) -> LatticeDistribution:
         cached = len(key)
         while key[:cached] not in self._sums:  # the empty prefix always is
             cached -= 1
         total = self._sums[key[:cached]]
         for k in range(cached, len(key)):
-            total = _capped_convolve(total, self._terms[key[k]], self._max_support)
+            total = _capped_convolve(total, self.terms[key[k]], self._max_support)
             self._sums[key[: k + 1]] = total
         return total
+
+
+def _shifted_cuts(cuts: Sequence[tuple[int, int]], last: LatticeDistribution) -> tuple:
+    """How to read the tails of P + X at cuts from P's, for X = last.
+
+    P(P + X > t) = sum_j w_j P(P > t - x_j) over X's atoms x_j with
+    weights w_j.  Returns the distinct t - x_j in ascending order, as
+    (numerator, denominator) pairs over one denominator for
+    _upper_tail_weights; the position of each t - x_j among them, cut by
+    cut and atom by atom; and each 2 w_j, the factor of P(|S| > t) = 2 P(S > t).
+    """
+    on, od = last.offset.numerator, last.offset.denominator
+    sn, sd = last.step.numerator, last.step.denominator
+    den = math.lcm(od, sd, *(d for _, d in cuts))
+    xs = [on * (den // od) + sn * (den // sd) * i for i in last.indices]
+    shifted = [num * (den // d) - x for num, d in cuts for x in xs]
+    distinct = sorted(set(shifted))
+    where = {s: k for k, s in enumerate(distinct)}
+    doubled = [2 * w for w in last.weights]
+    return [(s, den) for s in distinct], list(map(where.__getitem__, shifted)), doubled
 
 
 def sweep_checks(
@@ -269,14 +293,22 @@ def sweep_checks(
     Yields (index, grid, tails, den, bounds) per instance: grid is the sorted
     t in [0, n*h), P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the
     reduced (numerator, denominator) of the improved bound at grid[j], from
-    one _window_sums per distinct multiset of p.  Sum laws come from one
-    _SumCache (sorted-prefix convolutions shared across instances) and
-    bound rows are cached by p-multiset, so families enumerated in sorted
-    order stay cheap.  Every term is symmetric, so every sum S is too and
-    P(|S| > t) = 2 P(S > t) for t >= 0: the tails are read in one walk
-    down the upper half of S's atoms, with the grid held as integer
-    (num, den) pairs once per n.  Raises ValueError on a non-symmetric
-    term; max_support caps each convolution as in exact_sum_distribution.
+    one _window_sums per distinct multiset of p.  Bound rows are cached by
+    p-multiset.  Every term is symmetric, so every sum S is too and
+    P(|S| > t) = 2 P(S > t) for t >= 0.
+
+    Terms are ordered by support size, largest first, then by first sight,
+    and an instance's key lists its terms in that order.  The last term X
+    has the fewest atoms; the others sum to P, which one _SumCache builds
+    from key prefixes shared across instances.  S = P + X is not built: its
+    grid tails are sum_j w_j P(P > t - x_j) over X's atoms, from one walk
+    down P's atoms at the shifted cuts, cached per (n, X), and they are over
+    P.den * X.den, the denominator of convolve(P, X).  So a sum is convolved
+    only as the prefix of a longer instance, or when the grid has more than
+    2|P| points: then S is built and walked, so the |grid| * |X| products
+    of a shifted walk stay within twice the |P| * |X| of a convolution.
+    Raises ValueError on a non-symmetric term; max_support caps every
+    product |P| * |X|, built or not, as in exact_sum_distribution.
     """
     h = parse_rational(h)
     if h <= 0:
@@ -284,42 +316,73 @@ def sweep_checks(
     ts = sorted(t for t in map(parse_rational, t_grid) if t >= 0)
 
     sum_of = _SumCache(max_support)
+    laws = sum_of.terms
+    # term id -> code: -(support size) * 2^64 + the number of terms seen
+    # before it, so ascending codes put the largest supports first.  The
+    # walked last term is then one of fewest atoms, and the order (so the
+    # work) does not depend on where terms sit in memory, as ids would.  Ids
+    # stay valid because laws keeps every term alive.
+    code_of: dict[int, int] = {}
     # Bounds are cached by the sorted multiset of p values (the bound is
     # permutation invariant); each distinct p value gets a small integer
-    # code, so a multiset key is a tuple of ints.  p_code is keyed by term
-    # id, which stays valid because sum_of keeps every term alive.  A p
-    # value is an abs_tail, so in [0, 1]: _window_sums reads p unchecked.
-    p_code: dict[int, int] = {}
-    codes: dict[Fraction, int] = {}  # in insertion order, so keys are indexed by code
+    # p code, so a multiset key is a tuple of ints.  A p value is an
+    # abs_tail, so in [0, 1]: _window_sums reads p unchecked.
+    p_code: dict[int, int] = {}  # term code -> p code
+    p_values: dict[Fraction, int] = {}  # in insertion order, so keys are indexed by p code
     # bound rows: p-multiset key -> (numerator, denominator) per valid t
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     # n -> the t in [0, n*h), the same t as (numerator, denominator), and their m
     grids: dict[int, tuple[list[Fraction], list[tuple[int, int]], list[int]]] = {}
+    # (n, code of X) -> _shifted_cuts of n's grid by X
+    plans: dict[tuple[int, int], tuple] = {}
 
     for index, terms in enumerate(instances):
-        terms = list(terms)
-        for d in terms:
-            if id(d) not in p_code:
-                if not is_symmetric(d):
-                    raise ValueError(f"instance {index} has a non-symmetric term")
-                p_code[id(d)] = codes.setdefault(abs_tail(d, h, strict=False), len(codes))
-        total = sum_of(terms)
-        n = len(terms)
+        try:
+            key = tuple(sorted(map(code_of.__getitem__, map(id, terms))))
+        except KeyError:  # a term not seen before
+            for d in terms:
+                if id(d) not in code_of:
+                    if not is_symmetric(d):
+                        raise ValueError(f"instance {index} has a non-symmetric term") from None
+                    code = code_of[id(d)] = len(laws) - (len(d.indices) << 64)
+                    laws[code] = d
+                    p = abs_tail(d, h, strict=False)
+                    p_code[code] = p_values.setdefault(p, len(p_values))
+            key = tuple(sorted(map(code_of.__getitem__, map(id, terms))))
+        n = len(key)
         if n not in grids:
             grid = ts[: bisect_left(ts, n * h)]
             grids[n] = (grid, [(t.numerator, t.denominator) for t in grid],
                         [window_index(t, h) for t in grid])
         grid, cuts, ms = grids[n]
-        p_key = tuple(sorted(p_code[id(d)] for d in terms))
+        p_key = tuple(sorted(map(p_code.__getitem__, key)))
         bounds = bound_cache.get(p_key)
         if bounds is None:
-            by_code = list(codes)
+            by_code = list(p_values)
             sums = _window_sums(tuple(by_code[code] for code in p_key), ms)
             improved = {m: rational_pair(Fraction(num, common))
                         for m, (_, num, _, common) in sums.items()}
             bounds = bound_cache[p_key] = [improved[m] for m in ms]
-        tails = [2 * w for w in _upper_tail_weights(total, cuts)]
-        yield index, grid, tails, total.den, bounds
+        head = sum_of(key[:-1])
+        if n and len(cuts) <= 2 * len(head.indices):
+            last = laws[key[-1]]
+            _check_support(head, last, max_support)
+            plan = plans.get((n, key[-1]))
+            if plan is None:
+                plan = plans[n, key[-1]] = _shifted_cuts(cuts, last)
+            shifted, positions, doubled = plan
+            up = _upper_tail_weights(head, shifted)
+            # Running sums of the products: each cut's tail is the sum of its
+            # len(doubled) products, one per atom of X.
+            ends = list(accumulate(map(mul, cycle(doubled), map(up.__getitem__, positions)),
+                                   initial=0))[::len(doubled)]
+            tails = list(map(sub, ends[1:], ends))
+            den = head.den * last.den
+        else:
+            total = sum_of(key)
+            tails = [2 * w for w in _upper_tail_weights(total, cuts)]
+            den = total.den
+        yield index, grid, tails, den, bounds
 
 
 def bound_soundness_sweep(
@@ -559,10 +622,13 @@ class SampleConfig:
             raise ValueError("replications must be >= 1")
         if not self.terms:
             raise ValueError("need at least one term")
-        for term in self.terms:
-            # a NaN or infinite sigma makes every draw NaN or infinite
-            if term.get("kind") == "gaussian" and not math.isfinite(float(term["sigma"])):
-                raise ValueError(f"gaussian sigma must be finite, got {term['sigma']!r}")
+        for i, term in enumerate(self.terms):
+            try:
+                _sampler(term)
+            except KeyError as exc:
+                raise ValueError(f"term {i} {term!r} has no {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"term {i} {term!r}: {exc}") from None
 
 
 def _sampler(term: dict) -> tuple:
@@ -573,7 +639,10 @@ def _sampler(term: dict) -> tuple:
     if kind == "uniform":
         return kind, float(parse_rational(term["scale"]))
     if kind == "gaussian":
-        return kind, float(term["sigma"])
+        sigma = float(term["sigma"])
+        if not math.isfinite(sigma):  # every draw would be NaN or infinite
+            raise ValueError(f"gaussian sigma must be finite, got {term['sigma']!r}")
+        return kind, sigma
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 

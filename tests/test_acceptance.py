@@ -41,7 +41,7 @@ from symtail.ordering import (
     wintner_check,
 )
 
-from util import coin, dist, random_success_vector, random_symmetric_law
+from util import coin, count_convolutions, dist, random_success_vector, random_symmetric_law
 
 
 def report(number: int, message: str, started: float) -> None:
@@ -127,8 +127,9 @@ def test_criterion_04_dominance_and_agreement():
     report(4, "improved >= classical bound, equal on the last band, strict below", started)
 
 
-def test_criterion_05_exhaustive_soundness_sweep():
+def test_criterion_05_exhaustive_soundness_sweep(monkeypatch):
     started = time.time()
+    convolutions = count_convolutions(monkeypatch)
     sweep = bound_soundness_sweep(
         symmetric_lattice_family(6),
         1,
@@ -136,6 +137,9 @@ def test_criterion_05_exhaustive_soundness_sweep():
     )
     assert sweep.ok, sweep.violations[:5]
     assert sweep.instances == 54263
+    # the 15 503 multisets of 1-5 laws, each a prefix of another instance,
+    # and 47 instances of six laws whose grid has more than 2|P| points
+    assert len(convolutions) == 15550
     assert sweep.min_slack is not None and sweep.min_slack >= 0
     assert time.time() - started < 120
     report(

@@ -2,7 +2,10 @@ import argparse
 import copy
 import csv
 import json
+import os
 import random
+import stat
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -232,6 +235,62 @@ class TestSweepCommand:
         assert run(tmp_path, "sweep", payload)[0] == 0
         monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 3)
         assert run(tmp_path, "sweep", payload)[0] == 2
+
+    def test_support_cap_on_the_unbuilt_sum(self, tmp_path, monkeypatch):
+        # Only the last product, 3x2, is over the cap, and with one cut the
+        # sweep reads the instance's tails from LAZY without building the sum.
+        payload = {"h": "1", "t_grid": ["0"], "instances": [[LAZY, COIN]]}
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 6)
+        assert run(tmp_path, "sweep", payload)[0] == 0
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 5)
+        code, _, out = run(tmp_path, "sweep", payload, name="capped.json")
+        assert code == 2 and not out.exists()
+
+    def test_exit_2_mid_sweep_leaves_the_output_untouched(self, tmp_path, monkeypatch, capsys):
+        # Two instances stream their rows before the third meets the cap.
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 5)
+        out = tmp_path / "in.json.csv"
+        out.write_bytes(b"an earlier run\r\n")
+        payload = {"h": "1", "t_grid": ["0", "1"], "instances": [[COIN], [COIN, ZERO], [LAZY, COIN]]}
+        assert run(tmp_path, "sweep", payload)[0] == 2
+        assert "support product 3x2 exceeds cap 5" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier run\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "in.json.csv"]
+
+    def test_streamed_csv_replaces_the_output(self, tmp_path):
+        out = tmp_path / "in.json.csv"
+        out.write_text("an earlier run, longer than the new CSV\n" * 10)
+        out.chmod(0o640)
+        code, rows, _ = run(tmp_path, "sweep", SWEEP)
+        assert code == 0 and [r["status"] for r in rows] == ["ok", "ok"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "in.json.csv"]
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_streamed_csv_through_a_symlink(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.csv"
+        target.write_text("an earlier run\n")
+        link = tmp_path / "in.json.csv"
+        link.symlink_to(target)
+        code, rows, _ = run(tmp_path, "sweep", SWEEP)
+        assert code == 0 and len(rows) == 2
+        assert link.is_symlink() and target.read_text().startswith("instance,t,")
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["out.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_streamed_csv_into_a_pipe(self, tmp_path):
+        # A pipe has nothing to replace: the rows are written into it.
+        fifo = tmp_path / "in.json.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(SWEEP))
+        code = main(["sweep", "--input", str(inp), "--output", str(fifo)])
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert code == 0 and got and got[0].count("\n") == 3
 
     @pytest.mark.parametrize(
         "change",

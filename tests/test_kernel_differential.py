@@ -201,24 +201,52 @@ def test_abs_tail(case):
         assert abs_tail(law(atoms), t, strict=strict) == ref_abs_tail(atoms, t, strict)
 
 
+ZERO = ((Fraction(0), Fraction(1)),)
+COIN = ((Fraction(-1), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)))
+THIRDS = ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)))
+FIVE = tuple((Fraction(x), Fraction(1, 5)) for x in range(-2, 3))
+
+
+@st.composite
+def sweep_cases(draw):
+    """Up to three symmetric laws (point masses at 0 among them) and up to
+    six thresholds of their sum."""
+    terms = draw(st.lists(st.one_of(symmetric_laws(), st.just(ZERO)), max_size=3))
+    total = reduce(ref_convolve, terms, ZERO)
+    return terms, draw(st.lists(thresholds(total).map(abs), min_size=1, max_size=6))
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.one_of(symmetric_laws(), st.just(((Fraction(0), Fraction(1)),))), max_size=3),
-    st.data(),
-)
-def test_sweep_tails(terms, data):
-    # The sweep reads P(|S| > t) as 2 P(S > t); h is past every |x|, so
-    # every drawn t (support points, midpoints, 0) is in the grid.
-    total = ((Fraction(0), Fraction(1)),)
-    for atoms in terms:
-        total = ref_convolve(total, atoms)
-    ts = data.draw(st.lists(thresholds(total).map(abs), min_size=1, max_size=6))
-    h = max(abs(x) for x, _ in total) + 1
-    [(_, grid, tails, den, _)] = sweep_checks([[law(atoms) for atoms in terms]], h, ts)
-    assert grid == sorted(t for t in ts if t < len(terms) * h)
-    assert [Fraction(tail, den) for tail in tails] == [
-        ref_abs_tail(total, t, strict=True) for t in grid
-    ]
+@given(sweep_cases())
+@example(([LAZY, THIRDS], [Fraction(k, 3) for k in range(4)]))  # X on another step than P
+@example(([LAZY, ZERO], [Fraction(0), Fraction(1, 2), Fraction(1)]))  # X a point mass
+@example(([], [Fraction(0)]))  # no terms
+@example(([COIN, COIN], [Fraction(k, 2) for k in range(4)]))  # 4 cuts <= 2|P|: read from P
+@example(([COIN, COIN], [Fraction(k, 2) for k in range(6)]))  # 6 cuts > 2|P|: S is built
+@example(([FIVE, LAZY, ZERO], [Fraction(0)]))  # FIVE + LAZY read from FIVE, then built
+def test_sweep_tails(case):
+    # The sweep reads P(|S| > t) as 2 P(S > t), from S or from the sum of all
+    # terms but one; h is past every |x|, so every drawn t (support points,
+    # midpoints, 0) is in the grid of the whole instance.  One sweep runs a
+    # stream of the instance's prefixes, shortest first, the instance with
+    # its terms reversed, then the prefixes longest first.  Equal drawn laws
+    # are one term object, as in a family, so sums are shared across
+    # instances: one may be read from its prefix first and built later.
+    terms, ts = case
+    objects = {}
+    laws_ = [objects.setdefault(atoms, law(atoms)) for atoms in terms]
+    prefixes = [laws_[:k] for k in range(len(laws_) + 1)]
+    stream = prefixes + [laws_[::-1]] + prefixes[::-1]
+    full = reduce(ref_convolve, terms, ZERO)
+    h = max(abs(x) for x, _ in full) + 1
+    checks = list(sweep_checks(stream, h, ts))
+    assert [index for index, *_ in checks] == list(range(len(stream)))
+    for (_, grid, tails, den, _), instance in zip(checks, stream):
+        total = reduce(ref_convolve, [law_.atoms for law_ in instance], ZERO)
+        assert grid == sorted(t for t in ts if t < len(instance) * h)
+        assert [Fraction(tail, den) for tail in tails] == [
+            ref_abs_tail(total, t, strict=True) for t in grid
+        ]
 
 
 @settings(max_examples=300, deadline=None)

@@ -22,11 +22,19 @@ from symtail.oracles import (
     exact_sum_distribution,
     kleitman_count,
     monte_carlo_tail,
+    sweep_checks,
     symmetric_lattice_family,
     tightness_search,
 )
 
-from util import coin, dist, random_success_vector, random_symmetric_law, shifted_window_sums
+from util import (
+    coin,
+    count_convolutions,
+    dist,
+    random_success_vector,
+    random_symmetric_law,
+    shifted_window_sums,
+)
 
 
 def ball(center, radius):
@@ -350,6 +358,30 @@ class TestBoundSoundnessSweep:
                 assert bound_soundness_sweep([[wide, wide]], 1, [0]).ok
 
 
+class TestSweepChecks:
+    def test_family_convolutions(self, monkeypatch):
+        # 815 of the 3 875 instances are a prefix of another (every multiset
+        # of 1-3 laws); the other 11 convolutions are instances whose grid
+        # has more than 2|P| points.
+        calls = count_convolutions(monkeypatch)
+        report = bound_soundness_sweep(
+            symmetric_lattice_family(4), 1, [Fraction(k, 2) for k in range(8)]
+        )
+        assert (report.instances, report.checks, report.min_slack) == (3875, 29070, 0)
+        assert len(calls) == 826
+
+    @pytest.mark.parametrize("cuts", [1, 11])  # 1 <= 2|P| = 10 < 11
+    def test_support_cap_on_the_unbuilt_sum(self, cuts):
+        # P is the five-atom law (1x5, built), and only the last product,
+        # 5x3, is over a cap of 14.  With one cut S is never built.
+        five = dist({x: Fraction(1, 5) for x in range(-2, 3)})
+        lazy = dist({-1: "1/4", 0: "1/2", 1: "1/4"})
+        grid = [Fraction(k, 8) for k in range(cuts)]
+        assert len(list(sweep_checks([[lazy, five]], 1, grid, max_support=15))) == 1
+        with pytest.raises(SupportCapExceeded, match="support product 5x3 exceeds cap 14"):
+            list(sweep_checks([[lazy, five]], 1, grid, max_support=14))
+
+
 class TestTightnessSearch:
     def test_two_sure_coins(self):
         report = tightness_search([1, 1], 1, 1)
@@ -426,6 +458,16 @@ class TestMonteCarlo:
         ))
         with pytest.raises(ValueError, match="nonnegative"):
             monte_carlo_tail(cfg, t)
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [({"kind": "gaussain", "sigma": 1.0}, "term 1 .*unknown sampler kind 'gaussain'"),
+         ({"kind": "gaussian"}, "term 1 .* has no 'sigma'"),
+         ({"kind": "uniform"}, "term 1 .* has no 'scale'")],
+    )
+    def test_rejects_malformed_term_when_built(self, term, message):
+        with pytest.raises(ValueError, match=message):
+            SampleConfig(seed=1, replications=1000, terms=({"kind": "gaussian", "sigma": 1.0}, term))
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf"), "nan"])
     def test_rejects_non_finite_sigma(self, sigma):

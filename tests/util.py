@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from operator import sub
 
-from symtail import bounds
+from symtail import bounds, oracles
 from symtail.bounds import _window_sums, improved_bound
 from symtail.distributions import LatticeDistribution, abs_tail
 from symtail.oracles import _SIZES, exact_sum_distribution
@@ -182,6 +182,14 @@ SUM_CORRUPTIONS = {
     "improved-above-1": lambda na, im, ka, co: (na, co + 1, -1, co),
     "kanter-not-complement": lambda na, im, ka, co: (na, im, ka + 1, co),
 }
+
+
+def count_convolutions(monkeypatch) -> list:
+    """Count the convolutions the oracles make: one entry per call."""
+    calls = []
+    real = oracles.convolve
+    monkeypatch.setattr(oracles, "convolve", lambda a, b: calls.append(1) or real(a, b))
+    return calls
 
 
 def corrupt_bound_sums(monkeypatch, name: str) -> None:
