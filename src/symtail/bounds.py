@@ -22,20 +22,22 @@ the Poisson binomial pmf, and become Fractions only when returned.
 
 All three depend on t only through m.  _window_sums, the one evaluator,
 forms them from a validated p over one pmf, once per distinct m, and checks
-each m once.  Each m builds the column F_m(m), ..., F_n(m) by Pascal's rule,
-two binomials per k, so no window sum is cached.  The CLI and the oracles
-read it directly; bound_table and the single-value functions wrap it.
+each m once with _checked_sums, as BoundReport checks its Fractions.  Each m
+reads the column F_m(m), ..., F_n(m) of exactmath._window_column, so no
+window sum is cached.  The CLI and the oracles read _window_sums directly;
+bound_table and the single-value functions wrap it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .distributions import _poisson_binomial_weights, as_success_vector
-from .exactmath import largest_binomial_sum
+from .exactmath import _window_column
 from .rational import parse_rational, rational_pair
 
 
@@ -46,9 +48,9 @@ class BoundReport:
     per_k_terms lists (k, B_p({k}), improved weight 1 - 2^{-k} F_k(m)) for
     every k in 0..n; weights for k <= t/h do not enter the bounds but make
     the complement identity improved = 1 - kanter_sup checkable from the
-    report alone.  It is built from p when read.  Construction raises
-    ValueError if the invariants fail; they are checked on numerators and
-    denominators, cross-multiplied.
+    report alone.  It is built from p, and one window column, when read.
+    Construction raises ValueError unless the three values over their least
+    common denominator pass _checked_sums.
     """
 
     t: Fraction
@@ -61,27 +63,16 @@ class BoundReport:
     p: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        (na, nb), (ia, ib), (ka, kb) = map(rational_pair, (self.nagaev, self.improved,
-                                                            self.kanter_sup))
-        if not 0 <= na <= nb:
-            raise ValueError(f"nagaev bound {self.nagaev} outside [0,1]")
-        if not 0 <= ia <= ib:
-            raise ValueError(f"improved bound {self.improved} outside [0,1]")
-        if ia * nb < na * ib:
-            raise ValueError(f"improved bound {self.improved} below nagaev {self.nagaev}")
-        if ia * kb != (kb - ka) * ib:
-            raise ValueError(
-                f"improved bound {self.improved} != 1 - kanter_sup {self.kanter_sup}"
-            )
+        pairs = [rational_pair(x) for x in (self.nagaev, self.improved, self.kanter_sup)]
+        common = lcm(*(den for _, den in pairs))
+        _checked_sums(tuple(num * (common // den) for num, den in pairs) + (common,), self.m)
 
     @property
     def per_k_terms(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
         scaled, common = _scaled_pmf(self.p)
-        m = self.m
-        return tuple(
-            (k, Fraction(w << k, common), Fraction((1 << k) - largest_binomial_sum(k, m), 1 << k))
-            for k, w in enumerate(scaled)
-        )
+        column = [1 << k for k in range(min(self.m, self.n + 1))] + _window_column(self.n, self.m)
+        return tuple((k, Fraction(w << k, common), Fraction((1 << k) - f, 1 << k))
+                     for k, (w, f) in enumerate(zip(scaled, column)))
 
 
 def _scaled_pmf(p: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
@@ -97,33 +88,28 @@ def _scaled_pmf(p: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
 
 def _bound_sums(pmf: tuple[tuple[int, ...], int], m: int) -> tuple[int, int, int, int]:
     """Numerators of the Nagaev bound, the improved bound and the Kanter
-    supremum at window index m, and their common denominator, from the
-    pmf as _scaled_pmf returns it.
-
-    k > t/h is k >= m, since m = floor(t/h) + 1.  F_k(m) = 2^k for k < m.
-    From F_{m-1}(m) = 2^{m-1} the column runs up by Pascal's rule: F_k(m)
-    is the centred window sum of C(k, i) over i = s, ..., s+m-1, with
-    s = floor((k-m+1)/2), and C(k, i) = C(k-1, i-1) + C(k-1, i) turns it
-    into two windows of row k-1.  One is the centred window F_{k-1}(m),
-    starting at r = floor((k-m)/2); the other is its neighbour, one
-    binomial out and one in.  So
-
-        F_k = 2 F_{k-1} - C(k-1, out) + C(k-1, in),
-
-    with (out, in) = (r, r+m) for k-m odd and (r+m-1, r-1) for k-m even,
-    where C(k-1, -1) = 0.  Every step is integer arithmetic, so the column
-    is exact, and it costs two binomials per k.  The Kanter numerator is
-    common minus the improved one, as the weights 2^k w_k sum to common.
+    supremum at window index m, and their common denominator, from the pmf
+    as _scaled_pmf returns it.  k > t/h is k >= m and the weights 2^k w_k sum
+    to common, so improved = sum_{k >= m} (2^k - F_k(m)) w_k and kanter =
+    common - improved.
     """
     scaled, common = pmf
-    nagaev, improved = sum(scaled[m:]), 0
-    f = 1 << (m - 1) if m < len(scaled) else 0  # F_{m-1}(m); the loop is empty if m > n
-    for k, w in enumerate(scaled[m:], m):
-        r, odd = divmod(k - m, 2)
-        out, into = (r, r + m) if odd else (r + m - 1, r - 1)
-        f = 2 * f - math.comb(k - 1, out) + (math.comb(k - 1, into) if into >= 0 else 0)
-        improved += ((1 << k) - f) * w
-    return nagaev, improved, common - improved, common
+    tail = scaled[m:]
+    improved = (sum(w << k for k, w in enumerate(tail, m))
+                - sum(map(mul, _window_column(len(scaled) - 1, m), tail)))
+    return sum(tail), improved, common - improved, common
+
+
+def _checked_sums(sums: tuple[int, int, int, int], m: int) -> tuple[int, int, int, int]:
+    """The bound sums (nagaev, improved, kanter, common) at window index m;
+    raises ValueError, which python -O keeps, unless they meet
+    0 <= nagaev <= improved <= common = improved + kanter.
+    """
+    nagaev, improved, kanter, common = sums
+    if not (0 <= nagaev <= improved <= common and kanter == common - improved):
+        raise ValueError(f"bound sums (nagaev, improved, kanter, common) = {sums} at "
+                         f"m={m} fail 0 <= nagaev <= improved <= common = improved + kanter")
+    return sums
 
 
 def window_index(t, h) -> int:
@@ -161,19 +147,11 @@ def kanter_supremum(p: Sequence, m: int) -> Fraction:
 def _window_sums(p: tuple[Fraction, ...], ms: Iterable[int]) -> dict[int, tuple[int, ...]]:
     """(nagaev, improved, kanter, common) per distinct m of ms, in order of
     first appearance: _bound_sums over one pmf, none for an empty ms.  p must
-    be validated and each m >= 1.  Each m is checked once, on integers, as
-    BoundReport is: 0 <= nagaev <= improved <= common = improved + kanter.
-    A failure raises ValueError, which python -O keeps.
+    be validated and each m >= 1.  Each m is checked once, by _checked_sums.
     """
     distinct = dict.fromkeys(ms)
     pmf = _scaled_pmf(p) if distinct else None
-    sums = {}
-    for m in distinct:
-        nagaev, improved, kanter, common = sums[m] = _bound_sums(pmf, m)
-        if not (0 <= nagaev <= improved <= common and kanter == common - improved):
-            raise ValueError(f"bound sums (nagaev, improved, kanter, common) = {sums[m]} at "
-                             f"m={m} fail 0 <= nagaev <= improved <= common = improved + kanter")
-    return sums
+    return {m: _checked_sums(_bound_sums(pmf, m), m) for m in distinct}
 
 
 def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:

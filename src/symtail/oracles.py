@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations_with_replacement, cycle
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -111,9 +111,7 @@ class KleitmanInstance:
             if not size((2 * radius,)) < min_size:
                 raise ValueError(f"diameter hypothesis violated: 2*{radius} >= min vector norm")
         n = len(self.vectors)
-        scale = math.lcm(*(c.denominator for v in self.vectors for c in v))
-        box = _sum_box([[int(c * scale) for c in v] for v in self.vectors])
-        distinct = math.prod(width for _, _, width in box)
+        distinct = math.prod(width for _, _, width in self._integer_form[2])
         # min(2^n, distinct), without building 2^n for a large n
         sums = min(distinct, 1 << min(n, distinct.bit_length()))
         m = len(self.targets)
@@ -124,33 +122,44 @@ class KleitmanInstance:
                 f"{distinct} distinct sums) exceeds cap {MAX_SUMSET_WORK}"
             )
 
+    @cached_property
+    def _integer_form(self) -> tuple[list, list, list[tuple[int, int, int]]]:
+        """The instance on integers, built once: the vectors and each target
+        as (centre, size of its radius), scaled by the lcm of all denominators,
+        and the box (g, low, width) per coordinate, g the gcd of its entries:
+        each subset sum's coordinate is low + g*k with 0 <= k < width, so the
+        widths' product bounds the distinct sums whatever the scale."""
+        size = _SIZES[self.norm]
+        denoms = [c.denominator for v in self.vectors for c in v]
+        denoms += [q.denominator for center, radius in self.targets for q in (*center, radius)]
+        scale = math.lcm(*denoms)
+        scaled = [[int(c * scale) for c in v] for v in self.vectors]
+        balls = [([int(c * scale) for c in center], size((int(radius * scale),)))
+                 for center, radius in self.targets]
+        box = []
+        for column in zip(*scaled):
+            g = math.gcd(*column) or 1
+            box.append((g, sum(c for c in column if c < 0), sum(map(abs, column)) // g + 1))
+        return scaled, balls, box
+
 
 def kleitman_count(inst: KleitmanInstance) -> int:
     """Exact count of subsets whose vector sum lands in a target ball.
 
     Counts all 2^n subsets (empty set included, contributing the zero sum)
     through the sumset: a map from each distinct subset sum to its
-    multiplicity, built by adding one vector at a time, after which each
-    distinct sum is tested for membership once.  All coordinates, centres
-    and radii are scaled to integers by one common factor, and each sum is
-    packed into one integer key (see _sum_box).  The count is returned
-    unchecked; the theorem bounds it by the binomial-window ceiling F_n(m).
-    The instance was checked when built.
+    multiplicity, built by adding one vector at a time to the instance's
+    integer form, each sum packed into one integer key over its box, after
+    which each distinct sum is tested for membership once.  The count is
+    returned unchecked; the theorem bounds it by the binomial-window ceiling
+    F_n(m).
     """
     size = _SIZES[inst.norm]
-    denoms = [c.denominator for v in inst.vectors for c in v]
-    denoms += [q.denominator for center, radius in inst.targets for q in (*center, radius)]
-    scale = math.lcm(*denoms)
-    scaled = [[int(c * scale) for c in v] for v in inst.vectors]
-    balls = [
-        ([int(c * scale) for c in center], size((int(radius * scale),)))
-        for center, radius in inst.targets
-    ]
+    scaled, balls, box = inst._integer_form
 
     # Mixed-radix packing over the sums' bounding box: coordinate j of every
     # partial sum is low + g*k with 0 <= k < width and packs as k*stride, so
     # adding a vector adds its packed step to the key.
-    box = _sum_box(scaled)
     strides = list(accumulate((width for _, _, width in box[:-1]), mul, initial=1))
     counts = {sum(-low // g * s for (g, low, _), s in zip(box, strides)): 1}
     for v in scaled:
@@ -170,18 +179,6 @@ def kleitman_count(inst: KleitmanInstance) -> int:
         if any(size(map(sub, point, c)) < r for c, r in balls):
             count += mult
     return count
-
-
-def _sum_box(scaled: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
-    """(g, low, width) per coordinate of integer vectors: g is the gcd of the
-    coordinate's entries and every subset sum's coordinate is low + g*k for
-    some 0 <= k < width, so the product of the widths bounds the number of
-    distinct subset sums whatever the scale."""
-    box = []
-    for column in zip(*scaled):
-        g = math.gcd(*column) or 1
-        box.append((g, sum(c for c in column if c < 0), sum(map(abs, column)) // g + 1))
-    return box
 
 
 def equality_instance(n: int, m: int) -> KleitmanInstance:
@@ -608,7 +605,8 @@ class SampleConfig:
       {"kind": "uniform", "scale": a}          sign * Uniform(0, a]
       {"kind": "gaussian", "sigma": s}         sign * |Normal(0, s)|
     Every draw is built as an independent fair sign times a magnitude, so
-    terms are symmetric by construction.
+    terms are symmetric by construction, and construction raises ValueError
+    for an atoms literal that is not.
     """
 
     seed: int
@@ -635,7 +633,10 @@ def _sampler(term: dict) -> tuple:
     """A term's canonical form: its kind and the one value its draws use."""
     kind = term.get("kind")
     if kind == "atoms":
-        return kind, LatticeDistribution.from_masses(term["atoms"])
+        law = LatticeDistribution.from_masses(term["atoms"])
+        if not is_symmetric(law):  # a fair sign times |x| would draw another law
+            raise ValueError("atoms law is not symmetric")
+        return kind, law
     if kind == "uniform":
         return kind, float(parse_rational(term["scale"]))
     if kind == "gaussian":

@@ -168,22 +168,32 @@ class TestWindowIndex:
             window_index(1, h)
 
 
+def count_combs(monkeypatch) -> list:
+    """Count the binomials formed through math.comb: one entry per call."""
+    calls, comb = [], math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append(1) or comb(n, k))
+    return calls
+
+
 def test_bound_table_forms_quadratically_many_binomials(monkeypatch):
     # n distinct window indices over n terms: the columns by Pascal's rule
-    # take about n^2 binomials, where summing every window takes n^3/6.
-    calls = 0
-    comb = math.comb
-
-    def counted(n, k):
-        nonlocal calls
-        calls += 1
-        return comb(n, k)
-
-    monkeypatch.setattr(math, "comb", counted)
+    # take about n^2/4 binomials, where summing every window takes n^3/6.
+    calls = count_combs(monkeypatch)
     n = 200
     reports = bound_table(["1/2"] * n, 1, range(n))
     assert [r.m for r in reports] == list(range(1, n + 1))
-    assert calls <= 2 * n * n
+    assert len(calls) <= 2 * n * n
+
+
+def test_per_k_terms_forms_one_column(monkeypatch):
+    # One window column per report: at most 2n binomials, where one
+    # window sum per k >= m forms m binomials each, 420 here.
+    n = 40
+    report = evaluate_bounds(["1/2"] * n, 1, 19)
+    assert report.m == 20
+    calls = count_combs(monkeypatch)
+    assert len(report.per_k_terms) == n + 1
+    assert 0 < len(calls) <= 2 * n
 
 
 class TestEvaluateBounds:

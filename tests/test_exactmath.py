@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from symtail.exactmath import binomial, largest_binomial_ratio, largest_binomial_sum
+from symtail.exactmath import (
+    _window_column,
+    binomial,
+    largest_binomial_ratio,
+    largest_binomial_sum,
+)
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -55,9 +60,14 @@ class TestLargestBinomialSum:
         assert largest_binomial_sum(4, 1) == 6
 
     def test_matches_window_oracle(self):
-        for n in range(21):
-            for m in range(21):
-                assert largest_binomial_sum(n, m) == window_max(n, m), (n, m)
+        # largest_binomial_sum, and every entry F_m(m), ..., F_n(m) of the
+        # _window_column whose last entry it reads.
+        oracle = {(n, m): window_max(n, m) for n in range(31) for m in range(33)}
+        for (n, m), value in oracle.items():
+            assert largest_binomial_sum(n, m) == value, (n, m)
+            if 1 <= m <= n + 2:
+                column = [oracle[k, m] for k in range(m, n + 1)]
+                assert _window_column(n, m) == column, (n, m)
 
     def test_recursion(self):
         for n in range(1, 41):

@@ -469,6 +469,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=message):
             SampleConfig(seed=1, replications=1000, terms=({"kind": "gaussian", "sigma": 1.0}, term))
 
+    def test_rejects_asymmetric_atoms_when_built(self):
+        # Two point masses at 1: S = 2, but a fair sign times |x| would draw
+        # S in {-2, 0, 2} and read P(|S| > 3/2) as 1/2.
+        with pytest.raises(ValueError, match="term 0 .*not symmetric"):
+            SampleConfig(seed=1, replications=1000, terms=({"kind": "atoms", "atoms": {1: 1}},) * 2)
+
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf"), "nan"])
     def test_rejects_non_finite_sigma(self, sigma):
         # Every draw would be NaN or infinite, so every estimate reads 0.
