@@ -16,6 +16,8 @@ repeatedly in one process.
 Every subcommand takes only --input and --output.  Each input field has a
 typed reader that accepts only its own JSON type (an integer field takes
 only a JSON integer); the work caps are constants in `symtail.oracles`.
+`main` alone maps an error to exit 2: any ValueError or OSError, be it an
+InputError or the library's own; readers wrap one only to name its field.
 """
 
 from __future__ import annotations
@@ -155,11 +157,8 @@ def cmd_bound(data: dict) -> list[list]:
     else:
         raise InputError("input must supply either 'p' or 'terms'")
     ms = [bounds.window_index(t, h) for t in t_grid]  # t in [0, n*h) iff 1 <= m <= n
-    try:  # p is validated here, even when no t is in the domain
-        p = as_success_vector(p)
-        sums = bounds._window_sums(p, [m for m in ms if 1 <= m <= len(p)])
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    p = as_success_vector(p)  # p is validated here, even when no t is in the domain
+    sums = bounds._window_sums(p, [m for m in ms if 1 <= m <= len(p)])
     h_cell = format_rational(h)
     note = f"domain: t outside [0, {format_rational(len(p) * h)})"
     # The six bound cells of each window index m in the domain, formatted once.
@@ -206,17 +205,13 @@ def cmd_sweep(data: dict) -> Iterator[tuple]:
         return got
 
     def rows() -> Iterator[tuple]:
-        try:
-            checks = oracles.sweep_checks(instances, h, t_grid, oracles.MAX_SUPPORT_PRODUCT)
-            for index, grid, tails, den, bound_pairs in checks:
-                for t, tail_num, bound in zip(grid, tails, bound_pairs):
-                    b_num, b_den = bound
-                    slack_num = tail_num * b_den - b_num * den  # over den * b_den > 0
-                    yield (index, format_rational(t), *exact(bound), *exact((tail_num, den)),
-                           format_rational(Fraction(slack_num, den * b_den)),
-                           "ok" if slack_num >= 0 else "VIOLATION")
-        except ValueError as exc:  # a non-symmetric term, the support cap
-            raise InputError(str(exc)) from exc
+        for index, grid, tails, den, bound_pairs in oracles.sweep_checks(instances, h, t_grid):
+            for t, tail_num, bound in zip(grid, tails, bound_pairs):
+                b_num, b_den = bound
+                slack_num = tail_num * b_den - b_num * den  # over den * b_den > 0
+                yield (index, format_rational(t), *exact(bound), *exact((tail_num, den)),
+                       format_rational(Fraction(slack_num, den * b_den)),
+                       "ok" if slack_num >= 0 else "VIOLATION")
 
     return rows()
 
@@ -251,12 +246,7 @@ def cmd_compare(data: dict) -> list[list]:
     m_max = _get(data, "m_max", _int, len(xs))
     if m_max > oracles.MAX_HALF_MASS_M:
         raise InputError(f"m_max={m_max} exceeds cap {oracles.MAX_HALF_MASS_M}")
-    try:
-        inst = ordering.ComparisonInstance(xs, ys)
-        inst.sums()  # builds the sum laws, so the support cap exits 2 here
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
+    inst = ordering.ComparisonInstance(xs, ys)
     rows = []
     for t, s_tail, t_tail in ordering.pruss_check(inst, t_grid).rows:
         rhs = Fraction(1, 2) * t_tail
@@ -285,10 +275,7 @@ def cmd_tighten(data: dict) -> list[list]:
     m = _get(data, "m", _int)
     h_grid = _get(data, "h_grid", _rationals, ())
     split_grid = _get(data, "split_grid", _rationals, (1,))
-    try:
-        report = oracles.tightness_search(p, h, m, h_grid, split_grid)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = oracles.tightness_search(p, h, m, h_grid, split_grid)
     outer_atom, split = report.best_params
     return [
         [format_rational(report.t), *_exact(report.bound), *_exact(report.best_value),
@@ -342,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 violation = _write_rows(fh, header, rows)
         else:
             violation = _write_streamed(args.output, header, rows)
-    except (InputError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InputError, and any other bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_VIOLATION if violation else EXIT_OK

@@ -36,13 +36,21 @@ def _window_column(n: int, m: int) -> list[int]:
     row k-1, so F_k = 2 F_{k-1}.  For k-m = 2r even, the one at r is centred
     and the one at r-1 trades C(k-1, r+m-1) = C(k-1, r) for C(k-1, r-1), so
     F_k = 2 F_{k-1} - C(k-1, r) + C(k-1, r-1) = 2 F_{k-1} - m C(k, r) / k.
-    From F_{m-1}(m) = 2^{m-1} each step is exact, one math.comb per two k.
+    From F_{m-1}(m) = 2^{m-1} each step is exact.  C(k, r) is carried from
+    one even step to the next, C(k, r) = C(k-2, r-1) k (k-1) / (r (k-r)),
+    from C(m, 0) = 1, so the column forms no binomial afresh.
     """
     if m > n:  # nothing to build, not even 2^(m-1)
         return []
-    column, f = [], 1 << (m - 1)
+    column, f, c = [], 1 << (m - 1), 1
     for j, k in enumerate(range(m, n + 1)):
-        f = f << 1 if j & 1 else (f << 1) - m * math.comb(k, j >> 1) // k
+        if j & 1:
+            f <<= 1
+        else:
+            r = j >> 1
+            if r:
+                c = c * k * (k - 1) // (r * (k - r))
+            f = (f << 1) - m * c // k
         column.append(f)
     return column
 

@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, cycle
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -190,28 +190,24 @@ def equality_instance(n: int, m: int) -> KleitmanInstance:
     return KleitmanInstance(1, ((Fraction(1),),) * n, "absolute", targets)
 
 
-def exact_sum_distribution(
-    terms: Sequence[LatticeDistribution], max_support: int = MAX_SUPPORT_PRODUCT
-) -> LatticeDistribution:
+def exact_sum_distribution(terms: Sequence[LatticeDistribution]) -> LatticeDistribution:
     """Exact law of the sum of independent terms (empty sum is the point
-    mass at 0), guarded by a cap on the running support size."""
+    mass at 0); _check_support caps each convolution before it is built."""
     total = point_mass(0)
     for term in terms:
-        total = _capped_convolve(total, term, max_support)
+        _check_support(total, term)
+        total = convolve(total, term)
     return total
 
 
-def _capped_convolve(total, term, max_support: int) -> LatticeDistribution:
-    _check_support(total, term, max_support)
-    return convolve(total, term)
-
-
-def _check_support(total, term, max_support: int) -> None:
+def _check_support(total, term) -> None:
     """The support cap of one exact sum: the product of the two supports,
-    whether the sum is built or its tails are read from total's."""
+    whether the sum is built or its tails are read from total's, against
+    MAX_SUPPORT_PRODUCT as it is when the check runs."""
     size, term_size = len(total.indices), len(term.indices)
-    if size * term_size > max_support:
-        raise SupportCapExceeded(f"support product {size}x{term_size} exceeds cap {max_support}")
+    if size * term_size > MAX_SUPPORT_PRODUCT:
+        raise SupportCapExceeded(
+            f"support product {size}x{term_size} exceeds cap {MAX_SUPPORT_PRODUCT}")
 
 
 @dataclass
@@ -238,14 +234,13 @@ class _SumCache:
     ``terms`` maps each code to its term, and the caller adds each new term
     to it, so it keeps every term alive.  Sums are cached by key, each built
     from the sum of its key's longest cached prefix: a sum is convolved once,
-    and only when it or a longer key is asked for.  max_support caps each
-    convolution as in exact_sum_distribution.
+    and only when it or a longer key is asked for.  _check_support caps
+    each convolution, as in exact_sum_distribution.
     """
 
-    def __init__(self, max_support: int = MAX_SUPPORT_PRODUCT) -> None:
+    def __init__(self) -> None:
         self.terms: dict[int, LatticeDistribution] = {}
         self._sums: dict[tuple[int, ...], LatticeDistribution] = {(): point_mass(0)}
-        self._max_support = max_support
 
     def __call__(self, key: tuple[int, ...]) -> LatticeDistribution:
         cached = len(key)
@@ -253,7 +248,9 @@ class _SumCache:
             cached -= 1
         total = self._sums[key[:cached]]
         for k in range(cached, len(key)):
-            total = _capped_convolve(total, self.terms[key[k]], self._max_support)
+            term = self.terms[key[k]]
+            _check_support(total, term)
+            total = convolve(total, term)
             self._sums[key[: k + 1]] = total
         return total
 
@@ -282,7 +279,6 @@ def sweep_checks(
     instances: Iterable[Sequence[LatticeDistribution]],
     h,
     t_grid: Sequence,
-    max_support: int = MAX_SUPPORT_PRODUCT,
 ) -> Iterator[tuple[int, list[Fraction], list[int], int, list[tuple[int, int]]]]:
     """Exact tails of each instance's sum next to the improved bound.
 
@@ -304,7 +300,7 @@ def sweep_checks(
     only as the prefix of a longer instance, or when the grid has more than
     2|P| points: then S is built and walked, so the |grid| * |X| products
     of a shifted walk stay within twice the |P| * |X| of a convolution.
-    Raises ValueError on a non-symmetric term; max_support caps every
+    Raises ValueError on a non-symmetric term; _check_support caps every
     product |P| * |X|, built or not, as in exact_sum_distribution.
     """
     h = parse_rational(h)
@@ -312,7 +308,7 @@ def sweep_checks(
         raise ValueError(f"h must be positive, got {h}")
     ts = sorted(t for t in map(parse_rational, t_grid) if t >= 0)
 
-    sum_of = _SumCache(max_support)
+    sum_of = _SumCache()
     laws = sum_of.terms
     # term id -> code: -(support size) * 2^64 + the number of terms seen
     # before it, so ascending codes put the largest supports first.  The
@@ -363,7 +359,7 @@ def sweep_checks(
         head = sum_of(key[:-1])
         if n and len(cuts) <= 2 * len(head.indices):
             last = laws[key[-1]]
-            _check_support(head, last, max_support)
+            _check_support(head, last)
             plan = plans.get((n, key[-1]))
             if plan is None:
                 plan = plans[n, key[-1]] = _shifted_cuts(cuts, last)
@@ -620,13 +616,33 @@ class SampleConfig:
             raise ValueError("replications must be >= 1")
         if not self.terms:
             raise ValueError("need at least one term")
+        self._samplers  # every term is parsed, and checked, once: here
+
+    @cached_property
+    def _samplers(self) -> tuple[tuple, ...]:
+        samplers = []
         for i, term in enumerate(self.terms):
             try:
-                _sampler(term)
+                samplers.append(_sampler(term))
             except KeyError as exc:
                 raise ValueError(f"term {i} {term!r} has no {exc}") from None
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"term {i} {term!r}: {exc}") from None
+        return tuple(samplers)
+
+    @cached_property
+    def _sorted_abs_sample(self) -> list[float]:
+        # The seed fixes the draw, so one sample answers every t asked of the
+        # config.  A NaN sum (magnitudes that overflow to opposite infinities)
+        # never exceeds t; leaving it out keeps the sample sorted.
+        rng = random.Random(self.seed)
+        size = self.replications
+        total = [0.0] * size
+        for sampler in self._samplers:
+            signs = rng.choices((-1.0, 1.0), k=size)
+            magnitudes = _magnitudes(sampler, rng, size)
+            total = [acc + sign * x for acc, sign, x in zip(total, signs, magnitudes)]
+        return sorted(a for a in map(abs, total) if a == a)
 
 
 def _sampler(term: dict) -> tuple:
@@ -656,34 +672,19 @@ def _magnitudes(sampler: tuple, rng: random.Random, size: int) -> list[float]:
     return [abs(rng.gauss(0.0, value)) for _ in range(size)]
 
 
-@lru_cache(maxsize=1)
-def _sorted_abs_sample(seed: int, size: int, samplers: tuple[tuple, ...]) -> list[float]:
-    # The seed fixes the draw, so the last configuration's sample answers
-    # every t asked of it.  A NaN sum (magnitudes that overflow to opposite
-    # infinities) never exceeds t; leaving it out keeps the sample sorted.
-    rng = random.Random(seed)
-    total = [0.0] * size
-    for sampler in samplers:
-        signs = rng.choices((-1.0, 1.0), k=size)
-        magnitudes = _magnitudes(sampler, rng, size)
-        total = [acc + sign * x for acc, sign, x in zip(total, signs, magnitudes)]
-    return sorted(a for a in map(abs, total) if a == a)
-
-
 def monte_carlo_tail(config: SampleConfig, t: float) -> tuple[float, float]:
     """Empirical P(|S| > t) with its binomial standard error.
 
     Deterministic given the seed: a single ``random.Random(seed)`` drives
-    all draws in a fixed term order.  The sorted |S| sample of the last
-    configuration (seed, replications and canonical terms) is kept, so
-    further t on it cost one bisection each.
+    all draws in a fixed term order.  The config keeps its sorted |S|
+    sample, so further t on it cost one bisection each.
     """
     if config.replications < 1000:
         raise ValueError("need at least 1000 replications")
     if not t >= 0:  # also rejects NaN
         raise ValueError(f"t must be nonnegative, got {t}")
     size = config.replications
-    sample = _sorted_abs_sample(config.seed, size, tuple(map(_sampler, config.terms)))
+    sample = config._sorted_abs_sample
     estimate = (len(sample) - bisect_right(sample, t)) / size
     std_error = math.sqrt(estimate * (1.0 - estimate) / size)
     return estimate, std_error

@@ -9,6 +9,7 @@ from functools import reduce
 import pytest
 
 import symtail
+from symtail import bounds
 from symtail.bounds import (
     BoundReport,
     _window_sums,
@@ -186,14 +187,18 @@ def test_bound_table_forms_quadratically_many_binomials(monkeypatch):
 
 
 def test_per_k_terms_forms_one_column(monkeypatch):
-    # One window column per report: at most 2n binomials, where one
-    # window sum per k >= m forms m binomials each, 420 here.
+    # One window column per read, where one window sum per k >= m would
+    # form m binomials each, 420 here.
     n = 40
     report = evaluate_bounds(["1/2"] * n, 1, 19)
     assert report.m == 20
-    calls = count_combs(monkeypatch)
+    calls, column = [], bounds._window_column
+    monkeypatch.setattr(bounds, "_window_column", lambda *a: calls.append(a) or column(*a))
+    combs = count_combs(monkeypatch)
     assert len(report.per_k_terms) == n + 1
-    assert 0 < len(calls) <= 2 * n
+    assert calls == [(n, 20)] and not combs
+    report.per_k_terms
+    assert calls == [(n, 20)] * 2
 
 
 class TestEvaluateBounds:

@@ -560,6 +560,28 @@ def test_malformed_shape_is_usage_error(tmp_path, command, payload):
     assert run(tmp_path, command, payload)[0] == 2
 
 
+@pytest.mark.parametrize("command, payload, cap",
+                         [("compare", COMPARE, 4), ("tighten", TIGHTEN, 16)])
+def test_support_cap_read_when_checked(tmp_path, monkeypatch, capsys, command, payload, cap):
+    # cap is the largest support product the input forms.  Like `sweep`
+    # (TestSweepCommand), these read MAX_SUPPORT_PRODUCT when they check it.
+    monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", cap)
+    assert run(tmp_path, command, payload)[0] == 0
+    monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", cap - 1)
+    code, _, out = run(tmp_path, command, payload, name="capped.json")
+    assert code == 2 and not out.exists()
+    assert f"exceeds cap {cap - 1}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload", [("bound", BOUND), ("sweep", SWEEP)])
+def test_unusable_output_path_is_usage_error(tmp_path, capsys, command, payload):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    assert main([command, "--input", str(inp), "--output", str(tmp_path / "out\0.csv")]) == 2
+    assert capsys.readouterr().err == "error: embedded null byte\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]  # no temporary file
+
+
 
 def _wire(q: Fraction, scale: int) -> str:
     """q as a wire string with numerator and denominator both times scale,

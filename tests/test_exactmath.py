@@ -69,6 +69,20 @@ class TestLargestBinomialSum:
                 column = [oracle[k, m] for k in range(m, n + 1)]
                 assert _window_column(n, m) == column, (n, m)
 
+    def test_long_column_forms_no_binomial(self, monkeypatch):
+        # F_k(1) is the central binomial C(k, floor(k/2)); the column carries
+        # it from step to step, where forming each afresh took about 0.5 s.
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: pytest.fail("math.comb called"))
+        column = _window_column(4096, 1)
+        monkeypatch.setattr(math, "comb", comb)
+        assert len(column) == 4096
+        for k in (*range(1, 64), 1023, 2048, 4095, 4096):
+            assert column[k - 1] == comb(k, k // 2), k
+        for n, m in ((200, 3), (1000, 7), (1001, 8), (4096, 2048)):
+            s = (n - m + 1) // 2
+            assert _window_column(n, m)[-1] == sum(comb(n, i) for i in range(s, s + m)), (n, m)
+
     def test_recursion(self):
         for n in range(1, 41):
             for m in range(1, 41):

@@ -13,11 +13,12 @@ import decimal
 import math
 from fractions import Fraction
 from functools import reduce
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symtail import bounds
+from symtail import bounds, oracles
 from symtail.bounds import bound_table
 from symtail.distributions import (
     LatticeDistribution,
@@ -302,11 +303,12 @@ def test_exact_sum_support_cap(terms, cap):
             break
         total = ref_convolve(total, atoms)
     laws_ = [law(atoms) for atoms in terms]
-    if over:
-        with pytest.raises(SupportCapExceeded):
-            exact_sum_distribution(laws_, max_support=cap)
-    else:
-        assert exact_sum_distribution(laws_, max_support=cap).atoms == total
+    with patch.object(oracles, "MAX_SUPPORT_PRODUCT", cap):
+        if over:
+            with pytest.raises(SupportCapExceeded):
+                exact_sum_distribution(laws_)
+        else:
+            assert exact_sum_distribution(laws_).atoms == total
 
 
 @st.composite

@@ -256,9 +256,10 @@ class TestExactSumDistribution:
             {-2: "1/16", -1: "1/4", 0: "3/8", 1: "1/4", 2: "1/16"}
         )
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 3)
         with pytest.raises(SupportCapExceeded):
-            exact_sum_distribution([coin(), coin()], max_support=3)
+            exact_sum_distribution([coin(), coin()])
 
     def test_matches_sign_pattern_enumeration(self):
         # independent oracle: enumerate all (zero, -h, +h) patterns
@@ -371,15 +372,17 @@ class TestSweepChecks:
         assert len(calls) == 826
 
     @pytest.mark.parametrize("cuts", [1, 11])  # 1 <= 2|P| = 10 < 11
-    def test_support_cap_on_the_unbuilt_sum(self, cuts):
+    def test_support_cap_on_the_unbuilt_sum(self, cuts, monkeypatch):
         # P is the five-atom law (1x5, built), and only the last product,
         # 5x3, is over a cap of 14.  With one cut S is never built.
         five = dist({x: Fraction(1, 5) for x in range(-2, 3)})
         lazy = dist({-1: "1/4", 0: "1/2", 1: "1/4"})
         grid = [Fraction(k, 8) for k in range(cuts)]
-        assert len(list(sweep_checks([[lazy, five]], 1, grid, max_support=15))) == 1
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 15)
+        assert len(list(sweep_checks([[lazy, five]], 1, grid))) == 1
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 14)
         with pytest.raises(SupportCapExceeded, match="support product 5x3 exceeds cap 14"):
-            list(sweep_checks([[lazy, five]], 1, grid, max_support=14))
+            list(sweep_checks([[lazy, five]], 1, grid))
 
 
 class TestTightnessSearch:
@@ -436,6 +439,25 @@ class TestMonteCarlo:
             {"kind": "uniform", "scale": 2},
         ))
         assert monte_carlo_tail(cfg, 1.0) == monte_carlo_tail(cfg, 1.0)
+        twin = SampleConfig(seed=99, replications=5000, terms=cfg.terms)
+        assert monte_carlo_tail(twin, 1.0) == monte_carlo_tail(cfg, 1.0)
+
+    def test_samplers_parsed_once_per_config(self, monkeypatch):
+        # The terms are parsed when the config is built, and the sample is
+        # drawn on its first t; later t reuse both.
+        parsed = []
+        parse = oracles._sampler
+        monkeypatch.setattr(oracles, "_sampler", lambda term: parsed.append(term) or parse(term))
+        terms = ({"kind": "atoms", "atoms": {"-1": "1/2", "1": "1/2"}},
+                 {"kind": "uniform", "scale": "1/2"})
+        cfg = SampleConfig(seed=5, replications=1000, terms=terms)
+        assert parsed == list(terms)
+        drawn = []
+        draw = oracles._magnitudes
+        monkeypatch.setattr(oracles, "_magnitudes", lambda *a: drawn.append(a[0]) or draw(*a))
+        estimates = [monte_carlo_tail(cfg, t)[0] for t in (0.0, 0.75, 1.25, 2.0)]
+        assert parsed == list(terms) and len(drawn) == 2
+        assert estimates == sorted(estimates, reverse=True) and estimates[-1] == 0.0
 
     def test_lattice_tail_within_four_standard_errors(self):
         terms = [dist({-2: "1/4", -1: "1/4", 1: "1/4", 2: "1/4"})] * 3
