@@ -210,7 +210,7 @@ def cmd_sweep(data: dict) -> Iterator[tuple]:
                 b_num, b_den = bound
                 slack_num = tail_num * b_den - b_num * den  # over den * b_den > 0
                 yield (index, format_rational(t), *exact(bound), *exact((tail_num, den)),
-                       format_rational(Fraction(slack_num, den * b_den)),
+                       format_rational((slack_num, den * b_den)),
                        "ok" if slack_num >= 0 else "VIOLATION")
 
     return rows()
@@ -247,19 +247,18 @@ def cmd_compare(data: dict) -> list[list]:
     if m_max > oracles.MAX_HALF_MASS_M:
         raise InputError(f"m_max={m_max} exceeds cap {oracles.MAX_HALF_MASS_M}")
     inst = ordering.ComparisonInstance(xs, ys)
-    rows = []
-    for t, s_tail, t_tail in ordering.pruss_check(inst, t_grid).rows:
-        rhs = Fraction(1, 2) * t_tail
-        rows.append(["pruss", format_rational(t), format_rational(s_tail),
-                     format_rational(rhs), "ok" if s_tail >= rhs else "VIOLATION"])
+    # Both checks' rows: exact cells straight from the integer pairs.
+    rows = [["pruss", format_rational(t), format_rational(lhs), format_rational(rhs),
+             "ok" if ok else "VIOLATION"]
+            for t, lhs, rhs, ok in ordering.pruss_rows(inst, t_grid)]
     try:
-        half = ordering.half_mass_check(inst, h, m_max)
+        half = ordering.half_mass_rows(inst, h, m_max)
     except ordering.HypothesisViolation as exc:
         rows.append(["half_mass", "", "", "", f"hypothesis-violated: {exc}"])
     else:
-        for m, lhs, rhs in half.rows:
-            rows.append(["half_mass", str(m), format_rational(lhs), format_rational(rhs),
-                         "ok" if lhs >= rhs else "VIOLATION"])
+        rows += [["half_mass", str(m), format_rational(lhs), format_rational(rhs),
+                  "ok" if ok else "VIOLATION"]
+                 for m, lhs, rhs, ok in half]
     birnbaum = ordering.birnbaum_check(inst, h)
     if birnbaum.hypothesis_ok:
         status = "ok" if birnbaum.conclusion_holds else "VIOLATION"

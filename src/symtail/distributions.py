@@ -416,10 +416,12 @@ def is_symmetric(d: LatticeDistribution) -> bool:
     """True iff the law equals the law of its negation."""
     indices, weights = d.indices, d.weights
     last = indices[-1]
+    offset, step = d.offset, d.step
     # x -> -x sends offset + step*i to offset + step*(last - i) exactly when
-    # the support is centred on 0
+    # the support is centred on 0: 2*offset + step*last == 0, over the
+    # positive denominators' product
     return (
-        2 * d.offset + d.step * last == 0
+        2 * offset.numerator * step.denominator + step.numerator * last * offset.denominator == 0
         and weights == weights[::-1]
         and all(i + j == last for i, j in zip(indices, reversed(indices)))
     )

@@ -602,7 +602,7 @@ class SampleConfig:
       {"kind": "gaussian", "sigma": s}         sign * |Normal(0, s)|
     Every draw is built as an independent fair sign times a magnitude, so
     terms are symmetric by construction, and construction raises ValueError
-    for an atoms literal that is not.
+    for an atoms literal that is not, and for fewer than 1000 replications.
     """
 
     seed: int
@@ -612,8 +612,8 @@ class SampleConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if self.replications < 1000:
+            raise ValueError("need at least 1000 replications")
         if not self.terms:
             raise ValueError("need at least one term")
         self._samplers  # every term is parsed, and checked, once: here
@@ -679,8 +679,6 @@ def monte_carlo_tail(config: SampleConfig, t: float) -> tuple[float, float]:
     all draws in a fixed term order.  The config keeps its sorted |S|
     sample, so further t on it cost one bisection each.
     """
-    if config.replications < 1000:
-        raise ValueError("need at least 1000 replications")
     if not t >= 0:  # also rejects NaN
         raise ValueError(f"t must be nonnegative, got {t}")
     size = config.replications

@@ -21,6 +21,13 @@ and build no atom.  Every term is symmetric, so both sums are: a tail
 P(|S| >= t) is 2 P(S >= t), and one walk down each sum answers a whole
 grid.  The lattice-class hypothesis takes O(1) integer work per law, and
 the {-h, 0, h} hypothesis one walk over at most the law's atoms.
+
+The Pruss and half-mass rows are integers: pruss_rows and half_mass_rows
+give each row's two sides as (numerator, denominator) pairs over the sums'
+denominators and its verdict from one integer cross-multiplication.
+pruss_check and half_mass_check build their Fraction reports from those
+rows, and `symtail compare` writes its cells and statuses straight from
+them, with no Fraction built.
 """
 
 from __future__ import annotations
@@ -77,6 +84,29 @@ class ComparisonInstance:
         return self._sums
 
 
+def _row(param, lhs_num: int, lhs_den: int, rhs_num: int, rhs_den: int) -> tuple:
+    """A check's row (param, lhs, rhs, ok): both sides as integer pairs over
+    positive denominators, unreduced, and ok = lhs >= rhs decided by one
+    cross-multiplication."""
+    return param, (lhs_num, lhs_den), (rhs_num, rhs_den), lhs_num * rhs_den >= rhs_num * lhs_den
+
+
+def pruss_rows(inst: ComparisonInstance, t_grid: Sequence) -> list[tuple]:
+    """The rows (t, P(|S| >= t), (1/2) P(|T| >= t), ok) of _row at every
+    positive grid t, ascending.
+
+    Both sums are symmetric, so P(|S| >= t) = 2 P(S >= t) for t > 0, and
+    (1/2) P(|T| >= t) = P(T >= t): one walk down each sum reads the grid.
+    """
+    s, t_dist = inst.sums()
+    ts = sorted(t for t in map(parse_rational, t_grid) if t.numerator > 0)
+    cuts = [(t.numerator, t.denominator) for t in ts]
+    s_tails = _upper_tail_weights(s, cuts, weak=True)
+    t_tails = _upper_tail_weights(t_dist, cuts, weak=True)
+    return [_row(t, 2 * s_ge, s.den, t_ge, t_dist.den)
+            for t, (_, s_ge), (_, t_ge) in zip(ts, s_tails, t_tails)]
+
+
 @dataclass
 class PrussReport:
     rows: list[tuple[Fraction, Fraction, Fraction]] = field(default_factory=list)
@@ -90,26 +120,44 @@ class PrussReport:
 def pruss_check(inst: ComparisonInstance, t_grid: Sequence) -> PrussReport:
     """Check P(|S| >= t) >= (1/2) P(|T| >= t) at every positive grid t.
 
-    Both sums are symmetric, so P(|S| >= t) = 2 P(S >= t) for t > 0: one
-    walk down each sum reads the whole grid, and the ratios are compared
-    on integers.
+    The rows are pruss_rows' as Fractions, (t, P(|S| >= t), P(|T| >= t));
+    min_ratio is the least P(|S| >= t) / P(|T| >= t) over the rows with
+    P(|T| >= t) > 0, found on integers.
     """
-    s, t_dist = inst.sums()
-    ts = sorted(t for t in map(parse_rational, t_grid) if t.numerator > 0)
-    cuts = [(t.numerator, t.denominator) for t in ts]
-    s_tails = _upper_tail_weights(s, cuts, weak=True)
-    t_tails = _upper_tail_weights(t_dist, cuts, weak=True)
     report = PrussReport()
     least = None  # min ratio as (numerator, denominator)
-    for t, (_, s_ge), (_, t_ge) in zip(ts, s_tails, t_tails):
-        report.rows.append((t, Fraction(2 * s_ge, s.den), Fraction(2 * t_ge, t_dist.den)))
-        if t_ge:
-            num, den = s_ge * t_dist.den, t_ge * s.den
+    for t, (s_num, s_den), (t_num, t_den), _ in pruss_rows(inst, t_grid):
+        report.rows.append((t, Fraction(s_num, s_den), Fraction(2 * t_num, t_den)))
+        if t_num:
+            num, den = s_num * t_den, 2 * t_num * s_den
             if least is None or num * least[1] < least[0] * den:
                 least = num, den
     if least is not None:
         report.min_ratio = Fraction(*least)
     return report
+
+
+def half_mass_rows(inst: ComparisonInstance, h, m_max: int) -> list[tuple]:
+    """The rows (m, half-mass of S at m*h, half-mass of T at m*h, ok) of
+    _row for m = 1..m_max.
+
+    Requires every Y_i to be supported on {-h, 0, h}.  For a symmetric sum
+    and t > 0 the half-mass P(|S| > t) + (1/2) P(|S| = t) is
+    P(S > t) + P(S >= t), so one walk down each sum gives every row.
+    """
+    h = parse_rational(h)
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
+    for i, y in enumerate(inst.ys):
+        if not _on_three_points(y, h):
+            raise HypothesisViolation(f"Y_{i + 1} not supported on {{-h, 0, h}}")
+    s, t_dist = inst.sums()
+    ms = range(1, m_max + 1)
+    cuts = [(m * h.numerator, h.denominator) for m in ms]
+    s_tails = _upper_tail_weights(s, cuts, weak=True)
+    t_tails = _upper_tail_weights(t_dist, cuts, weak=True)
+    return [_row(m, s_gt + s_ge, s.den, t_gt + t_ge, t_dist.den)
+            for m, (s_gt, s_ge), (t_gt, t_ge) in zip(ms, s_tails, t_tails)]
 
 
 @dataclass
@@ -126,25 +174,11 @@ def half_mass_check(inst: ComparisonInstance, h, m_max: int) -> HalfMassReport:
 
     Requires every Y_i to be supported on {-h, 0, h}.  The ordering is only
     claimed for positive m; m = 0 genuinely fails (the known two-coin
-    example gives 3/4 < 1 there).  For a symmetric sum and t > 0 the
-    half-mass P(|S| > t) + (1/2) P(|S| = t) is P(S > t) + P(S >= t), so
-    one walk down each sum gives every row.
+    example gives 3/4 < 1 there).  The rows are half_mass_rows' as
+    Fractions, (m, lhs, rhs).
     """
-    h = parse_rational(h)
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    for i, y in enumerate(inst.ys):
-        if not _on_three_points(y, h):
-            raise HypothesisViolation(f"Y_{i + 1} not supported on {{-h, 0, h}}")
-    s, t_dist = inst.sums()
-    ms = range(1, m_max + 1)
-    cuts = [(m * h.numerator, h.denominator) for m in ms]
-    report = HalfMassReport()
-    for m, (s_gt, s_ge), (t_gt, t_ge) in zip(
-        ms, _upper_tail_weights(s, cuts, weak=True), _upper_tail_weights(t_dist, cuts, weak=True)
-    ):
-        report.rows.append((m, Fraction(s_gt + s_ge, s.den), Fraction(t_gt + t_ge, t_dist.den)))
-    return report
+    return HalfMassReport([(m, Fraction(*lhs), Fraction(*rhs))
+                           for m, lhs, rhs, _ in half_mass_rows(inst, h, m_max)])
 
 
 def _on_three_points(d: LatticeDistribution, h: Fraction) -> bool:

@@ -7,16 +7,18 @@ whitespace.  Exponents, decimal points and underscores are not rationals.
 One parser reads it, ``rational_pair``, into an integer (numerator,
 denominator) pair, which is what every law constructor builds from;
 ``parse_rational`` wraps that pair in a ``Fraction``.
-Rendering is lossless; the decimal column emitted next to it is a
-convenience view, never a source of truth: the exact value rounded to 12
-significant digits, half to even, in one fixed decimal context, so the
-caller's ``decimal.getcontext()`` (its precision, rounding, traps and
-exponent letter) never changes it.
+Rendering is lossless: ``format_rational`` writes a Fraction, or an integer
+pair reduced by one gcd with no Fraction built, as "num/den".  The decimal
+column emitted next to it is a convenience view, never a source of truth:
+the exact value rounded to 12 significant digits, half to even, in one
+fixed decimal context, so the caller's ``decimal.getcontext()`` (its
+precision, rounding, traps and exponent letter) never changes it.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 import re
 from fractions import Fraction
 
@@ -27,17 +29,20 @@ def rational_pair(value) -> tuple[int, int]:
     """(numerator, denominator) of an int, a Fraction or a wire string (see
     above), with a positive denominator; a string's pair is as written, not
     reduced, so "2/4" gives (2, 4)."""
-    if isinstance(value, Fraction):
+    # Strings first: a str fails isinstance(value, Fraction) only through the
+    # abstract-base-class lookup that Fraction's metaclass makes.
+    if isinstance(value, str):
+        if match := _RATIONAL.fullmatch(value):
+            try:
+                num, den = int(match[1]), int(match[2] or 1)
+            except ValueError as exc:  # too many digits for int()
+                raise ValueError(f"not a rational: {value!r}") from exc
+            if den:
+                return num, den
+    elif isinstance(value, Fraction):
         return value.numerator, value.denominator
-    if isinstance(value, int) and not isinstance(value, bool):
+    elif isinstance(value, int) and not isinstance(value, bool):
         return value, 1
-    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
-        try:
-            num, den = int(match[1]), int(match[2] or 1)
-        except ValueError as exc:  # too many digits for int()
-            raise ValueError(f"not a rational: {value!r}") from exc
-        if den:
-            return num, den
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -48,18 +53,24 @@ def parse_rational(value) -> Fraction:
     return Fraction(*rational_pair(value))
 
 
-def format_rational(q: Fraction) -> str:
-    """Render exactly: "3", "-1/2", ..."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
+def format_rational(q: Fraction | int | tuple[int, int]) -> str:
+    """Render exactly: "3", "-1/2", ...  q is a Fraction, an int, or an
+    integer (numerator, denominator) pair with den > 0, rendered reduced."""
+    if isinstance(q, tuple):
+        num, den = q
+        g = math.gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+    else:
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        num, den = q.numerator, q.denominator
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         # More digits than sys.get_int_max_str_digits() lets str() write;
         # Decimal writes an exact integer without that limit.
-        num, den = (str(decimal.Decimal(n)) for n in (q.numerator, q.denominator))
+        num, den = (str(decimal.Decimal(n)) for n in (num, den))
         return num if den == "1" else f"{num}/{den}"
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import stat
+import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +27,7 @@ from util import (
     ref_decimal_str,
     ref_sweep_rows,
     shifted_window_sums,
+    tailless_s,
 )
 
 COIN = {"atoms": [{"x": "-1", "mass": "1/2"}, {"x": "1", "mass": "1/2"}]}
@@ -421,10 +423,49 @@ class TestCompareCommand:
         by_check = {}
         for row in rows:
             by_check.setdefault(row["check"], []).append(row)
-        assert by_check["pruss"][0]["lhs"] == "1/2"
-        assert by_check["pruss"][0]["rhs"] == "1/2"
+        # lhs == rhs is no violation
+        pruss = by_check["pruss"][0]
+        assert (pruss["lhs"], pruss["rhs"], pruss["status"]) == ("1/2", "1/2", "ok")
         assert all(r["status"] == "ok" for r in by_check["half_mass"])
         assert by_check["birnbaum"][0]["status"].startswith("hypothesis-violated")
+
+    def test_violation_rows_exit_1(self, tmp_path, monkeypatch):
+        tailless_s(monkeypatch)
+        payload = {"xs": [COIN, COIN], "ys": [COIN, ZERO], "h": "1", "t_grid": ["1", "3"],
+                   "m_max": 2}
+        code, rows, _ = run(tmp_path, "compare", payload)
+        assert code == 1
+        # at t = 3 and m = 2 both sides are 0: equality stays ok
+        assert [(r["check"], r["param"], r["lhs"], r["rhs"], r["status"]) for r in rows[:4]] == [
+            ("pruss", "1", "0", "1/2", "VIOLATION"), ("pruss", "3", "0", "0", "ok"),
+            ("half_mass", "1", "0", "1/2", "VIOLATION"), ("half_mass", "2", "0", "0", "ok"),
+        ]
+
+    def test_cells_past_str_digit_limit(self, tmp_path):
+        # Four terms with masses 1/d at +-1: the sums' denominator d^4 has
+        # more digits than str() may write, so the cells take Decimal's path.
+        d = 10 ** (sys.get_int_max_str_digits() // 4 + 1) + 1
+        law = {"atoms": [{"x": "-1", "mass": f"1/{d}"}, {"x": "0", "mass": f"{d - 2}/{d}"},
+                         {"x": "1", "mass": f"1/{d}"}]}
+        payload = {"xs": [law] * 4, "ys": [law] * 4, "h": "1", "t_grid": ["1", "4"], "m_max": 4}
+        code, rows, _ = run(tmp_path, "compare", payload)
+        assert code == 0
+        with pytest.raises(ValueError):
+            str(d**4)
+
+        def cell(text):
+            num, _, den = text.partition("/")
+            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+        terms = (LatticeDistribution.from_json_dict(law),) * 4
+        inst = ordering.ComparisonInstance(terms, terms)
+        pruss = ordering.pruss_check(inst, [1, 4]).rows
+        half = ordering.half_mass_check(inst, 1, 4).rows
+        assert [(r["check"], cell(r["lhs"]), cell(r["rhs"]), r["status"]) for r in rows[:-1]] == [
+            *(("pruss", s_tail, t_tail / 2, "ok") for _, s_tail, t_tail in pruss),
+            *(("half_mass", lhs, rhs, "ok") for _, lhs, rhs in half),
+        ]
+        assert pruss[-1][1] == Fraction(2, d**4)
 
     def test_undominated_pair_is_usage_error(self, tmp_path):
         payload = {"xs": [ZERO], "ys": [COIN], "h": "1", "t_grid": ["1"]}

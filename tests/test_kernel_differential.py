@@ -6,8 +6,10 @@ of the convolved sum, the sumset Kleitman count against the Gray-code
 enumeration, the bound table against the bounds' defining sums, JSON
 literals read straight into the integer form against a per-atom Fraction
 reading, the
-comparison queries and lattice checks against per-atom tails and residues,
-and the CSV's decimal view against a division in the ambient context."""
+comparison queries, their integer rows and verdicts, and the lattice checks
+against per-atom tails and residues, the CSV's decimal view against a
+division in the ambient context, and the exact cell of an integer pair
+against its reduced Fraction's."""
 
 import decimal
 import math
@@ -44,9 +46,11 @@ from symtail.ordering import (
     _lattice_classes,
     _on_three_points,
     half_mass_check,
+    half_mass_rows,
     pruss_check,
+    pruss_rows,
 )
-from symtail.rational import decimal_str
+from symtail.rational import decimal_str, format_rational, rational_pair
 
 from util import (
     ref_abs_stochastically_geq,
@@ -537,10 +541,15 @@ def test_pruss_check(pairs, data):
     s = ref_sum(x for x, _ in pairs)
     t = ref_sum(y for _, y in pairs)
     grid = data.draw(st.lists(st.one_of(query_points(s), query_points(t)), max_size=8))
-    report = pruss_check(instance(pairs), grid)
+    inst = instance(pairs)
+    report = pruss_check(inst, grid)
     rows = [(u, ref_abs_tail(s, u, strict=False), ref_abs_tail(t, u, strict=False))
             for u in sorted(grid) if u > 0]
     assert report.rows == rows
+    # the integer rows: the same sides as pairs, the verdict from the Fractions
+    assert [(u, Fraction(*lhs), Fraction(*rhs), ok)
+            for u, lhs, rhs, ok in pruss_rows(inst, grid)] \
+        == [(u, s_tail, t_tail / 2, s_tail >= t_tail / 2) for u, s_tail, t_tail in rows]
     ratios = [s_tail / t_tail for _, s_tail, t_tail in rows if t_tail]
     assert report.min_ratio == (min(ratios) if ratios else None)
 
@@ -556,12 +565,15 @@ def three_point_laws(draw, h):
 def test_half_mass_check(h, data):
     pairs = data.draw(st.lists(dominated_pairs(three_point_laws(h)), min_size=1, max_size=3))
     m_max = data.draw(st.integers(0, 6))
-    report = half_mass_check(instance(pairs), h, m_max)
+    inst = instance(pairs)
+    report = half_mass_check(inst, h, m_max)
     s = ref_sum(x for x, _ in pairs)
     t = ref_sum(y for _, y in pairs)
-    assert report.rows == [
-        (m, ref_half_mass(s, m * h), ref_half_mass(t, m * h)) for m in range(1, m_max + 1)
-    ]
+    rows = [(m, ref_half_mass(s, m * h), ref_half_mass(t, m * h)) for m in range(1, m_max + 1)]
+    assert report.rows == rows
+    assert [(m, Fraction(*lhs), Fraction(*rhs), ok)
+            for m, lhs, rhs, ok in half_mass_rows(inst, h, m_max)] \
+        == [(m, lhs, rhs, lhs >= rhs) for m, lhs, rhs in rows]
 
 
 def ref_lattice_classes(atoms, h) -> set[str]:
@@ -644,3 +656,28 @@ def test_decimal_str_ignores_caller_context():
         ctx.capitals = 0
         ctx.prec = 3
         assert [decimal_str(q) for q in values] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, st.integers(1, BIG))
+def test_format_rational_pair(q, k):
+    # an unreduced integer pair renders as its reduced Fraction does
+    assert format_rational((q.numerator * k, q.denominator * k)) == format_rational(q)
+
+
+class WireString(str):
+    pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-BIG, BIG), st.integers(1, BIG))
+def test_rational_pair(num, den):
+    # a wire string's pair is as written, a str subclass's too; a Fraction's
+    # is reduced; a bool is not a rational
+    text = f"{num}/{den}"
+    assert rational_pair(text) == rational_pair(WireString(text)) == (num, den)
+    assert rational_pair(Fraction(num, den)) == (Fraction(num, den).numerator,
+                                                 Fraction(num, den).denominator)
+    assert rational_pair(num) == (num, 1)
+    with pytest.raises(ValueError, match="not a rational"):
+        rational_pair(bool(num % 2))

@@ -504,11 +504,13 @@ class TestMonteCarlo:
             SampleConfig(seed=1, replications=1000, terms=({"kind": "gaussian", "sigma": sigma},))
 
     def test_replication_floor(self):
-        cfg = SampleConfig(seed=1, replications=10, terms=(
-            {"kind": "atoms", "atoms": {0: 1}},
-        ))
-        with pytest.raises(ValueError):
-            monte_carlo_tail(cfg, 0.0)
+        # The floor is checked when the config is built, before any draw.
+        terms = ({"kind": "atoms", "atoms": {0: 1}},)
+        for replications in (0, 10, 999):
+            with pytest.raises(ValueError, match="need at least 1000 replications"):
+                SampleConfig(seed=1, replications=replications, terms=terms)
+        cfg = SampleConfig(seed=1, replications=1000, terms=terms)
+        assert monte_carlo_tail(cfg, 0.0) == (0.0, 0.0)
 
     def test_gaussian_respects_improved_bound(self):
         import math

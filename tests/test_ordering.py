@@ -21,11 +21,13 @@ from symtail.ordering import (
     birnbaum_pair_check,
     half_mass,
     half_mass_check,
+    half_mass_rows,
     pruss_check,
+    pruss_rows,
     wintner_check,
 )
 
-from util import coin, dist, random_symmetric_law
+from util import coin, dist, random_symmetric_law, tailless_s
 
 UNIFORM3 = dist({-1: "1/3", 0: "1/3", 1: "1/3"})
 
@@ -102,11 +104,33 @@ class TestComparisonInstance:
         assert inst == two_coin_example() and hash(inst) == hash(two_coin_example())
 
 
+class TestViolationRows:
+    def test_pruss(self, monkeypatch):
+        tailless_s(monkeypatch)
+        inst = two_coin_example()
+        # t = 1: 0 < 1/2; t = 3: 0 >= 0, equality is no violation
+        assert pruss_rows(inst, [1, 3]) == [(1, (0, 1), (1, 2), False), (3, (0, 1), (0, 2), True)]
+        report = pruss_check(inst, [1, 3])
+        assert report.rows == [(1, 0, 1), (3, 0, 0)]
+        assert report.min_ratio == 0 and not report.ok
+
+    def test_half_mass(self, monkeypatch):
+        tailless_s(monkeypatch)
+        inst = two_coin_example()
+        assert half_mass_rows(inst, 1, 2) \
+            == [(1, (0, 1), (1, 2), False), (2, (0, 1), (0, 2), True)]
+        report = half_mass_check(inst, 1, 2)
+        assert report.rows == [(1, 0, Fraction(1, 2)), (2, 0, 0)]
+        assert not report.ok
+
+
 class TestPruss:
     def test_sharpness_example(self):
         report = pruss_check(two_coin_example(), [1])
         (t, s_tail, t_tail), = report.rows
         assert (t, s_tail, t_tail) == (1, Fraction(1, 2), Fraction(1))
+        # equality, 2/4 >= 1/2, holds; the pairs stay over the sums' denominators
+        assert pruss_rows(two_coin_example(), [1]) == [(1, (2, 4), (1, 2), True)]
         assert report.min_ratio == Fraction(1, 2)
         assert report.ok
 

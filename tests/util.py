@@ -8,9 +8,9 @@ import random
 from fractions import Fraction
 from operator import sub
 
-from symtail import bounds, oracles
+from symtail import bounds, oracles, ordering
 from symtail.bounds import _window_sums, improved_bound
-from symtail.distributions import LatticeDistribution, abs_tail
+from symtail.distributions import LatticeDistribution, abs_tail, point_mass
 from symtail.oracles import _SIZES, exact_sum_distribution
 from symtail.rational import format_rational
 
@@ -182,6 +182,20 @@ SUM_CORRUPTIONS = {
     "improved-above-1": lambda na, im, ka, co: (na, co + 1, -1, co),
     "kanter-not-complement": lambda na, im, ka, co: (na, im, ka + 1, co),
 }
+
+
+def tailless_s(monkeypatch) -> None:
+    """Make the first sum of each comparison instance, S = sum X_i, a point
+    mass at 0.  The comparison theorems hold on every valid input, so only
+    a lost tail reaches their violation rows."""
+    real = ordering.exact_sum_distribution
+    built = []
+
+    def sums(terms):  # each instance builds S, then T
+        built.append(terms)
+        return point_mass(0) if len(built) % 2 else real(terms)
+
+    monkeypatch.setattr(ordering, "exact_sum_distribution", sums)
 
 
 def count_convolutions(monkeypatch) -> list:
