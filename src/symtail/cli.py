@@ -250,9 +250,9 @@ def cmd_compare(data: dict) -> list[list]:
     # Both checks' rows: exact cells straight from the integer pairs.
     rows = [["pruss", format_rational(t), format_rational(lhs), format_rational(rhs),
              "ok" if ok else "VIOLATION"]
-            for t, lhs, rhs, ok in ordering.pruss_rows(inst, t_grid)]
+            for t, lhs, rhs, ok in ordering.pruss_check(inst, t_grid).rows]
     try:
-        half = ordering.half_mass_rows(inst, h, m_max)
+        half = ordering.half_mass_check(inst, h, m_max).rows
     except ordering.HypothesisViolation as exc:
         rows.append(["half_mass", "", "", "", f"hypothesis-violated: {exc}"])
     else:

@@ -418,6 +418,8 @@ def symmetric_lattice_family(
     law is built; the instances are then generated lazily.
     """
     h = parse_rational(h)
+    if h <= 0 or max_n < 0:
+        raise ValueError(f"need h > 0 and max_n >= 0, got h={h}, max_n={max_n}")
     if denominator < 1 or radius < 0:
         raise ValueError(f"need denominator >= 1 and radius >= 0, got {denominator}, {radius}")
     # L = C(denominator//2 + radius, radius) laws, each built over the
@@ -431,7 +433,7 @@ def symmetric_lattice_family(
             f"{MAX_FAMILY_BUILD_WORK} lattice points to build its laws"
         )
     cap = MAX_FAMILY_INSTANCES
-    if max_n >= 1 and _binomial_at_most(laws + max_n, max_n, cap + 1) > cap + 1:
+    if _binomial_at_most(laws + max_n, max_n, cap + 1) > cap + 1:
         raise ValueError(
             f"family of max_n={max_n}, denominator={denominator}, radius={radius} "
             f"exceeds the cap of {MAX_FAMILY_INSTANCES} instances"
@@ -518,8 +520,10 @@ def extremal_interval_check(p: Sequence, h, H) -> tuple[Fraction, Fraction]:
     h, H = parse_rational(h), parse_rational(H)
     if not 0 < h <= H:
         raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
-    m = math.ceil(H / h)
-    if not m < H / h + Fraction(1, 2):
+    # H/h = q_num/q_den; m = ceil(H/h), and m < H/h + 1/2 times 2*q_den
+    q_num, q_den = H.numerator * h.denominator, H.denominator * h.numerator
+    m = -(-q_num // q_den)
+    if not 2 * m * q_den < 2 * q_num + q_den:
         raise ValueError(f"half-integer condition fails: ceil(H/h)={m} >= H/h + 1/2")
     a = m * h - H
     sup = kanter_supremum(p, m)

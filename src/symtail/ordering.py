@@ -22,17 +22,16 @@ P(|S| >= t) is 2 P(S >= t), and one walk down each sum answers a whole
 grid.  The lattice-class hypothesis takes O(1) integer work per law, and
 the {-h, 0, h} hypothesis one walk over at most the law's atoms.
 
-The Pruss and half-mass rows are integers: pruss_rows and half_mass_rows
-give each row's two sides as (numerator, denominator) pairs over the sums'
-denominators and its verdict from one integer cross-multiplication.
-pruss_check and half_mass_check build their Fraction reports from those
-rows, and `symtail compare` writes its cells and statuses straight from
-them, with no Fraction built.
+pruss_check and half_mass_check are the one producer of their rows.  A row
+is (param, lhs, rhs, ok): both sides as (numerator, denominator) pairs over
+the sums' denominators, and ok from one integer cross-multiplication.  A
+report's ok is the conjunction of its rows' verdicts, and `symtail compare`
+writes its cells and statuses straight from the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -91,11 +90,36 @@ def _row(param, lhs_num: int, lhs_den: int, rhs_num: int, rhs_den: int) -> tuple
     return param, (lhs_num, lhs_den), (rhs_num, rhs_den), lhs_num * rhs_den >= rhs_num * lhs_den
 
 
-def pruss_rows(inst: ComparisonInstance, t_grid: Sequence) -> list[tuple]:
-    """The rows (t, P(|S| >= t), (1/2) P(|T| >= t), ok) of _row at every
-    positive grid t, ascending.
+@dataclass
+class CheckReport:
+    """A comparison check's rows, each (param, lhs, rhs, ok) from _row."""
 
-    Both sums are symmetric, so P(|S| >= t) = 2 P(S >= t) for t > 0, and
+    rows: list[tuple]
+
+    @property
+    def ok(self) -> bool:
+        """Every row's verdict holds."""
+        return all(row[3] for row in self.rows)
+
+
+class PrussReport(CheckReport):
+    @property
+    def min_ratio(self) -> Fraction | None:
+        """The least P(|S| >= t) / P(|T| >= t) = lhs / (2 rhs) over the rows
+        with rhs > 0, found by integer cross-multiplication; None if none."""
+        least = None  # (numerator, denominator)
+        for _, (s_num, s_den), (t_num, t_den), _ in self.rows:
+            num, den = s_num * t_den, 2 * t_num * s_den
+            if t_num and (least is None or num * least[1] < least[0] * den):
+                least = num, den
+        return None if least is None else Fraction(*least)
+
+
+def pruss_check(inst: ComparisonInstance, t_grid: Sequence) -> PrussReport:
+    """Check P(|S| >= t) >= (1/2) P(|T| >= t) at every positive grid t.
+
+    The rows are (t, P(|S| >= t), (1/2) P(|T| >= t), ok), t ascending.  Both
+    sums are symmetric, so P(|S| >= t) = 2 P(S >= t) for t > 0, and
     (1/2) P(|T| >= t) = P(T >= t): one walk down each sum reads the grid.
     """
     s, t_dist = inst.sums()
@@ -103,51 +127,25 @@ def pruss_rows(inst: ComparisonInstance, t_grid: Sequence) -> list[tuple]:
     cuts = [(t.numerator, t.denominator) for t in ts]
     s_tails = _upper_tail_weights(s, cuts, weak=True)
     t_tails = _upper_tail_weights(t_dist, cuts, weak=True)
-    return [_row(t, 2 * s_ge, s.den, t_ge, t_dist.den)
-            for t, (_, s_ge), (_, t_ge) in zip(ts, s_tails, t_tails)]
+    return PrussReport([_row(t, 2 * s_ge, s.den, t_ge, t_dist.den)
+                        for t, (_, s_ge), (_, t_ge) in zip(ts, s_tails, t_tails)])
 
 
-@dataclass
-class PrussReport:
-    rows: list[tuple[Fraction, Fraction, Fraction]] = field(default_factory=list)
-    min_ratio: Fraction | None = None
+def half_mass_check(inst: ComparisonInstance, h, m_max: int) -> CheckReport:
+    """Check the half-mass ordering at t = m*h for m = 1..m_max.
 
-    @property
-    def ok(self) -> bool:
-        return all(s >= Fraction(1, 2) * t for _, s, t in self.rows)
-
-
-def pruss_check(inst: ComparisonInstance, t_grid: Sequence) -> PrussReport:
-    """Check P(|S| >= t) >= (1/2) P(|T| >= t) at every positive grid t.
-
-    The rows are pruss_rows' as Fractions, (t, P(|S| >= t), P(|T| >= t));
-    min_ratio is the least P(|S| >= t) / P(|T| >= t) over the rows with
-    P(|T| >= t) > 0, found on integers.
-    """
-    report = PrussReport()
-    least = None  # min ratio as (numerator, denominator)
-    for t, (s_num, s_den), (t_num, t_den), _ in pruss_rows(inst, t_grid):
-        report.rows.append((t, Fraction(s_num, s_den), Fraction(2 * t_num, t_den)))
-        if t_num:
-            num, den = s_num * t_den, 2 * t_num * s_den
-            if least is None or num * least[1] < least[0] * den:
-                least = num, den
-    if least is not None:
-        report.min_ratio = Fraction(*least)
-    return report
-
-
-def half_mass_rows(inst: ComparisonInstance, h, m_max: int) -> list[tuple]:
-    """The rows (m, half-mass of S at m*h, half-mass of T at m*h, ok) of
-    _row for m = 1..m_max.
-
-    Requires every Y_i to be supported on {-h, 0, h}.  For a symmetric sum
-    and t > 0 the half-mass P(|S| > t) + (1/2) P(|S| = t) is
-    P(S > t) + P(S >= t), so one walk down each sum gives every row.
+    Requires every Y_i to be supported on {-h, 0, h}.  The ordering is only
+    claimed for positive m; m = 0 genuinely fails (the known two-coin
+    example gives 3/4 < 1 there).  The rows are (m, half-mass of S at m*h,
+    half-mass of T at m*h, ok).  For a symmetric sum and t > 0 the
+    half-mass P(|S| > t) + (1/2) P(|S| = t) is P(S > t) + P(S >= t), so one
+    walk down each sum gives every row.
     """
     h = parse_rational(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
     for i, y in enumerate(inst.ys):
         if not _on_three_points(y, h):
             raise HypothesisViolation(f"Y_{i + 1} not supported on {{-h, 0, h}}")
@@ -156,29 +154,8 @@ def half_mass_rows(inst: ComparisonInstance, h, m_max: int) -> list[tuple]:
     cuts = [(m * h.numerator, h.denominator) for m in ms]
     s_tails = _upper_tail_weights(s, cuts, weak=True)
     t_tails = _upper_tail_weights(t_dist, cuts, weak=True)
-    return [_row(m, s_gt + s_ge, s.den, t_gt + t_ge, t_dist.den)
-            for m, (s_gt, s_ge), (t_gt, t_ge) in zip(ms, s_tails, t_tails)]
-
-
-@dataclass
-class HalfMassReport:
-    rows: list[tuple[int, Fraction, Fraction]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(lhs >= rhs for _, lhs, rhs in self.rows)
-
-
-def half_mass_check(inst: ComparisonInstance, h, m_max: int) -> HalfMassReport:
-    """Check the half-mass ordering at t = m*h for m = 1..m_max.
-
-    Requires every Y_i to be supported on {-h, 0, h}.  The ordering is only
-    claimed for positive m; m = 0 genuinely fails (the known two-coin
-    example gives 3/4 < 1 there).  The rows are half_mass_rows' as
-    Fractions, (m, lhs, rhs).
-    """
-    return HalfMassReport([(m, Fraction(*lhs), Fraction(*rhs))
-                           for m, lhs, rhs, _ in half_mass_rows(inst, h, m_max)])
+    return CheckReport([_row(m, s_gt + s_ge, s.den, t_gt + t_ge, t_dist.den)
+                        for m, (s_gt, s_ge), (t_gt, t_ge) in zip(ms, s_tails, t_tails)])
 
 
 def _on_three_points(d: LatticeDistribution, h: Fraction) -> bool:
@@ -190,9 +167,12 @@ def _on_three_points(d: LatticeDistribution, h: Fraction) -> bool:
 
 @dataclass
 class BirnbaumReport:
-    hypothesis_ok: bool
     violations: tuple[str, ...]
     conclusion_holds: bool
+
+    @property
+    def hypothesis_ok(self) -> bool:
+        return not self.violations
 
 
 def birnbaum_check(inst: ComparisonInstance, h) -> BirnbaumReport:
@@ -214,12 +194,7 @@ def birnbaum_check(inst: ComparisonInstance, h) -> BirnbaumReport:
                 f"pair (X_{i + 1}, Y_{i + 1}) not both on h*Z or both on h*(Z+1/2)"
             )
     s, t_dist = inst.sums()
-    conclusion = abs_stochastically_geq(s, t_dist)
-    return BirnbaumReport(
-        hypothesis_ok=not violations,
-        violations=tuple(violations),
-        conclusion_holds=conclusion,
-    )
+    return BirnbaumReport(tuple(violations), abs_stochastically_geq(s, t_dist))
 
 
 def _lattice_classes(d: LatticeDistribution, h: Fraction) -> set[str]:
@@ -271,9 +246,11 @@ def birnbaum_pair_check(
 def wintner_check(x: LatticeDistribution, y: LatticeDistribution, h) -> bool:
     """Closure of symmetry and span-h unimodality under convolution.
 
-    Hypotheses (enforced): x and y symmetric and unimodal with span h, each
-    on h*Z or h*(Z + 1/2).  Returns whether x (+) y is again symmetric and
-    unimodal with span h; under the hypotheses this must be true.
+    Hypotheses (enforced): x and y symmetric and unimodal with span h.  For
+    h > 0 each then lies on h*Z or h*(Z + 1/2): a law of several atoms has
+    step h, indices 0..last and offset -h*last/2.  Returns whether x (+) y
+    is again symmetric and unimodal with span h; under the hypotheses this
+    must be true.
     """
     h = parse_rational(h)
     for label, d in (("x", x), ("y", y)):
@@ -281,7 +258,5 @@ def wintner_check(x: LatticeDistribution, y: LatticeDistribution, h) -> bool:
             raise HypothesisViolation(f"{label} is not symmetric")
         if not is_unimodal_with_span(d, h):
             raise HypothesisViolation(f"{label} is not unimodal with span {h}")
-        if h > 0 and not _lattice_classes(d, h):
-            raise HypothesisViolation(f"{label} is not on h*Z or h*(Z+1/2)")
     total = exact_sum_distribution([x, y])
     return is_symmetric(total) and is_unimodal_with_span(total, h)

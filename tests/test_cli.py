@@ -297,7 +297,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "change",
         [{"family": {"max_n": 2, "radius": "2"}}, {"family": {"max_n": 2, "denominator": None}},
-         {"family": {"max_n": 2, "radius": -1}}, {"family": {"max_n": 2, "denominator": 0}}],
+         {"family": {"max_n": 2, "radius": -1}}, {"family": {"max_n": 2, "denominator": 0}},
+         {"family": {"max_n": -2}}],
     )
     def test_malformed_input_is_usage_error(self, tmp_path, change):
         payload = {"h": "1", "t_grid": ["0"], "instances": [[COIN]]} | change
@@ -462,17 +463,19 @@ class TestCompareCommand:
         pruss = ordering.pruss_check(inst, [1, 4]).rows
         half = ordering.half_mass_check(inst, 1, 4).rows
         assert [(r["check"], cell(r["lhs"]), cell(r["rhs"]), r["status"]) for r in rows[:-1]] == [
-            *(("pruss", s_tail, t_tail / 2, "ok") for _, s_tail, t_tail in pruss),
-            *(("half_mass", lhs, rhs, "ok") for _, lhs, rhs in half),
+            (check, Fraction(*lhs), Fraction(*rhs), "ok")
+            for check, report in (("pruss", pruss), ("half_mass", half))
+            for _, lhs, rhs, _ in report
         ]
-        assert pruss[-1][1] == Fraction(2, d**4)
+        assert Fraction(*pruss[-1][1]) == Fraction(2, d**4)
 
     def test_undominated_pair_is_usage_error(self, tmp_path):
         payload = {"xs": [ZERO], "ys": [COIN], "h": "1", "t_grid": ["1"]}
         code, _, _ = run(tmp_path, "compare", payload)
         assert code == 2
 
-    @pytest.mark.parametrize("change", [{"m_max": "two"}, {"m_max": None}, {"h": "0"}])
+    @pytest.mark.parametrize("change", [{"m_max": "two"}, {"m_max": None}, {"h": "0"},
+                                        {"m_max": -3}])
     def test_bad_field_is_usage_error(self, tmp_path, change):
         payload = {"xs": [COIN], "ys": [ZERO], "h": "1", "t_grid": ["1"]} | change
         assert run(tmp_path, "compare", payload)[0] == 2

@@ -8,8 +8,8 @@ scan of `src/symtail` finds:
   * no float literal, no use of the name `float` outside an annotation, and
     no `math` name that is not exact on integers and Fractions, outside the
     Monte Carlo block;
-  * no true division `/` outside a named allowlist: the two oracles that
-    divide Fractions, and the Monte Carlo block.
+  * no true division `/` outside a named allowlist: the oracle that
+    divides Fractions, and the Monte Carlo block.
 
 The integer row path of `symtail compare` builds no Fraction and divides
 nothing; its functions are named below so a rename cannot drop them from
@@ -26,11 +26,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "symtail"
 # Top-level definitions of oracles.py that sample floats.
 MONTE_CARLO = {"SampleConfig", "_sampler", "_magnitudes", "monte_carlo_tail"}
 # Top-level functions that may use `/`: on Fractions, or in the Monte Carlo block.
-DIVISION = {"extremal_interval_check", "tightness_search"} | MONTE_CARLO
+DIVISION = {"tightness_search"} | MONTE_CARLO
 # math functions whose result is exact for integer or Fraction arguments.
 EXACT_MATH = {"gcd", "lcm", "comb", "perm", "prod", "isqrt", "factorial", "ceil", "floor"}
 # The integer path of the comparison rows and the shared helpers it calls.
-INTEGER_PATH = {"_row", "pruss_rows", "half_mass_rows", "is_symmetric", "cmd_compare"}
+INTEGER_PATH = {"_row", "pruss_check", "half_mass_check", "is_symmetric", "cmd_compare"}
 
 
 def scan(source: str) -> tuple[list[tuple[int, str, str]], set[str]]:

@@ -46,9 +46,7 @@ from symtail.ordering import (
     _lattice_classes,
     _on_three_points,
     half_mass_check,
-    half_mass_rows,
     pruss_check,
-    pruss_rows,
 )
 from symtail.rational import decimal_str, format_rational, rational_pair
 
@@ -545,11 +543,10 @@ def test_pruss_check(pairs, data):
     report = pruss_check(inst, grid)
     rows = [(u, ref_abs_tail(s, u, strict=False), ref_abs_tail(t, u, strict=False))
             for u in sorted(grid) if u > 0]
-    assert report.rows == rows
-    # the integer rows: the same sides as pairs, the verdict from the Fractions
-    assert [(u, Fraction(*lhs), Fraction(*rhs), ok)
-            for u, lhs, rhs, ok in pruss_rows(inst, grid)] \
+    # the integer rows: the sides as pairs, the verdict from the Fractions
+    assert [(u, Fraction(*lhs), Fraction(*rhs), ok) for u, lhs, rhs, ok in report.rows] \
         == [(u, s_tail, t_tail / 2, s_tail >= t_tail / 2) for u, s_tail, t_tail in rows]
+    assert report.ok == all(s_tail >= t_tail / 2 for _, s_tail, t_tail in rows)
     ratios = [s_tail / t_tail for _, s_tail, t_tail in rows if t_tail]
     assert report.min_ratio == (min(ratios) if ratios else None)
 
@@ -570,10 +567,9 @@ def test_half_mass_check(h, data):
     s = ref_sum(x for x, _ in pairs)
     t = ref_sum(y for _, y in pairs)
     rows = [(m, ref_half_mass(s, m * h), ref_half_mass(t, m * h)) for m in range(1, m_max + 1)]
-    assert report.rows == rows
-    assert [(m, Fraction(*lhs), Fraction(*rhs), ok)
-            for m, lhs, rhs, ok in half_mass_rows(inst, h, m_max)] \
+    assert [(m, Fraction(*lhs), Fraction(*rhs), ok) for m, lhs, rhs, ok in report.rows] \
         == [(m, lhs, rhs, lhs >= rhs) for m, lhs, rhs in rows]
+    assert report.ok == all(lhs >= rhs for _, lhs, rhs in rows)
 
 
 def ref_lattice_classes(atoms, h) -> set[str]:
@@ -596,6 +592,29 @@ def test_lattice_classes(atoms, data):
         st.sampled_from([base, 2 * base, base / 2, 2 * abs(d.offset) or base]), steps
     ))
     assert _lattice_classes(d, h) == ref_lattice_classes(atoms, h)
+
+
+@st.composite
+def symmetric_unimodal_laws(draw):
+    """Atoms of a symmetric law unimodal with span h: weights rising to a
+    middle peak over last + 1 consecutive points of h*Z - h*last/2, or a
+    point mass at 0."""
+    h, last = draw(steps), draw(st.integers(0, 8))
+    size = last // 2 + 1
+    rise = sorted(draw(st.lists(st.integers(1, 9).map(Fraction), min_size=size, max_size=size)))
+    weights = rise + rise[::-1] if last % 2 else rise + rise[-2::-1]
+    return h, _normalized([h * i - h * last / 2 for i in range(last + 1)], weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_unimodal_laws())
+def test_symmetric_unimodal_laws_have_a_lattice_class(h_atoms):
+    # why wintner_check needs no lattice-class clause: symmetry and span-h
+    # unimodality put a law on h*Z or h*(Z + 1/2)
+    h, atoms = h_atoms
+    d = law(atoms)
+    assert is_symmetric(d) and is_unimodal_with_span(d, h)
+    assert _lattice_classes(d, h)
 
 
 @settings(max_examples=100, deadline=None)

@@ -326,6 +326,13 @@ class TestBoundSoundnessSweep:
             [law.atoms for law in inst] for inst in expected
         ]
 
+    @pytest.mark.parametrize("max_n, h", [(2, 0), (2, -1), (-2, 1)])
+    def test_bad_h_or_max_n_rejected_before_the_caps(self, max_n, h):
+        # h = 0 would put both atoms of a coin at 0, h = -1 give a descending
+        # support, max_n = -2 an empty family; the family below is past both caps
+        with pytest.raises(ValueError, match=r"need h > 0 and max_n >= 0"):
+            symmetric_lattice_family(max_n, 10**30, 10**30, h)
+
     def test_huge_family_rejected_at_once(self):
         with pytest.raises(ValueError, match="cap"):
             symmetric_lattice_family(2, 10**30, 10**30)

@@ -14,6 +14,7 @@ from symtail.distributions import (
     point_mass,
 )
 from symtail.oracles import exact_sum_distribution
+from symtail import ordering
 from symtail.ordering import (
     ComparisonInstance,
     HypothesisViolation,
@@ -21,9 +22,7 @@ from symtail.ordering import (
     birnbaum_pair_check,
     half_mass,
     half_mass_check,
-    half_mass_rows,
     pruss_check,
-    pruss_rows,
     wintner_check,
 )
 
@@ -109,28 +108,24 @@ class TestViolationRows:
         tailless_s(monkeypatch)
         inst = two_coin_example()
         # t = 1: 0 < 1/2; t = 3: 0 >= 0, equality is no violation
-        assert pruss_rows(inst, [1, 3]) == [(1, (0, 1), (1, 2), False), (3, (0, 1), (0, 2), True)]
         report = pruss_check(inst, [1, 3])
-        assert report.rows == [(1, 0, 1), (3, 0, 0)]
+        assert report.rows == [(1, (0, 1), (1, 2), False), (3, (0, 1), (0, 2), True)]
         assert report.min_ratio == 0 and not report.ok
 
     def test_half_mass(self, monkeypatch):
         tailless_s(monkeypatch)
         inst = two_coin_example()
-        assert half_mass_rows(inst, 1, 2) \
-            == [(1, (0, 1), (1, 2), False), (2, (0, 1), (0, 2), True)]
         report = half_mass_check(inst, 1, 2)
-        assert report.rows == [(1, 0, Fraction(1, 2)), (2, 0, 0)]
+        assert report.rows == [(1, (0, 1), (1, 2), False), (2, (0, 1), (0, 2), True)]
         assert not report.ok
 
 
 class TestPruss:
     def test_sharpness_example(self):
         report = pruss_check(two_coin_example(), [1])
-        (t, s_tail, t_tail), = report.rows
-        assert (t, s_tail, t_tail) == (1, Fraction(1, 2), Fraction(1))
-        # equality, 2/4 >= 1/2, holds; the pairs stay over the sums' denominators
-        assert pruss_rows(two_coin_example(), [1]) == [(1, (2, 4), (1, 2), True)]
+        # P(|S| >= 1) = 2/4 and (1/2) P(|T| >= 1) = 1/2: equality holds, and
+        # the pairs stay over the sums' denominators
+        assert report.rows == [(1, (2, 4), (1, 2), True)]
         assert report.min_ratio == Fraction(1, 2)
         assert report.ok
 
@@ -161,7 +156,7 @@ class TestHalfMass:
     def test_positive_lattice_points_hold(self):
         report = half_mass_check(two_coin_example(), 1, 2)
         assert report.ok
-        assert report.rows[0] == (1, Fraction(1, 2), Fraction(1, 2))
+        assert report.rows[0] == (1, (2, 4), (1, 2), True)  # 1/2 >= 1/2
 
     def test_zero_excluded_for_a_reason(self):
         # at m = 0 the ordering genuinely fails: 3/4 < 1
@@ -173,7 +168,8 @@ class TestHalfMass:
         law = dist({-1: "1/4", 0: "1/2", 1: "1/4"})
         inst = ComparisonInstance((law, law), (law, law))
         report = half_mass_check(inst, 1, 2)
-        assert all(lhs == rhs for _, lhs, rhs in report.rows)
+        assert report.ok
+        assert all(Fraction(*lhs) == Fraction(*rhs) for _, lhs, rhs, _ in report.rows)
 
     def test_wider_x_terms(self):
         xs = (dist({-2: "1/2", 2: "1/2"}), dist({-2: "1/2", 2: "1/2"}))
@@ -185,6 +181,17 @@ class TestHalfMass:
         xs = (dist({-2: "1/2", 2: "1/2"}),)
         with pytest.raises(HypothesisViolation):
             half_mass_check(ComparisonInstance(xs, xs), 1, 1)
+
+    def test_negative_m_max_rejected_before_the_sums(self, monkeypatch):
+        def no_sums(terms):
+            raise AssertionError("sum laws built before m_max was checked")
+
+        assert half_mass_check(two_coin_example(), 1, 0).rows == []
+        monkeypatch.setattr(ordering, "exact_sum_distribution", no_sums)
+        xs = (dist({-2: "1/2", 2: "1/2"}),)  # Y off {-h, 0, h}: m_max is checked first
+        with pytest.raises(ValueError, match="m_max must be nonnegative, got -3") as err:
+            half_mass_check(ComparisonInstance(xs, xs), 1, -3)
+        assert not isinstance(err.value, HypothesisViolation)
 
     def test_cross_validates_against_supremum_complement(self):
         # with p_i = P(|Y_i| = h), 1 - kanter_supremum(p, m) lower-bounds
@@ -256,6 +263,17 @@ class TestBirnbaumPair:
     def test_hypothesis_enforced(self):
         with pytest.raises(HypothesisViolation):
             birnbaum_pair_check(coin(), coin(), point_mass(0), 1)  # U not unimodal span 1
+        lopsided = dist({0: "1/2", 1: "1/2"})
+        with pytest.raises(HypothesisViolation, match="V is not symmetric"):
+            birnbaum_pair_check(UNIFORM3, lopsided, point_mass(0), 1)
+        with pytest.raises(HypothesisViolation, match="W is not symmetric"):
+            birnbaum_pair_check(UNIFORM3, coin(), lopsided, 1)
+        with pytest.raises(HypothesisViolation, match=r"\|V\| does not dominate \|W\|"):
+            birnbaum_pair_check(UNIFORM3, point_mass(0), coin(), 1)
+        # +-1/2 lies on Z + 1/2, 0 on Z only
+        half_coin = dist({"-1/2": "1/2", "1/2": "1/2"})
+        with pytest.raises(HypothesisViolation, match="V and W are not on a common lattice class"):
+            birnbaum_pair_check(UNIFORM3, half_coin, point_mass(0), 1)
 
 
 class TestWintner:
@@ -288,3 +306,5 @@ class TestWintner:
     def test_hypothesis_enforced(self):
         with pytest.raises(HypothesisViolation):
             wintner_check(coin(), coin(), 1)  # gap at 0: not unimodal span 1
+        with pytest.raises(HypothesisViolation, match="x is not symmetric"):
+            wintner_check(dist({0: "1/2", 1: "1/2"}), UNIFORM3, 1)
