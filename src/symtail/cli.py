@@ -4,7 +4,10 @@ Exit codes: 0 = all asserted inequalities held, 1 = a violation was found,
 2 = input/usage error.  Rational values appear in the CSV as exact
 "num/den" strings with a decimal column beside them: 12 significant digits,
 rounded half to even whatever the caller's decimal context.  The decimal
-column is derived, never authoritative.  Bad input writes no CSV: `sweep`,
+column is derived, never authoritative.  Both cells of a value come from
+its integer (numerator, denominator) pair through one helper, `_exact`;
+`bound` keeps its t grid as such pairs from the JSON to the CSV, so its
+rows build no Fraction.  Bad input writes no CSV: `sweep`,
 whose row count the input does not bound, streams its rows to a temporary
 file that replaces the output only when the sweep ends; the others build
 their rows before they open the output.
@@ -36,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 from . import bounds, oracles, ordering
 from .distributions import LatticeDistribution, abs_tail, as_success_vector, is_symmetric
 from .exactmath import largest_binomial_sum
-from .rational import decimal_str, format_rational, parse_rational
+from .rational import decimal_str, format_rational, rational_pair
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -98,11 +101,19 @@ def _int(value, name: str) -> int:
     return value
 
 
-def _rational(value, name: str) -> Fraction:
+def _pair(value, name: str) -> tuple[int, int]:
     try:
-        return parse_rational(value)
+        return rational_pair(value)
     except ValueError as exc:
         raise InputError(f"{name}: {exc}") from exc
+
+
+def _pairs(value, name: str) -> tuple[tuple[int, int], ...]:
+    return tuple(_pair(v, name) for v in _list(value, name))
+
+
+def _rational(value, name: str) -> Fraction:
+    return Fraction(*_pair(value, name))
 
 
 def _rationals(value, name: str) -> tuple[Fraction, ...]:
@@ -116,10 +127,12 @@ def _positive(value, name: str) -> Fraction:
     return q
 
 
-def _capped(terms: Sequence, cap: int, name: str) -> Sequence:
-    """A term list of at most cap entries."""
+def _capped(terms: Sequence, cap: int, name: str, *, empty_ok: bool = True) -> Sequence:
+    """A term list of at most cap entries, and at least one unless empty_ok."""
     if len(terms) > cap:
         raise InputError(f"{name}: n={len(terms)} terms exceed cap {cap}")
+    if not (terms or empty_ok):
+        raise InputError(f"{name}: need at least one term")
     return terms
 
 
@@ -138,14 +151,14 @@ def _probabilities(value, name: str) -> Sequence[Fraction]:
     return _capped(_rationals(value, name), oracles.MAX_TERMS, name)
 
 
-def _exact(q: Fraction) -> list[str]:
-    """A rational's two CSV cells: exact, then its decimal view."""
-    return [format_rational(q), decimal_str(q)]
+def _exact(pair: tuple[int, int]) -> list[str]:
+    """An integer pair's two CSV cells: exact, then its decimal view."""
+    return [format_rational(pair), decimal_str(pair)]
 
 
 def cmd_bound(data: dict) -> list[list]:
     h = _get(data, "h", _positive)
-    t_grid = _get(data, "t_grid", _rationals)
+    t_grid = _get(data, "t_grid", _pairs)
     if "p" in data:
         p = _get(data, "p", _probabilities)
     elif "terms" in data:
@@ -156,13 +169,14 @@ def cmd_bound(data: dict) -> list[list]:
         p = [abs_tail(term, h, strict=False) for term in terms]  # _laws capped the terms
     else:
         raise InputError("input must supply either 'p' or 'terms'")
-    ms = [bounds.window_index(t, h) for t in t_grid]  # t in [0, n*h) iff 1 <= m <= n
+    hn, hd = h_pair = rational_pair(h)
+    ms = [bounds.window_index(t, h_pair) for t in t_grid]  # t in [0, n*h) iff 1 <= m <= n
     p = as_success_vector(p)  # p is validated here, even when no t is in the domain
     sums = bounds._window_sums(p, [m for m in ms if 1 <= m <= len(p)])
-    h_cell = format_rational(h)
-    note = f"domain: t outside [0, {format_rational(len(p) * h)})"
+    h_cell = format_rational(h_pair)
+    note = f"domain: t outside [0, {format_rational((len(p) * hn, hd))})"
     # The six bound cells of each window index m in the domain, formatted once.
-    cells = {m: [cell for num in nums for cell in _exact(Fraction(num, common))]
+    cells = {m: [cell for num in nums for cell in _exact((num, common))]
              for m, (*nums, common) in sums.items()}
     return [[format_rational(t), h_cell, m, *cells[m], ""] if m in cells
             else [format_rational(t), h_cell, "", "", "", "", "", "", "", note]
@@ -176,8 +190,8 @@ def cmd_sweep(data: dict) -> Iterator[tuple]:
     t_grid = _get(data, "t_grid", _rationals)
     cap = oracles.MAX_SWEEP_TERMS
     if "instances" in data:
-        # every instance is capped before any law is built
-        literals = [_capped(_list(inst, "instances"), cap, f"instance {index}")
+        # every instance is capped, and checked non-empty, before any law is built
+        literals = [_capped(_list(inst, "instances"), cap, f"instance {index}", empty_ok=False)
                     for index, inst in enumerate(_get(data, "instances", _list))]
         instances = [_laws(inst, "instances") for inst in literals]
     elif "family" in data:
@@ -201,7 +215,7 @@ def cmd_sweep(data: dict) -> Iterator[tuple]:
     def exact(pair: tuple[int, int]) -> list[str]:
         got = cells.get(pair)
         if got is None:
-            got = cells[pair] = _exact(Fraction(*pair))
+            got = cells[pair] = _exact(pair)
         return got
 
     def rows() -> Iterator[tuple]:
@@ -277,7 +291,8 @@ def cmd_tighten(data: dict) -> list[list]:
     report = oracles.tightness_search(p, h, m, h_grid, split_grid)
     outer_atom, split = report.best_params
     return [
-        [format_rational(report.t), *_exact(report.bound), *_exact(report.best_value),
+        [format_rational(report.t), *_exact(rational_pair(report.bound)),
+         *_exact(rational_pair(report.best_value)),
          format_rational(report.gap), format_rational(outer_atom), format_rational(split),
          "ok" if report.gap >= 0 else "VIOLATION"]
     ]

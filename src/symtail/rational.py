@@ -5,14 +5,16 @@ either as an integer or as a string ``"num/den"`` or ``"num"``: an optional
 sign, ASCII digits and an optional ``/`` with more digits, with surrounding
 whitespace.  Exponents, decimal points and underscores are not rationals.
 One parser reads it, ``rational_pair``, into an integer (numerator,
-denominator) pair, which is what every law constructor builds from;
+denominator) pair, which is what every law constructor and the window index
+build from; a pair already read passes through it unchanged.
 ``parse_rational`` wraps that pair in a ``Fraction``.
-Rendering is lossless: ``format_rational`` writes a Fraction, or an integer
-pair reduced by one gcd with no Fraction built, as "num/den".  The decimal
-column emitted next to it is a convenience view, never a source of truth:
-the exact value rounded to 12 significant digits, half to even, in one
-fixed decimal context, so the caller's ``decimal.getcontext()`` (its
-precision, rounding, traps and exponent letter) never changes it.
+Rendering is lossless and needs no Fraction: ``format_rational`` writes a
+Fraction, or an integer pair reduced by one gcd, as "num/den".  The decimal
+column emitted next to it, ``decimal_str`` of an integer pair, reduced or
+not, is a convenience view, never a source of truth: the exact value
+rounded to 12 significant digits, half to even, in one fixed decimal
+context, so the caller's ``decimal.getcontext()`` (its precision, rounding,
+traps and exponent letter) never changes it.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def rational_pair(value) -> tuple[int, int]:
-    """(numerator, denominator) of an int, a Fraction or a wire string (see
-    above), with a positive denominator; a string's pair is as written, not
-    reduced, so "2/4" gives (2, 4)."""
-    # Strings first: a str fails isinstance(value, Fraction) only through the
-    # abstract-base-class lookup that Fraction's metaclass makes.
+    """(numerator, denominator) of an int, a Fraction, a wire string (see
+    above) or an integer pair, with a positive denominator; a string's pair
+    is as written, not reduced, so "2/4" gives (2, 4), and a tuple (num, den)
+    of plain ints (no bool) with den > 0 is returned as it is.  A list is
+    not a pair."""
+    # Strings and pairs first: either fails isinstance(value, Fraction) only
+    # through the abstract-base-class lookup that Fraction's metaclass makes.
     if isinstance(value, str):
         if match := _RATIONAL.fullmatch(value):
             try:
@@ -39,6 +43,9 @@ def rational_pair(value) -> tuple[int, int]:
                 raise ValueError(f"not a rational: {value!r}") from exc
             if den:
                 return num, den
+    elif isinstance(value, tuple):
+        if len(value) == 2 and type(value[0]) is int is type(value[1]) and value[1] > 0:
+            return value
     elif isinstance(value, Fraction):
         return value.numerator, value.denominator
     elif isinstance(value, int) and not isinstance(value, bool):
@@ -85,7 +92,9 @@ _DECIMAL = decimal.Context(
 )
 
 
-def decimal_str(q: Fraction) -> str:
-    """The exact value rounded to 12 significant digits, half to even."""
-    d = _DECIMAL.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
-    return _DECIMAL.to_sci_string(d)
+def decimal_str(q: tuple[int, int]) -> str:
+    """The exact value of an integer pair (num, den), den > 0, rounded to 12
+    significant digits, half to even.  The pair need not be reduced: the
+    quotient of two integers is the same Decimal either way."""
+    num, den = q
+    return _DECIMAL.to_sci_string(_DECIMAL.divide(decimal.Decimal(num), decimal.Decimal(den)))

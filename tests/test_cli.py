@@ -197,6 +197,16 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_empty_instance_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_laws(*args):
+            raise AssertionError("a law was built before the empty instance was rejected")
+
+        monkeypatch.setattr(LatticeDistribution, "from_json_dict", no_laws)
+        payload = {"h": "1", "t_grid": ["0"], "instances": [[], [COIN]]}
+        code, _, out = run(tmp_path, "sweep", payload)
+        assert code == 2 and not out.exists()
+        assert "instance 0: need at least one term" in capsys.readouterr().err
+
     def test_rows_match_cacheless_reference(self, tmp_path, monkeypatch):
         rng = random.Random(31)
         h = Fraction(1, 2)
@@ -205,6 +215,7 @@ class TestSweepCommand:
              for _ in range(rng.randint(0, 4))]
             for _ in range(25)
         ]
+        instances = [inst for inst in instances if inst]  # an empty instance is a usage error
         t_grid = [Fraction(k, 4) for k in range(-1, 9)] + [Fraction(1, 2), Fraction(1, 3)]
         literals = [[law.to_json_dict() for law in inst] for inst in instances]
         payload = {"h": "1/2", "t_grid": [str(t) for t in t_grid], "instances": literals}
@@ -764,6 +775,14 @@ def test_fuzzed_json_exits_cleanly(tmp_path, data):
 @pytest.mark.parametrize("literal", ["1e1000000", "1e-1000000", "0.5", "1_0/2_0", "1/0"])
 def test_rational_outside_wire_format_is_usage_error(tmp_path, literal):
     code, _, out = run(tmp_path, "bound", {"p": ["1/2"], "h": literal, "t_grid": ["0"]})
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", [[1, 2], [[1, 2]], True, "1/0", "-1/-2"])
+def test_t_outside_wire_format_is_usage_error(tmp_path, t):
+    # t_grid is read into integer pairs; a JSON list is not one
+    code, _, out = run(tmp_path, "bound", {"p": ["1/2"], "h": "1", "t_grid": [t]})
     assert code == 2
     assert not out.exists()
 

@@ -11,9 +11,9 @@ scan of `src/symtail` finds:
   * no true division `/` outside a named allowlist: the oracle that
     divides Fractions, and the Monte Carlo block.
 
-The integer row path of `symtail compare` builds no Fraction and divides
-nothing; its functions are named below so a rename cannot drop them from
-the scan.
+The integer row paths of `symtail compare` and `symtail bound` build no
+Fraction and divide nothing; their functions are named below so a rename
+cannot drop them from the scan.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ MONTE_CARLO = {"SampleConfig", "_sampler", "_magnitudes", "monte_carlo_tail"}
 DIVISION = {"tightness_search"} | MONTE_CARLO
 # math functions whose result is exact for integer or Fraction arguments.
 EXACT_MATH = {"gcd", "lcm", "comb", "perm", "prod", "isqrt", "factorial", "ceil", "floor"}
-# The integer path of the comparison rows and the shared helpers it calls.
-INTEGER_PATH = {"_row", "pruss_check", "half_mass_check", "is_symmetric", "cmd_compare"}
+# The integer paths of the comparison and bound rows and the shared helpers they call.
+INTEGER_PATH = {"_row", "pruss_check", "half_mass_check", "is_symmetric", "cmd_compare",
+                "cmd_bound", "_exact", "decimal_str"}
 
 
 def scan(source: str) -> tuple[list[tuple[int, str, str]], set[str]]:

@@ -25,6 +25,7 @@ CASES = (
     ("bound_terms", "bound", 0),
     ("bound_grid_order", "bound", 0),
     ("bound_wide", "bound", 0),
+    ("bound_unreduced", "bound", 0),
     ("sweep_family", "sweep", 0),
     ("sweep_family_half", "sweep", 0),
     ("sweep_instances", "sweep", 0),

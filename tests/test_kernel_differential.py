@@ -8,8 +8,8 @@ literals read straight into the integer form against a per-atom Fraction
 reading, the
 comparison queries, their integer rows and verdicts, and the lattice checks
 against per-atom tails and residues, the CSV's decimal view against a
-division in the ambient context, and the exact cell of an integer pair
-against its reduced Fraction's."""
+division in the ambient context, and the decimal view, exact cell and
+window index of an unreduced integer pair against its reduced Fraction's."""
 
 import decimal
 import math
@@ -661,7 +661,7 @@ rationals = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(rationals)
 def test_decimal_str(q):
-    assert decimal_str(q) == ref_decimal_str(q)
+    assert decimal_str((q.numerator, q.denominator)) == ref_decimal_str(q)
 
 
 def test_decimal_str_ignores_caller_context():
@@ -674,7 +674,7 @@ def test_decimal_str_ignores_caller_context():
         ctx.traps[decimal.Inexact] = True
         ctx.capitals = 0
         ctx.prec = 3
-        assert [decimal_str(q) for q in values] == expected
+        assert [decimal_str((q.numerator, q.denominator)) for q in values] == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -682,6 +682,31 @@ def test_decimal_str_ignores_caller_context():
 def test_format_rational_pair(q, k):
     # an unreduced integer pair renders as its reduced Fraction does
     assert format_rational((q.numerator * k, q.denominator * k)) == format_rational(q)
+
+
+positive = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rationals, st.integers(1, 10**20), positive, st.integers(1, 10**20))
+def test_unreduced_pair_reads_as_its_fraction(q, k, h, j):
+    # an unreduced pair (k*num, k*den), of either sign, passes through
+    # rational_pair as it is and gives its reduced Fraction's decimal view,
+    # exact cell and window index, against an unreduced h too
+    pair = (q.numerator * k, q.denominator * k)
+    assert rational_pair(pair) is pair
+    assert decimal_str(pair) == ref_decimal_str(q)
+    assert format_rational(pair) == format_rational(q)
+    h_pair = (h.numerator * j, h.denominator * j)
+    assert (bounds.window_index(pair, h_pair) == bounds.window_index(q, h)
+            == math.floor(q / h) + 1)
+
+
+@pytest.mark.parametrize("value", [(True, 1), (1, False), (1, 0), (1, -2), (0, -1), [1, 2],
+                                   (1, 2, 3), (1,), (), (1.0, 2), ("1", "2")])
+def test_rational_pair_rejects_what_is_not_an_integer_pair(value):
+    with pytest.raises(ValueError, match="not a rational"):
+        rational_pair(value)
 
 
 class WireString(str):
