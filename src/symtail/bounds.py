@@ -20,11 +20,14 @@ diameter < 2h, attained by the symmetric three-point laws
 sums are formed on integers over one common denominator, 2^n times that of
 the Poisson binomial pmf, and become Fractions only when returned.
 
-All three depend on t only through m.  _window_sums, the one evaluator,
-forms them from a validated p over one pmf, once per distinct m, and checks
-each m once with _checked_sums, as BoundReport checks its Fractions.  Each m
-reads the column F_m(m), ..., F_n(m) of exactmath._window_column, so no
-window sum is cached.  The CLI and the oracles read _window_sums directly;
+All three depend on t only through m.  window_indices, the one place m is
+formed, reads h once and takes one integer floor per t of a grid; the
+domain 0 <= t < n*h is 1 <= m <= n.  _window_sums, the one evaluator, forms
+the sums from a validated p over one pmf, once per distinct m, as unreduced
+integer numerators over one common denominator, and checks each m once
+with _checked_sums, as BoundReport checks its Fractions.  Each m reads the
+column F_m(m), ..., F_n(m) of exactmath._window_column, so no window sum is
+cached.  The CLI and the oracles read _window_sums directly;
 bound_table and the single-value functions wrap it.
 """
 
@@ -112,16 +115,17 @@ def _checked_sums(sums: tuple[int, int, int, int], m: int) -> tuple[int, int, in
     return sums
 
 
-def window_index(t, h) -> int:
-    """m = floor(t/h) + 1, the number of width-2h sets covering [-t, t]-ish.
+def window_indices(t_grid: Iterable, h) -> list[int]:
+    """m = floor(t/h) + 1 for each t of t_grid, the number of width-2h sets
+    covering [-t, t]-ish.
 
-    One floor of integers; h must be positive.  t is in the bounds' domain
-    0 <= t < n*h exactly when 1 <= m <= n.
+    h's pair is read, and checked positive, once; each m is one integer
+    floor.  t is in the bounds' domain 0 <= t < n*h exactly when 1 <= m <= n.
     """
-    (tn, td), (hn, hd) = rational_pair(t), rational_pair(h)
+    hn, hd = rational_pair(h)
     if hn <= 0:
         raise ValueError(f"h must be positive, got {parse_rational(h)}")
-    return tn * hd // (td * hn) + 1
+    return [tn * hd // (td * hn) + 1 for tn, td in map(rational_pair, t_grid)]
 
 
 def nagaev_bound(p: Sequence, h, t) -> Fraction:
@@ -157,18 +161,16 @@ def _window_sums(p: tuple[Fraction, ...], ms: Iterable[int]) -> dict[int, tuple[
 def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     """One BoundReport per t of t_grid, in grid order.
 
-    p and h are validated once and every t is checked against the domain
-    0 <= t < n*h, as 1 <= m <= n, before the pmf is built.  The sums come
-    from _window_sums, once per distinct window index m, and their
-    Fractions are shared by the reports with that m.
+    p and h are validated once, and one window_indices pass checks every t
+    against the domain 0 <= t < n*h, as 1 <= m <= n, before the pmf is
+    built.  The sums come from _window_sums, once per distinct window index
+    m, and their Fractions are shared by the reports with that m.
     """
     p = as_success_vector(p)
     h = parse_rational(h)
     t_grid = [parse_rational(t) for t in t_grid]
     n = len(p)
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    ms = [window_index(t, h) for t in t_grid]
+    ms = window_indices(t_grid, h)
     for t, m in zip(t_grid, ms):
         if not 1 <= m <= n:
             raise ValueError(f"t={t} outside the bound domain [0, {n * h})")

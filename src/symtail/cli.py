@@ -170,7 +170,7 @@ def cmd_bound(data: dict) -> list[list]:
     else:
         raise InputError("input must supply either 'p' or 'terms'")
     hn, hd = h_pair = rational_pair(h)
-    ms = [bounds.window_index(t, h_pair) for t in t_grid]  # t in [0, n*h) iff 1 <= m <= n
+    ms = bounds.window_indices(t_grid, h_pair)  # t in [0, n*h) iff 1 <= m <= n
     p = as_success_vector(p)  # p is validated here, even when no t is in the domain
     sums = bounds._window_sums(p, [m for m in ms if 1 <= m <= len(p)])
     h_cell = format_rational(h_pair)

@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, cycle
 from operator import mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .bounds import _window_sums, kanter_supremum, window_index
+from .bounds import _window_sums, kanter_supremum, window_indices
 from .distributions import (
     LatticeDistribution,
     _upper_tail_weights,
@@ -284,11 +284,12 @@ def sweep_checks(
 
     Each instance is a list of symmetric lattice laws, p_i = P(|X_i| >= h).
     Yields (index, grid, tails, den, bounds) per instance: grid is the sorted
-    t in [0, n*h), P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the
-    reduced (numerator, denominator) of the improved bound at grid[j], from
-    one _window_sums per distinct multiset of p.  Bound rows are cached by
-    p-multiset.  Every term is symmetric, so every sum S is too and
-    P(|S| > t) = 2 P(S > t) for t >= 0.
+    t of t_grid in the bound's domain 1 <= m <= n, from one window_indices
+    pass, P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the improved
+    bound at grid[j] as (numerator, common) of one _window_sums per distinct
+    multiset of p, not reduced.  Bound rows are cached by p-multiset.  Every
+    term is symmetric, so every sum S is too and P(|S| > t) = 2 P(S > t) for
+    t >= 0.
 
     Terms are ordered by support size, largest first, then by first sight,
     and an instance's key lists its terms in that order.  The last term X
@@ -304,9 +305,9 @@ def sweep_checks(
     product |P| * |X|, built or not, as in exact_sum_distribution.
     """
     h = parse_rational(h)
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    ts = sorted(t for t in map(parse_rational, t_grid) if t >= 0)
+    ts = sorted(map(parse_rational, t_grid))
+    ms = window_indices(ts, h)  # ascending, as ts is; rejects h <= 0
+    low = bisect_left(ms, 1)
 
     sum_of = _SumCache()
     laws = sum_of.terms
@@ -322,9 +323,9 @@ def sweep_checks(
     # abs_tail, so in [0, 1]: _window_sums reads p unchecked.
     p_code: dict[int, int] = {}  # term code -> p code
     p_values: dict[Fraction, int] = {}  # in insertion order, so keys are indexed by p code
-    # bound rows: p-multiset key -> (numerator, denominator) per valid t
+    # bound rows: p-multiset key -> the unreduced (improved, common) per grid t
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    # n -> the t in [0, n*h), the same t as (numerator, denominator), and their m
+    # n -> the t with 1 <= m <= n, the same t as (numerator, denominator), and their m
     grids: dict[int, tuple[list[Fraction], list[tuple[int, int]], list[int]]] = {}
     # (n, code of X) -> _shifted_cuts of n's grid by X
     plans: dict[tuple[int, int], tuple] = {}
@@ -344,18 +345,16 @@ def sweep_checks(
             key = tuple(sorted(map(code_of.__getitem__, map(id, terms))))
         n = len(key)
         if n not in grids:
-            grid = ts[: bisect_left(ts, n * h)]
-            grids[n] = (grid, [(t.numerator, t.denominator) for t in grid],
-                        [window_index(t, h) for t in grid])
-        grid, cuts, ms = grids[n]
+            high = bisect_right(ms, n, low)
+            grid = ts[low:high]
+            grids[n] = (grid, list(map(rational_pair, grid)), ms[low:high])
+        grid, cuts, n_ms = grids[n]
         p_key = tuple(sorted(map(p_code.__getitem__, key)))
         bounds = bound_cache.get(p_key)
         if bounds is None:
             by_code = list(p_values)
-            sums = _window_sums(tuple(by_code[code] for code in p_key), ms)
-            improved = {m: rational_pair(Fraction(num, common))
-                        for m, (_, num, _, common) in sums.items()}
-            bounds = bound_cache[p_key] = [improved[m] for m in ms]
+            sums = _window_sums(tuple(by_code[code] for code in p_key), n_ms)
+            bounds = bound_cache[p_key] = [sums[m][1::2] for m in n_ms]
         head = sum_of(key[:-1])
         if n and len(cuts) <= 2 * len(head.indices):
             last = laws[key[-1]]
@@ -568,7 +567,7 @@ def tightness_search(
     if not 1 <= m <= n - 1:
         raise ValueError(f"need 1 <= m <= n-1 = {n - 1} so that t = m*h < n*h")
     t = m * h
-    window = window_index(t, h)  # m + 1; rejects h <= 0
+    [window] = window_indices((t,), h)  # m + 1; rejects h <= 0
     _, improved, _, common = _window_sums(p, (window,))[window]
     bound = Fraction(improved, common)
     outer = sorted({h} | {parse_rational(v) for v in h_grid})
@@ -581,12 +580,14 @@ def tightness_search(
     best: tuple[Fraction, tuple[Fraction, Fraction]] | None = None
     for h2 in outer:
         for s in splits:
+            sn, sd = s.numerator, s.denominator
             terms = []
-            for pi in p:
-                near, far = s * pi / 2, (1 - s) * pi / 2
-                # the core merges +-h with +-h' when h' = h, and prunes zero masses
+            for a, b in map(rational_pair, p):
+                # s*p_i/2 and (1-s)*p_i/2 over 2*den(s)*den(p_i); the core merges
+                # +-h with +-h' when h' = h, and prunes zero masses
+                near, far = (sn * a, 2 * sd * b), ((sd - sn) * a, 2 * sd * b)
                 terms.append(LatticeDistribution._from_pairs(
-                    ((0, 1 - pi), (-h, near), (h, near), (-h2, far), (h2, far))
+                    ((0, (b - a, b)), (-h, near), (h, near), (-h2, far), (h2, far))
                 ))
             value = half_mass(exact_sum_distribution(terms), t)
             if best is None or value < best[0]:
@@ -623,7 +624,7 @@ class SampleConfig:
         self._samplers  # every term is parsed, and checked, once: here
 
     @cached_property
-    def _samplers(self) -> tuple[tuple, ...]:
+    def _samplers(self) -> tuple[Callable[[random.Random, int], list[float]], ...]:
         samplers = []
         for i, term in enumerate(self.terms):
             try:
@@ -644,36 +645,30 @@ class SampleConfig:
         total = [0.0] * size
         for sampler in self._samplers:
             signs = rng.choices((-1.0, 1.0), k=size)
-            magnitudes = _magnitudes(sampler, rng, size)
+            magnitudes = sampler(rng, size)
             total = [acc + sign * x for acc, sign, x in zip(total, signs, magnitudes)]
         return sorted(a for a in map(abs, total) if a == a)
 
 
-def _sampler(term: dict) -> tuple:
-    """A term's canonical form: its kind and the one value its draws use."""
+def _sampler(term: dict) -> Callable[[random.Random, int], list[float]]:
+    """A term's magnitude draw, (rng, size) -> size draws of |X|, built once
+    from the term: its kind is read here and nowhere else."""
     kind = term.get("kind")
     if kind == "atoms":
         law = LatticeDistribution.from_masses(term["atoms"])
         if not is_symmetric(law):  # a fair sign times |x| would draw another law
             raise ValueError("atoms law is not symmetric")
-        return kind, law
+        magnitudes, weights = [abs(float(x)) for x in law.support], law.weights
+        return lambda rng, size: rng.choices(magnitudes, weights, k=size)
     if kind == "uniform":
-        return kind, float(parse_rational(term["scale"]))
+        scale = float(parse_rational(term["scale"]))
+        return lambda rng, size: [rng.uniform(0.0, scale) for _ in range(size)]
     if kind == "gaussian":
         sigma = float(term["sigma"])
         if not math.isfinite(sigma):  # every draw would be NaN or infinite
             raise ValueError(f"gaussian sigma must be finite, got {term['sigma']!r}")
-        return kind, sigma
+        return lambda rng, size: [abs(rng.gauss(0.0, sigma)) for _ in range(size)]
     raise ValueError(f"unknown sampler kind {kind!r}")
-
-
-def _magnitudes(sampler: tuple, rng: random.Random, size: int) -> list[float]:
-    kind, value = sampler
-    if kind == "atoms":
-        return rng.choices([abs(float(x)) for x in value.support], value.weights, k=size)
-    if kind == "uniform":
-        return [rng.uniform(0.0, value) for _ in range(size)]
-    return [abs(rng.gauss(0.0, value)) for _ in range(size)]
 
 
 def monte_carlo_tail(config: SampleConfig, t: float) -> tuple[float, float]:

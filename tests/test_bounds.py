@@ -19,7 +19,7 @@ from symtail.bounds import (
     kanter_supremum,
     nagaev_bound,
     optimize_h,
-    window_index,
+    window_indices,
 )
 from symtail.distributions import (
     abs_tail,
@@ -105,7 +105,7 @@ class TestImprovedBound:
             p = random_success_vector(rng, n)
             h = Fraction(rng.randint(1, 3))
             t = h * n * Fraction(rng.randint(0, 7), 8)
-            m = window_index(t, h)
+            [m] = window_indices([t], h)
             assert improved_bound(p, h, t) == 1 - kanter_supremum(p, m)
 
 
@@ -157,16 +157,25 @@ class TestKanterSupremum:
 
 class TestWindowIndex:
     def test_floor_plus_one(self):
-        assert window_index(0, 1) == 1
-        assert window_index("3/2", "1/2") == 4
-        assert window_index("2/4", "1/2") == 2
-        assert window_index(Fraction(-1, 3), 1) == 0
-        assert window_index(Fraction(7, 3), Fraction(2, 3)) == 4
+        assert window_indices([0, Fraction(-1, 3)], 1) == [1, 0]
+        assert window_indices(["3/2", "2/4"], "1/2") == [4, 2]
+        assert window_indices([Fraction(7, 3)], Fraction(2, 3)) == [4]
+        assert window_indices([], 1) == []
 
     @pytest.mark.parametrize("h", [0, "-1/2", Fraction(-3)])
     def test_nonpositive_h_rejected(self, h):
-        with pytest.raises(ValueError, match="h must be positive"):
-            window_index(1, h)
+        for grid in ([1], [], [0, "1/2", 7]):
+            with pytest.raises(ValueError, match="h must be positive"):
+                window_indices(grid, h)
+
+    def test_h_read_once(self, monkeypatch):
+        # one rational_pair for h, then one per t, whatever the grid's length
+        calls = []
+        read = bounds.rational_pair
+        monkeypatch.setattr(bounds, "rational_pair", lambda v: calls.append(v) or read(v))
+        grid = [0, "1/2", (3, 2), Fraction(7, 3), "-1/4"]
+        assert window_indices(grid, "2/4") == [1, 2, 4, 5, 0]
+        assert calls == ["2/4", *grid]
 
 
 def count_combs(monkeypatch) -> list:

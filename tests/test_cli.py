@@ -207,6 +207,13 @@ class TestSweepCommand:
         assert code == 2 and not out.exists()
         assert "instance 0: need at least one term" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", [{"instances": []}, {"family": {"max_n": 0}}])
+    def test_empty_sweep_writes_the_header_alone(self, tmp_path, source):
+        # A sweep of no instances checks nothing and fails nothing: exit 0.
+        code, rows, out = run(tmp_path, "sweep", {"h": "1", "t_grid": ["0"]} | source)
+        assert code == 0 and rows == []
+        assert out.read_bytes() == ",".join(cli.COMMANDS["sweep"][1]).encode() + b"\n"
+
     def test_rows_match_cacheless_reference(self, tmp_path, monkeypatch):
         rng = random.Random(31)
         h = Fraction(1, 2)

@@ -8,12 +8,11 @@ scan of `src/symtail` finds:
   * no float literal, no use of the name `float` outside an annotation, and
     no `math` name that is not exact on integers and Fractions, outside the
     Monte Carlo block;
-  * no true division `/` outside a named allowlist: the oracle that
-    divides Fractions, and the Monte Carlo block.
+  * no true division `/` outside the Monte Carlo block, a named allowlist.
 
-The integer row paths of `symtail compare` and `symtail bound` build no
-Fraction and divide nothing; their functions are named below so a rename
-cannot drop them from the scan.
+The integer row paths of `symtail compare` and `symtail bound`, and the
+window index every bound path reads, build no Fraction and divide nothing;
+their functions are named below so a rename cannot drop them from the scan.
 """
 
 from __future__ import annotations
@@ -24,14 +23,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "symtail"
 
 # Top-level definitions of oracles.py that sample floats.
-MONTE_CARLO = {"SampleConfig", "_sampler", "_magnitudes", "monte_carlo_tail"}
-# Top-level functions that may use `/`: on Fractions, or in the Monte Carlo block.
-DIVISION = {"tightness_search"} | MONTE_CARLO
+MONTE_CARLO = {"SampleConfig", "_sampler", "monte_carlo_tail"}
+# Top-level functions that may use `/`: the Monte Carlo block alone.
+DIVISION = MONTE_CARLO
 # math functions whose result is exact for integer or Fraction arguments.
 EXACT_MATH = {"gcd", "lcm", "comb", "perm", "prod", "isqrt", "factorial", "ceil", "floor"}
 # The integer paths of the comparison and bound rows and the shared helpers they call.
 INTEGER_PATH = {"_row", "pruss_check", "half_mass_check", "is_symmetric", "cmd_compare",
-                "cmd_bound", "_exact", "decimal_str"}
+                "cmd_bound", "window_indices", "_exact", "decimal_str"}
 
 
 def scan(source: str) -> tuple[list[tuple[int, str, str]], set[str]]:
@@ -112,7 +111,7 @@ def exact(x: float) -> float:
     y = 0.5 + float(x) + math.sqrt(x) + math.gcd(2, 4) + math.inf
     return y / 2
 
-def tightness_search(x):
+def _sampler(x):
     assert x
     return x / 2
 
@@ -129,6 +128,6 @@ def monte_carlo_tail(x):
         (7, "exact", "math.inf"),
         (7, "exact", "math.sqrt"),
         (8, "exact", "/"),
-        (11, "tightness_search", "assert"),
+        (11, "_sampler", "assert"),
         (15, "monte_carlo_tail", "assert"),
     ]

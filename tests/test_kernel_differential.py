@@ -8,20 +8,25 @@ literals read straight into the integer form against a per-atom Fraction
 reading, the
 comparison queries, their integer rows and verdicts, and the lattice checks
 against per-atom tails and residues, the CSV's decimal view against a
-division in the ambient context, and the decimal view, exact cell and
-window index of an unreduced integer pair against its reduced Fraction's."""
+division in the ambient context, the decimal view, exact cell and
+window index of an unreduced integer pair against its reduced Fraction's,
+and the bound's domain as the sweep, bound_table and `symtail bound` read
+it against Fraction comparisons."""
 
+import csv
 import decimal
+import json
 import math
 from fractions import Fraction
 from functools import reduce
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from symtail import bounds, oracles
 from symtail.bounds import bound_table
+from symtail.cli import main
 from symtail.distributions import (
     LatticeDistribution,
     abs_stochastically_geq,
@@ -415,6 +420,49 @@ def test_bound_table_domain_checked_before_pmf(monkeypatch):
             bound_table(["1/2", "1/3"], "1/2", ["0", "1/4", bad, "1/2"])
 
 
+@st.composite
+def domain_cases(draw):
+    """n, a positive h and a t-grid, h and each t an unreduced integer pair.
+    The grid mixes multiples of h/2 from -n*h to 2*n*h, so it often holds
+    negative t, t = 0 and t = n*h, with t from anywhere around [0, n*h)."""
+    n = draw(st.integers(1, 4))
+    h = draw(st.fractions(Fraction(1, 10), 5, max_denominator=10))
+    halves = st.integers(-2 * n, 4 * n).map(lambda k: h * Fraction(k, 2))
+    anywhere = st.fractions(-n * h - 1, 2 * n * h + 1, max_denominator=12)
+    ts = draw(st.lists(st.one_of(halves, anywhere), max_size=10))
+    scales = st.integers(1, 4)
+    pairs = [(q.numerator * k, q.denominator * k) for q, k in
+             zip([h, *ts], draw(st.lists(scales, min_size=len(ts) + 1, max_size=len(ts) + 1)))]
+    return n, pairs[0], pairs[1:]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(domain_cases())
+@example((2, (2, 2), [(-1, 4), (0, 3), (4, 2), (6, 4), (2, 1), (9, 2)]))
+def test_domain_is_m_from_1_to_n(tmp_path, case):
+    # The bound's domain 0 <= t < n*h, read with Fractions, is what the
+    # sweep's grid, bound_table's check and `symtail bound`'s note all use.
+    n, h_pair, t_pairs = case
+    h, ts = Fraction(*h_pair), [Fraction(*t) for t in t_pairs]
+    inside = [0 <= t < n * h for t in ts]
+    [(_, grid, *_)] = sweep_checks([[law(LAZY)] * n], h_pair, t_pairs)
+    assert grid == sorted(t for t, ok in zip(ts, inside) if ok)
+    p = ["1/3"] * n
+    if all(inside):
+        assert [r.m for r in bound_table(p, h_pair, t_pairs)] == [t // h + 1 for t in ts]
+    else:
+        with pytest.raises(ValueError, match="outside the bound domain"):
+            bound_table(p, h_pair, t_pairs)
+    wire = [f"{num}/{den}" for num, den in [h_pair, *t_pairs]]
+    source, out = tmp_path / "in.json", tmp_path / "out.csv"
+    source.write_text(json.dumps({"p": p, "h": wire[0], "t_grid": wire[1:]}))
+    assert main(["bound", "--input", str(source), "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        notes = [bool(row["note"]) for row in csv.DictReader(fh)]
+    assert notes == [not ok for ok in inside]
+
+
 # --- JSON ingest -------------------------------------------------------------
 
 
@@ -698,8 +746,8 @@ def test_unreduced_pair_reads_as_its_fraction(q, k, h, j):
     assert decimal_str(pair) == ref_decimal_str(q)
     assert format_rational(pair) == format_rational(q)
     h_pair = (h.numerator * j, h.denominator * j)
-    assert (bounds.window_index(pair, h_pair) == bounds.window_index(q, h)
-            == math.floor(q / h) + 1)
+    assert (bounds.window_indices([pair, q], h_pair) == bounds.window_indices([q, pair], h)
+            == [math.floor(q / h) + 1] * 2)
 
 
 @pytest.mark.parametrize("value", [(True, 1), (1, False), (1, 0), (1, -2), (0, -1), [1, 2],

@@ -459,11 +459,14 @@ class TestMonteCarlo:
                  {"kind": "uniform", "scale": "1/2"})
         cfg = SampleConfig(seed=5, replications=1000, terms=terms)
         assert parsed == list(terms)
+        # One sign draw per term and one magnitude draw for the atoms term:
+        # three choices calls for the whole sample, none for later t.
         drawn = []
-        draw = oracles._magnitudes
-        monkeypatch.setattr(oracles, "_magnitudes", lambda *a: drawn.append(a[0]) or draw(*a))
+        choices = random.Random.choices
+        monkeypatch.setattr(random.Random, "choices",
+                            lambda rng, *a, **kw: drawn.append(a) or choices(rng, *a, **kw))
         estimates = [monte_carlo_tail(cfg, t)[0] for t in (0.0, 0.75, 1.25, 2.0)]
-        assert parsed == list(terms) and len(drawn) == 2
+        assert parsed == list(terms) and len(drawn) == 3
         assert estimates == sorted(estimates, reverse=True) and estimates[-1] == 0.0
 
     def test_lattice_tail_within_four_standard_errors(self):
