@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations_with_replacement, cycle
+from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -234,8 +236,9 @@ class _SumCache:
     ``terms`` maps each code to its term, and the caller adds each new term
     to it, so it keeps every term alive.  Sums are cached by key, each built
     from the sum of its key's longest cached prefix: a sum is convolved once,
-    and only when it or a longer key is asked for.  _check_support caps
-    each convolution, as in exact_sum_distribution.
+    and only when it or a longer key is asked for: sweep_checks asks for S
+    only when it cannot read S's tails from one packed product of P and X.
+    _check_support caps each convolution, as in exact_sum_distribution.
     """
 
     def __init__(self) -> None:
@@ -244,9 +247,8 @@ class _SumCache:
 
     def __call__(self, key: tuple[int, ...]) -> LatticeDistribution:
         cached = len(key)
-        while key[:cached] not in self._sums:  # the empty prefix always is
+        while (total := self._sums.get(key[:cached])) is None:  # the empty prefix always is
             cached -= 1
-        total = self._sums[key[:cached]]
         for k in range(cached, len(key)):
             term = self.terms[key[k]]
             _check_support(total, term)
@@ -255,24 +257,19 @@ class _SumCache:
         return total
 
 
-def _shifted_cuts(cuts: Sequence[tuple[int, int]], last: LatticeDistribution) -> tuple:
-    """How to read the tails of P + X at cuts from P's, for X = last.
+# den's bit length -> (format, byte width) of the narrowest array slot that holds
+# den; slots are packed in native order and read as little-endian: none if big-endian.
+_SLOT_FORMATS = {bits: (fmt, array(fmt).itemsize) for fmt in "QIHB"
+                 for bits in range(8 * array(fmt).itemsize + 1) if sys.byteorder == "little"}
 
-    P(P + X > t) = sum_j w_j P(P > t - x_j) over X's atoms x_j with
-    weights w_j.  Returns the distinct t - x_j in ascending order, as
-    (numerator, denominator) pairs over one denominator for
-    _upper_tail_weights; the position of each t - x_j among them, cut by
-    cut and atom by atom; and each 2 w_j, the factor of P(|S| > t) = 2 P(S > t).
-    """
-    on, od = last.offset.numerator, last.offset.denominator
-    sn, sd = last.step.numerator, last.step.denominator
-    den = math.lcm(od, sd, *(d for _, d in cuts))
-    xs = [on * (den // od) + sn * (den // sd) * i for i in last.indices]
-    shifted = [num * (den // d) - x for num, d in cuts for x in xs]
-    distinct = sorted(set(shifted))
-    where = {s: k for k, s in enumerate(distinct)}
-    doubled = [2 * w for w in last.weights]
-    return [(s, den) for s in distinct], list(map(where.__getitem__, shifted)), doubled
+
+def _packed(law: LatticeDistribution, stride: int, fmt: str) -> int:
+    """law's weights as one integer of little-endian slots of array format
+    fmt: weight j in slot stride * indices[j], every other slot 0."""
+    dense = [0] * (stride * law.indices[-1] + 1)
+    for i, w in zip(law.indices, law.weights):
+        dense[stride * i] = w
+    return int.from_bytes(array(fmt, dense).tobytes(), "little")
 
 
 def sweep_checks(
@@ -294,15 +291,21 @@ def sweep_checks(
     Terms are ordered by support size, largest first, then by first sight,
     and an instance's key lists its terms in that order.  The last term X
     has the fewest atoms; the others sum to P, which one _SumCache builds
-    from key prefixes shared across instances.  S = P + X is not built: its
-    grid tails are sum_j w_j P(P > t - x_j) over X's atoms, from one walk
-    down P's atoms at the shifted cuts, cached per (n, X), and they are over
-    P.den * X.den, the denominator of convolve(P, X).  So a sum is convolved
-    only as the prefix of a longer instance, or when the grid has more than
-    2|P| points: then S is built and walked, so the |grid| * |X| products
-    of a shifted walk stay within twice the |P| * |X| of a convolution.
-    Raises ValueError on a non-symmetric term; _check_support caps every
-    product |P| * |X|, built or not, as in exact_sum_distribution.
+    from key prefixes shared across instances.  S = P + X is read, not
+    built, from one integer product (Kronecker substitution): on the common
+    step g of P and X, W_P and W_X pack their weights into little-endian
+    slots of one width, atom i of P in slot a*i and atom j of X in slot b*j
+    (a, b their steps over g).  In W_P * W_X * ONES_L, ONES_L the L =
+    a*top_P + b*top_X + 1 slots of S set to 1, slot k < L holds S's weight
+    up to its k-th point and slot L + k the weight above it, over den =
+    P.den * X.den, which no slot exceeds, so none carries.  S is symmetric,
+    so its last point at or below t >= 0 is k = min(floor((floor(2t/g) + L
+    - 1)/2), L - 1), and P(|S| > t) = 2 * (slot L + k).  Packs are cached
+    per (prefix key or term code, stride, width), slots per (n, g, L).
+    When den fits no slot of 1, 2, 4 or 8 bytes, or L > 2|P| * |X|, S is
+    built by the _SumCache and walked.  Raises ValueError on a
+    non-symmetric term; _check_support caps every product |P| * |X|, built
+    or not, as in exact_sum_distribution.
     """
     h = parse_rational(h)
     ts = sorted(map(parse_rational, t_grid))
@@ -313,9 +316,9 @@ def sweep_checks(
     laws = sum_of.terms
     # term id -> code: -(support size) * 2^64 + the number of terms seen
     # before it, so ascending codes put the largest supports first.  The
-    # walked last term is then one of fewest atoms, and the order (so the
-    # work) does not depend on where terms sit in memory, as ids would.  Ids
-    # stay valid because laws keeps every term alive.
+    # last term is then one of fewest atoms, and the order (so the work)
+    # does not depend on where terms sit in memory, as ids would.  Ids stay
+    # valid because laws keeps every term alive.
     code_of: dict[int, int] = {}
     # Bounds are cached by the sorted multiset of p values (the bound is
     # permutation invariant); each distinct p value gets a small integer
@@ -327,8 +330,10 @@ def sweep_checks(
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     # n -> the t with 1 <= m <= n, the same t as (numerator, denominator), and their m
     grids: dict[int, tuple[list[Fraction], list[tuple[int, int]], list[int]]] = {}
-    # (n, code of X) -> _shifted_cuts of n's grid by X
-    plans: dict[tuple[int, int], tuple] = {}
+    # (prefix key, stride, format) -> W_P; (term code, stride, format, L) -> W_X * ONES_L
+    packs: dict[tuple, int] = {}
+    # (n, g as (numerator, denominator), L) -> the slot of each t of n's grid
+    slots: dict[tuple[int, int, int, int], list[int]] = {}
 
     for index, terms in enumerate(instances):
         try:
@@ -355,22 +360,37 @@ def sweep_checks(
             by_code = list(p_values)
             sums = _window_sums(tuple(by_code[code] for code in p_key), n_ms)
             bounds = bound_cache[p_key] = [sums[m][1::2] for m in n_ms]
-        head = sum_of(key[:-1])
-        if n and len(cuts) <= 2 * len(head.indices):
-            last = laws[key[-1]]
+        tails = None
+        if n:
+            prefix, code = key[:-1], key[-1]
+            head, last = sum_of(prefix), laws[code]
             _check_support(head, last)
-            plan = plans.get((n, key[-1]))
-            if plan is None:
-                plan = plans[n, key[-1]] = _shifted_cuts(cuts, last)
-            shifted, positions, doubled = plan
-            up = _upper_tail_weights(head, shifted)
-            # Running sums of the products: each cut's tail is the sum of its
-            # len(doubled) products, one per atom of X.
-            ends = list(accumulate(map(mul, cycle(doubled), map(up.__getitem__, positions)),
-                                   initial=0))[::len(doubled)]
-            tails = list(map(sub, ends[1:], ends))
             den = head.den * last.den
-        else:
+            width = _SLOT_FORMATS.get(den.bit_length())
+            # both steps over their common denominator d, and g = gn / d
+            ps, xs = head.step, last.step
+            d = math.lcm(ps.denominator, xs.denominator)
+            pn, xn = ps.numerator * d // ps.denominator, xs.numerator * d // xs.denominator
+            gn = math.gcd(pn, xn) or 1  # two point masses: any g, as L = 1
+            a, b = pn // gn, xn // gn
+            size = a * head.indices[-1] + b * last.indices[-1] + 1
+            if width and size <= 2 * len(head.indices) * len(last.indices):
+                fmt, nbytes = width
+                w_p = packs.get((prefix, a, fmt))
+                if w_p is None:
+                    w_p = packs[prefix, a, fmt] = _packed(head, a, fmt)
+                w_x = packs.get((code, b, fmt, size))
+                if w_x is None:
+                    ones = int.from_bytes(array(fmt, [1] * size).tobytes(), "little")
+                    w_x = packs[code, b, fmt, size] = _packed(last, b, fmt) * ones
+                at = slots.get((n, gn, d, size))
+                if at is None:
+                    at = slots[n, gn, d, size] = [
+                        min((2 * d * tn // (td * gn) + 3 * size - 1) // 2, 2 * size - 1)
+                        for tn, td in cuts]
+                below = memoryview((w_p * w_x).to_bytes(nbytes * 2 * size, "little")).cast(fmt)
+                tails = [2 * below[k] for k in at]
+        if tails is None:
             total = sum_of(key)
             tails = [2 * w for w in _upper_tail_weights(total, cuts)]
             den = total.den

@@ -28,9 +28,10 @@ MONTE_CARLO = {"SampleConfig", "_sampler", "monte_carlo_tail"}
 DIVISION = MONTE_CARLO
 # math functions whose result is exact for integer or Fraction arguments.
 EXACT_MATH = {"gcd", "lcm", "comb", "perm", "prod", "isqrt", "factorial", "ceil", "floor"}
-# The integer paths of the comparison and bound rows and the shared helpers they call.
+# The integer paths of the comparison and bound rows, the shared helpers they call,
+# and the sweep's slot packing.
 INTEGER_PATH = {"_row", "pruss_check", "half_mass_check", "is_symmetric", "cmd_compare",
-                "cmd_bound", "window_indices", "_exact", "decimal_str"}
+                "cmd_bound", "window_indices", "_exact", "decimal_str", "_packed"}
 
 
 def scan(source: str) -> tuple[list[tuple[int, str, str]], set[str]]:

@@ -213,6 +213,9 @@ ZERO = ((Fraction(0), Fraction(1)),)
 COIN = ((Fraction(-1), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)))
 THIRDS = ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)))
 FIVE = tuple((Fraction(x), Fraction(1, 5)) for x in range(-2, 3))
+EVEN = tuple((2 * x, m) for x, m in FIVE)
+WIDE = tuple((Fraction(x), Fraction(m)) for x, m in ((-1000, "1/4"), (0, "1/2"), (1000, "1/4")))
+SPIKE = tuple((Fraction(x), Fraction(m)) for x, m in ((-1, "1/256"), (0, "254/256"), (1, "1/256")))
 
 
 @st.composite
@@ -229,8 +232,13 @@ def sweep_cases(draw):
 @example(([LAZY, THIRDS], [Fraction(k, 3) for k in range(4)]))  # X on another step than P
 @example(([LAZY, ZERO], [Fraction(0), Fraction(1, 2), Fraction(1)]))  # X a point mass
 @example(([], [Fraction(0)]))  # no terms
-@example(([COIN, COIN], [Fraction(k, 2) for k in range(4)]))  # 4 cuts <= 2|P|: read from P
-@example(([COIN, COIN], [Fraction(k, 2) for k in range(6)]))  # 6 cuts > 2|P|: S is built
+@example(([COIN, COIN], [Fraction(k, 2) for k in range(4)]))  # cuts inside S: one slot each
+@example(([COIN, COIN], [Fraction(k, 2) for k in range(6)]))  # cuts past S's top: tail 0
+@example(([WIDE, COIN], [0, 1, 999, 1000, 1001]))  # L = 1002 > 2 * 3 * 2: S is built
+@example(([ZERO, ZERO], [Fraction(0), Fraction(1, 2), Fraction(1)]))  # two point masses: L = 1
+@example(([FIVE, COIN], [Fraction(k, 2) for k in range(8)]))  # X on a coarser step than P
+@example(([EVEN, LAZY], [Fraction(k, 2) for k in range(12)]))  # P on a coarser step than X
+@example(([SPIKE, ZERO], [Fraction(k, 2) for k in range(4)]))  # den 256: one byte is too narrow
 @example(([FIVE, LAZY, ZERO], [Fraction(0)]))  # FIVE + LAZY read from FIVE, then built
 def test_sweep_tails(case):
     # The sweep reads P(|S| > t) as 2 P(S > t), from S or from the sum of all

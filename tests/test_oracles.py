@@ -368,28 +368,44 @@ class TestBoundSoundnessSweep:
 
 class TestSweepChecks:
     def test_family_convolutions(self, monkeypatch):
-        # 815 of the 3 875 instances are a prefix of another (every multiset
-        # of 1-3 laws); the other 11 convolutions are instances whose grid
-        # has more than 2|P| points.
+        # Every convolution is a prefix of a longer instance: the 815
+        # multisets of 1-3 laws.  No instance's own sum is built.
         calls = count_convolutions(monkeypatch)
         report = bound_soundness_sweep(
             symmetric_lattice_family(4), 1, [Fraction(k, 2) for k in range(8)]
         )
         assert (report.instances, report.checks, report.min_slack) == (3875, 29070, 0)
-        assert len(calls) == 826
+        assert len(calls) == 815
 
-    @pytest.mark.parametrize("cuts", [1, 11])  # 1 <= 2|P| = 10 < 11
+    @pytest.mark.parametrize("cuts", [1, 11])
     def test_support_cap_on_the_unbuilt_sum(self, cuts, monkeypatch):
         # P is the five-atom law (1x5, built), and only the last product,
-        # 5x3, is over a cap of 14.  With one cut S is never built.
+        # 5x3, is over a cap of 14.  S stays unbuilt on both grids: its
+        # tails are read from the packed product.
         five = dist({x: Fraction(1, 5) for x in range(-2, 3)})
         lazy = dist({-1: "1/4", 0: "1/2", 1: "1/4"})
         grid = [Fraction(k, 8) for k in range(cuts)]
         monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 15)
+        calls = count_convolutions(monkeypatch)
         assert len(list(sweep_checks([[lazy, five]], 1, grid))) == 1
+        assert len(calls) == 1
         monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 14)
         with pytest.raises(SupportCapExceeded, match="support product 5x3 exceeds cap 14"):
             list(sweep_checks([[lazy, five]], 1, grid))
+
+    @pytest.mark.parametrize("terms, grid", [
+        # L = 10^12 + 2 lattice points of S against 2 * 3 * 2 products
+        ([dist({-10**12: "1/4", 0: "1/2", 10**12: "1/4"}), coin()], [0, 1, Fraction(3, 2)]),
+        ([coin()] * 70, [0, 1, 7, 35, 69]),  # den 2^70 fits no 8-byte slot
+    ], ids=["sparse", "wide-den"])
+    def test_density_rule(self, terms, grid, monkeypatch):
+        # S is built and walked: one convolution past its n - 1 prefixes
+        calls = count_convolutions(monkeypatch)
+        [(_, got, tails, den, _)] = sweep_checks([terms], 1, grid)
+        assert len(calls) == len(terms)
+        total = exact_sum_distribution(terms)
+        assert got == grid
+        assert [Fraction(tail, den) for tail in tails] == [abs_tail(total, t) for t in grid]
 
 
 class TestTightnessSearch:
