@@ -2,7 +2,8 @@
 
 Nothing here reuses the closed forms it is meant to check: subset sums are
 counted exactly over the sumset (each distinct sum with its multiplicity,
-so all 2^n subsets are counted), sum laws are built by exact convolution,
+so all 2^n subsets are counted), sum laws are exact integer polynomial
+products (a convolution, or in the sweep one product of packed integers),
 the three-point supremum identity is read off the convolved extremal laws,
 and the Monte Carlo sampler is a seeded, fully deterministic cross-check
 for continuous terms.
@@ -197,16 +198,14 @@ def exact_sum_distribution(terms: Sequence[LatticeDistribution]) -> LatticeDistr
     mass at 0); _check_support caps each convolution before it is built."""
     total = point_mass(0)
     for term in terms:
-        _check_support(total, term)
+        _check_support(len(total.indices), len(term.indices))
         total = convolve(total, term)
     return total
 
 
-def _check_support(total, term) -> None:
-    """The support cap of one exact sum: the product of the two supports,
-    whether the sum is built or its tails are read from total's, against
-    MAX_SUPPORT_PRODUCT as it is when the check runs."""
-    size, term_size = len(total.indices), len(term.indices)
+def _check_support(size: int, term_size: int) -> None:
+    """The support cap of one exact sum of laws of size and term_size atoms,
+    formed or read: size * term_size against MAX_SUPPORT_PRODUCT as it is."""
     if size * term_size > MAX_SUPPORT_PRODUCT:
         raise SupportCapExceeded(
             f"support product {size}x{term_size} exceeds cap {MAX_SUPPORT_PRODUCT}")
@@ -229,47 +228,105 @@ class SweepReport:
         return not self.violations
 
 
-class _SumCache:
-    """Called with a key, the ascending codes of some terms, returns the law
-    of their sum.
-
-    ``terms`` maps each code to its term, and the caller adds each new term
-    to it, so it keeps every term alive.  Sums are cached by key, each built
-    from the sum of its key's longest cached prefix: a sum is convolved once,
-    and only when it or a longer key is asked for: sweep_checks asks for S
-    only when it cannot read S's tails from one packed product of P and X.
-    _check_support caps each convolution, as in exact_sum_distribution.
-    """
-
-    def __init__(self) -> None:
-        self.terms: dict[int, LatticeDistribution] = {}
-        self._sums: dict[tuple[int, ...], LatticeDistribution] = {(): point_mass(0)}
-
-    def __call__(self, key: tuple[int, ...]) -> LatticeDistribution:
-        cached = len(key)
-        while (total := self._sums.get(key[:cached])) is None:  # the empty prefix always is
-            cached -= 1
-        for k in range(cached, len(key)):
-            term = self.terms[key[k]]
-            _check_support(total, term)
-            total = convolve(total, term)
-            self._sums[key[: k + 1]] = total
-        return total
-
-
 # den's bit length -> (format, byte width) of the narrowest array slot that holds
 # den; slots are packed in native order and read as little-endian: none if big-endian.
 _SLOT_FORMATS = {bits: (fmt, array(fmt).itemsize) for fmt in "QIHB"
                  for bits in range(8 * array(fmt).itemsize + 1) if sys.byteorder == "little"}
 
 
-def _packed(law: LatticeDistribution, stride: int, fmt: str) -> int:
-    """law's weights as one integer of little-endian slots of array format
-    fmt: weight j in slot stride * indices[j], every other slot 0."""
-    dense = [0] * (stride * law.indices[-1] + 1)
-    for i, w in zip(law.indices, law.weights):
-        dense[stride * i] = w
+def _record(law: LatticeDistribution) -> tuple:
+    """The record of a symmetric law, its body the law itself (see _Prefixes)."""
+    step, indices = law.step, law.indices
+    return (law.den, step.numerator, step.denominator, indices[-1], len(indices), law)
+
+
+def _slots(den: int, top: int, body: int) -> array:
+    """The top + 1 slots of a packed body over den."""
+    fmt, nbytes = _SLOT_FORMATS[den.bit_length()]
+    return array(fmt, body.to_bytes(nbytes * (top + 1), "little"))
+
+
+def _packed(rec: tuple, stride: int, fmt: str) -> int:
+    """A record's weights as one integer of little-endian slots of array
+    format fmt: the weight at index i in slot stride * i, every other slot 0."""
+    den, _, _, top, _, body = rec
+    if isinstance(body, int) and stride == 1 and _SLOT_FORMATS[den.bit_length()][0] == fmt:
+        return body
+    dense = [0] * (stride * top + 1)
+    if isinstance(body, int):
+        dense[:: stride or 1] = _slots(den, top, body)  # stride 0: a point mass
+    else:
+        for i, w in zip(body.indices, body.weights):
+            dense[stride * i] = w
     return int.from_bytes(array(fmt, dense).tobytes(), "little")
+
+
+def _sum_form(head: tuple, term: tuple) -> tuple:
+    """How the sum of two records is formed: (den, a, b, gn, gd, L, width).
+
+    _check_support caps the product of their atom counts first.  On the
+    common step g = gn/gd of the two, in lowest terms (0/1 for two point
+    masses), head is on a*g and term on b*g; the sum has L = a*top_head +
+    b*top_term + 1 lattice points over den = den_head * den_term.  width is
+    the (format, byte width) of den's narrowest slot if there is one and L
+    <= 2 * count_head * count_term, else false: the sum is then convolved.
+    """
+    _check_support(head[4], term[4])
+    den, gd = head[0] * term[0], math.lcm(head[2], term[2])
+    pn, qn = head[1] * (gd // head[2]), term[1] * (gd // term[2])
+    gn = math.gcd(pn, qn)
+    a, b = pn // (gn or 1), qn // (gn or 1)
+    size = a * head[3] + b * term[3] + 1
+    return den, a, b, gn, gd, size, size <= 2 * head[4] * term[4] and _SLOT_FORMATS.get(
+        den.bit_length())
+
+
+class _Prefixes:
+    """Called with a key, the ascending codes of some terms, returns the
+    record of their sum.
+
+    A record of a symmetric law is (den, sn, sd, top, count, body): count
+    atoms at indices 0..top on step sn/sd in lowest terms (0/1 for a point
+    mass), weighted over den, index 0 at -sn*top/(2*sd); body is the law,
+    or its weights packed at stride 1 in den's narrowest slot.  ``records``
+    maps the empty key, each term's code (the caller adds them) and each
+    key asked for, or a prefix of one, to its record.  Each sum is formed
+    once, from the longest cached prefix one term at a time.  ``packs``
+    caches packed weights per (key or code, stride, format).
+    """
+
+    def __init__(self) -> None:
+        self.records: dict = {(): _record(point_mass(0))}
+        self.packs: dict[tuple, int] = {}
+
+    def __call__(self, key: tuple[int, ...]) -> tuple:
+        cached = len(key)
+        while (total := self.records.get(key[:cached])) is None:  # the empty key always is
+            cached -= 1
+        for k in range(cached, len(key)):
+            total = self.records[key[: k + 1]] = self._extend(key[:k], key[k])
+        return total
+
+    def packed(self, key, stride: int, fmt: str) -> int:
+        w = self.packs.get((key, stride, fmt))
+        if w is None:
+            w = self.packs[key, stride, fmt] = _packed(self.records[key], stride, fmt)
+        return w
+
+    def _extend(self, prefix: tuple[int, ...], code: int) -> tuple:
+        """The record of the sum of prefix and the term code: the integer
+        product of the two packed at strides a and b in den's slot, which
+        den bounds so that none carries, or their convolution (_sum_form)."""
+        head, term = self.records[prefix], self.records[code]
+        den, a, b, gn, gd, size, width = _sum_form(head, term)
+        if width:
+            body = self.packed(prefix, a, width[0]) * self.packed(code, b, width[0])
+            return (den, gn, gd, size - 1, size - _slots(den, size - 1, body).count(0), body)
+        p_den, sn, sd, top, _, law = head
+        if isinstance(law, int):  # a packed prefix, unpacked: its index 0 is at -sn*top/(2*sd)
+            law = LatticeDistribution._from_dense(
+                Fraction(-sn * top, 2 * sd), Fraction(sn, sd), p_den, _slots(p_den, top, law))
+        return _record(convolve(law, term[5]))  # a term's record holds its law
 
 
 def sweep_checks(
@@ -290,35 +347,32 @@ def sweep_checks(
 
     Terms are ordered by support size, largest first, then by first sight,
     and an instance's key lists its terms in that order.  The last term X
-    has the fewest atoms; the others sum to P, which one _SumCache builds
-    from key prefixes shared across instances.  S = P + X is read, not
-    built, from one integer product (Kronecker substitution): on the common
-    step g of P and X, W_P and W_X pack their weights into little-endian
-    slots of one width, atom i of P in slot a*i and atom j of X in slot b*j
-    (a, b their steps over g).  In W_P * W_X * ONES_L, ONES_L the L =
-    a*top_P + b*top_X + 1 slots of S set to 1, slot k < L holds S's weight
-    up to its k-th point and slot L + k the weight above it, over den =
-    P.den * X.den, which no slot exceeds, so none carries.  S is symmetric,
+    has the fewest atoms; the others sum to P, whose record one _Prefixes
+    forms from key prefixes shared across instances.  S = P + X is read,
+    not formed, from one product (Kronecker substitution): W_P and W_X pack
+    their weights into slots of one width on the common step of _sum_form,
+    and in W_P * W_X * ONES_L, ONES_L the L slots of S set to 1, slot k < L
+    holds S's weight up to its k-th point and slot L + k the weight above
+    it, over den = P.den * X.den, which no slot exceeds.  S is symmetric,
     so its last point at or below t >= 0 is k = min(floor((floor(2t/g) + L
-    - 1)/2), L - 1), and P(|S| > t) = 2 * (slot L + k).  Packs are cached
-    per (prefix key or term code, stride, width), slots per (n, g, L).
-    When den fits no slot of 1, 2, 4 or 8 bytes, or L > 2|P| * |X|, S is
-    built by the _SumCache and walked.  Raises ValueError on a
-    non-symmetric term; _check_support caps every product |P| * |X|, built
-    or not, as in exact_sum_distribution.
+    - 1)/2), L - 1), and P(|S| > t) = 2 * (slot L + k).  Products W_X *
+    ONES_L are cached per (term code, stride, width, L), slots per (n, g,
+    L).  Where _sum_form finds no slot, S is convolved and walked.  Raises
+    ValueError on a non-symmetric term; _check_support caps each sum, read
+    or formed, as in exact_sum_distribution.
     """
     h = parse_rational(h)
     ts = sorted(map(parse_rational, t_grid))
     ms = window_indices(ts, h)  # ascending, as ts is; rejects h <= 0
     low = bisect_left(ms, 1)
 
-    sum_of = _SumCache()
-    laws = sum_of.terms
+    prefixes = _Prefixes()
+    records, packs = prefixes.records, prefixes.packs  # packs also keeps each W_X * ONES_L
     # term id -> code: -(support size) * 2^64 + the number of terms seen
     # before it, so ascending codes put the largest supports first.  The
     # last term is then one of fewest atoms, and the order (so the work)
     # does not depend on where terms sit in memory, as ids would.  Ids stay
-    # valid because laws keeps every term alive.
+    # valid because the terms' records keep every term alive.
     code_of: dict[int, int] = {}
     # Bounds are cached by the sorted multiset of p values (the bound is
     # permutation invariant); each distinct p value gets a small integer
@@ -330,8 +384,6 @@ def sweep_checks(
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     # n -> the t with 1 <= m <= n, the same t as (numerator, denominator), and their m
     grids: dict[int, tuple[list[Fraction], list[tuple[int, int]], list[int]]] = {}
-    # (prefix key, stride, format) -> W_P; (term code, stride, format, L) -> W_X * ONES_L
-    packs: dict[tuple, int] = {}
     # (n, g as (numerator, denominator), L) -> the slot of each t of n's grid
     slots: dict[tuple[int, int, int, int], list[int]] = {}
 
@@ -343,8 +395,8 @@ def sweep_checks(
                 if id(d) not in code_of:
                     if not is_symmetric(d):
                         raise ValueError(f"instance {index} has a non-symmetric term") from None
-                    code = code_of[id(d)] = len(laws) - (len(d.indices) << 64)
-                    laws[code] = d
+                    code = code_of[id(d)] = len(code_of) - (len(d.indices) << 64)
+                    records[code] = _record(d)
                     p = abs_tail(d, h, strict=False)
                     p_code[code] = p_values.setdefault(p, len(p_values))
             key = tuple(sorted(map(code_of.__getitem__, map(id, terms))))
@@ -360,41 +412,27 @@ def sweep_checks(
             by_code = list(p_values)
             sums = _window_sums(tuple(by_code[code] for code in p_key), n_ms)
             bounds = bound_cache[p_key] = [sums[m][1::2] for m in n_ms]
-        tails = None
         if n:
             prefix, code = key[:-1], key[-1]
-            head, last = sum_of(prefix), laws[code]
-            _check_support(head, last)
-            den = head.den * last.den
-            width = _SLOT_FORMATS.get(den.bit_length())
-            # both steps over their common denominator d, and g = gn / d
-            ps, xs = head.step, last.step
-            d = math.lcm(ps.denominator, xs.denominator)
-            pn, xn = ps.numerator * d // ps.denominator, xs.numerator * d // xs.denominator
-            gn = math.gcd(pn, xn) or 1  # two point masses: any g, as L = 1
-            a, b = pn // gn, xn // gn
-            size = a * head.indices[-1] + b * last.indices[-1] + 1
-            if width and size <= 2 * len(head.indices) * len(last.indices):
+            head = records.get(prefix) or prefixes(prefix)
+            den, a, b, gn, gd, size, width = _sum_form(head, records[code])
+            if width:
                 fmt, nbytes = width
-                w_p = packs.get((prefix, a, fmt))
-                if w_p is None:
-                    w_p = packs[prefix, a, fmt] = _packed(head, a, fmt)
                 w_x = packs.get((code, b, fmt, size))
                 if w_x is None:
-                    ones = int.from_bytes(array(fmt, [1] * size).tobytes(), "little")
-                    w_x = packs[code, b, fmt, size] = _packed(last, b, fmt) * ones
-                at = slots.get((n, gn, d, size))
-                if at is None:
-                    at = slots[n, gn, d, size] = [
-                        min((2 * d * tn // (td * gn) + 3 * size - 1) // 2, 2 * size - 1)
+                    ones = ((1 << 8 * nbytes * size) - 1) // ((1 << 8 * nbytes) - 1)
+                    w_x = packs[code, b, fmt, size] = prefixes.packed(code, b, fmt) * ones
+                at = slots.get((n, gn, gd, size))
+                if at is None:  # two point masses: any g, as L = 1
+                    at = slots[n, gn, gd, size] = [
+                        min((2 * gd * tn // (td * (gn or 1)) + 3 * size - 1) // 2, 2 * size - 1)
                         for tn, td in cuts]
+                w_p = packs.get((prefix, a, fmt)) or prefixes.packed(prefix, a, fmt)
                 below = memoryview((w_p * w_x).to_bytes(nbytes * 2 * size, "little")).cast(fmt)
-                tails = [2 * below[k] for k in at]
-        if tails is None:
-            total = sum_of(key)
-            tails = [2 * w for w in _upper_tail_weights(total, cuts)]
-            den = total.den
-        yield index, grid, tails, den, bounds
+                yield index, grid, [2 * below[k] for k in at], den, bounds
+                continue
+        den, *_, total = prefixes(key)  # _sum_form found no slot: S's record holds its law
+        yield index, grid, [2 * w for w in _upper_tail_weights(total, cuts)], den, bounds
 
 
 def bound_soundness_sweep(

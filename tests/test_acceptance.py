@@ -41,7 +41,14 @@ from symtail.ordering import (
     wintner_check,
 )
 
-from util import coin, count_convolutions, dist, random_success_vector, random_symmetric_law
+from util import (
+    coin,
+    count_convolutions,
+    count_prefix_sums,
+    dist,
+    random_success_vector,
+    random_symmetric_law,
+)
 
 
 def report(number: int, message: str, started: float) -> None:
@@ -130,6 +137,7 @@ def test_criterion_04_dominance_and_agreement():
 def test_criterion_05_exhaustive_soundness_sweep(monkeypatch):
     started = time.time()
     convolutions = count_convolutions(monkeypatch)
+    prefix_sums = count_prefix_sums(monkeypatch)
     sweep = bound_soundness_sweep(
         symmetric_lattice_family(6),
         1,
@@ -137,9 +145,9 @@ def test_criterion_05_exhaustive_soundness_sweep(monkeypatch):
     )
     assert sweep.ok, sweep.violations[:5]
     assert sweep.instances == 54263
-    # every convolution is a prefix of a longer instance: the 15 503
-    # multisets of 1-5 laws; no instance's own sum is built
-    assert len(convolutions) == 15503
+    # every prefix sum is a prefix of a longer instance: the 15 503
+    # multisets of 1-5 laws, each one packed product; nothing is convolved
+    assert (len(prefix_sums), len(convolutions)) == (15503, 0)
     assert sweep.min_slack is not None and sweep.min_slack >= 0
     assert time.time() - started < 120
     report(

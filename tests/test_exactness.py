@@ -29,9 +29,10 @@ DIVISION = MONTE_CARLO
 # math functions whose result is exact for integer or Fraction arguments.
 EXACT_MATH = {"gcd", "lcm", "comb", "perm", "prod", "isqrt", "factorial", "ceil", "floor"}
 # The integer paths of the comparison and bound rows, the shared helpers they call,
-# and the sweep's slot packing.
+# and the sweep's prefix records and slot packing.
 INTEGER_PATH = {"_row", "pruss_check", "half_mass_check", "is_symmetric", "cmd_compare",
-                "cmd_bound", "window_indices", "_exact", "decimal_str", "_packed"}
+                "cmd_bound", "window_indices", "_exact", "decimal_str", "_packed", "_slots",
+                "_record", "_sum_form"}
 
 
 def scan(source: str) -> tuple[list[tuple[int, str, str]], set[str]]:

@@ -2,7 +2,8 @@
 Fraction references in util.py, on random rational laws (non-integer steps,
 half-lattice offsets, wide sparse gaps, point masses, mixed denominators),
 the sweep's symmetric tails P(|S| > t) = 2 P(S > t) against per-atom tails
-of the convolved sum, the sumset Kleitman count against the Gray-code
+of the convolved sum, its rows from packed prefix records against the same
+with every sum convolved, the sumset Kleitman count against the Gray-code
 enumeration, the bound table against the bounds' defining sums, JSON
 literals read straight into the integer form against a per-atom Fraction
 reading, the
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from symtail import bounds, oracles
-from symtail.bounds import bound_table
+from symtail.bounds import bound_table, improved_bound
 from symtail.cli import main
 from symtail.distributions import (
     LatticeDistribution,
@@ -263,6 +264,70 @@ def test_sweep_tails(case):
         assert [Fraction(tail, den) for tail in tails] == [
             ref_abs_tail(total, t, strict=True) for t in grid
         ]
+
+
+def _symmetric(*pairs) -> LatticeDistribution:
+    """The symmetric law with mass m at each of -x and x for each (x, m), and
+    the rest at 0."""
+    masses = {Fraction(x): Fraction(m) for x, m in pairs}
+    atoms = {**{-x: m for x, m in masses.items()}, **masses}
+    atoms[Fraction(0)] = 1 - 2 * sum(masses.values(), Fraction(0))
+    return LatticeDistribution(sorted((x, m) for x, m in atoms.items() if m))
+
+
+# Terms for the sweep's prefix records: a point mass, steps 1, 2, 1/2 and
+# 1/3, a +-10^12 gap, and dens 2^7 and 3^5, so that a chain of up to ten
+# terms crosses the 1-, 2-, 4- and 8-byte slots and goes past 64 bits.
+RECORD_LAWS = (
+    _symmetric(),  # point mass at 0
+    _symmetric((1, "1/4")),  # step 1, den 4
+    _symmetric((1, "1/2")),  # a coin: step 2, den 2
+    _symmetric((2, "1/8"), (4, "1/8")),  # step 2, den 8
+    _symmetric(("1/2", "1/243")),  # step 1/2, den 3^5
+    _symmetric(("1/3", "1/3")),  # step 1/3, den 3
+    _symmetric((10**12, "1/4")),  # the wide gap
+    _symmetric((1, "1/128")),  # step 1, den 2^7
+)
+RECORD_GRID = [Fraction(t) for t in (
+    0, "1/6", "1/3", "1/2", 1, "3/2", 2, "7/2", 6, 10**12 - 1, 10**12, 10**12 + 1, 3 * 10**12)]
+
+
+@st.composite
+def record_streams(draw):
+    """A stream of instances over RECORD_LAWS: prefixes of one drawn list
+    of up to ten terms, so prefixes are shared, and up to two more lists."""
+    pick = st.sampled_from(RECORD_LAWS)
+    base = draw(st.lists(pick, max_size=10))
+    ends = draw(st.lists(st.integers(0, len(base)), min_size=1, max_size=4))
+    return [base[:k] for k in ends] + draw(st.lists(st.lists(pick, max_size=4), max_size=2))
+
+
+D7, GAP, COIN_LAW = RECORD_LAWS[7], RECORD_LAWS[6], RECORD_LAWS[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(record_streams(), st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(10**13)]))
+@example([[D7] * k for k in range(11)], Fraction(1))  # dens 2^7 .. 2^70 in one chain
+@example([[D7] * k + [COIN_LAW] * j for k, j in ((1, 1), (2, 2), (4, 4), (9, 1))],
+         Fraction(1))  # dens 2^8, 2^16, 2^32 and 2^64, each one bit past a slot
+@example([[_symmetric((1, "1/256"))]], Fraction(1))  # a one-byte slot would carry into a read
+@example([[COIN_LAW, GAP, GAP], [GAP, COIN_LAW]], Fraction(1))  # a sparse prefix, convolved
+@example([[RECORD_LAWS[0]] * 3, [RECORD_LAWS[4]] * 9, []], Fraction(1, 3))  # den 3^45, no terms
+def test_sweep_rows_from_prefix_records(stream, h):
+    # Every row equals the one built from the per-atom reference sum, and
+    # the rows are the same when no slot format is available (a big-endian
+    # host), so that every prefix and every instance is convolved.
+    rows = list(sweep_checks(stream, h, RECORD_GRID))
+    assert [index for index, *_ in rows] == list(range(len(stream)))
+    for (_, grid, tails, den, bounds), instance in zip(rows, stream):
+        total = reduce(ref_convolve, [term.atoms for term in instance], ZERO)
+        p = [abs_tail(term, h, strict=False) for term in instance]
+        expected = [t for t in RECORD_GRID if t < len(instance) * h]
+        assert (grid, den) == (expected, math.prod(term.den for term in instance))
+        assert [Fraction(tail, den) for tail in tails] == [ref_abs_tail(total, t) for t in grid]
+        assert [Fraction(*b) for b in bounds] == [improved_bound(p, h, t) for t in grid]
+    with patch.object(oracles, "_SLOT_FORMATS", {}):
+        assert list(sweep_checks(stream, h, RECORD_GRID)) == rows
 
 
 @settings(max_examples=300, deadline=None)

@@ -30,6 +30,7 @@ from symtail.oracles import (
 from util import (
     coin,
     count_convolutions,
+    count_prefix_sums,
     dist,
     random_success_vector,
     random_symmetric_law,
@@ -368,41 +369,62 @@ class TestBoundSoundnessSweep:
 
 class TestSweepChecks:
     def test_family_convolutions(self, monkeypatch):
-        # Every convolution is a prefix of a longer instance: the 815
-        # multisets of 1-3 laws.  No instance's own sum is built.
+        # Every prefix sum is a prefix of a longer instance: the 815
+        # multisets of 1-3 laws, each one packed product.  No instance's own
+        # sum is formed, and nothing is convolved.
         calls = count_convolutions(monkeypatch)
+        prefix_sums = count_prefix_sums(monkeypatch)
         report = bound_soundness_sweep(
             symmetric_lattice_family(4), 1, [Fraction(k, 2) for k in range(8)]
         )
         assert (report.instances, report.checks, report.min_slack) == (3875, 29070, 0)
-        assert len(calls) == 815
+        assert (len(prefix_sums), len(calls)) == (815, 0)
 
     @pytest.mark.parametrize("cuts", [1, 11])
     def test_support_cap_on_the_unbuilt_sum(self, cuts, monkeypatch):
-        # P is the five-atom law (1x5, built), and only the last product,
-        # 5x3, is over a cap of 14.  S stays unbuilt on both grids: its
-        # tails are read from the packed product.
+        # P is the five-atom law (1x5, a packed product), and only the last
+        # product, 5x3, is over a cap of 14.  S stays unformed on both grids:
+        # its tails are read from the packed product.
         five = dist({x: Fraction(1, 5) for x in range(-2, 3)})
         lazy = dist({-1: "1/4", 0: "1/2", 1: "1/4"})
         grid = [Fraction(k, 8) for k in range(cuts)]
         monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 15)
         calls = count_convolutions(monkeypatch)
+        prefix_sums = count_prefix_sums(monkeypatch)
         assert len(list(sweep_checks([[lazy, five]], 1, grid))) == 1
-        assert len(calls) == 1
+        assert (len(prefix_sums), len(calls)) == (1, 0)
         monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 14)
         with pytest.raises(SupportCapExceeded, match="support product 5x3 exceeds cap 14"):
             list(sweep_checks([[lazy, five]], 1, grid))
 
-    @pytest.mark.parametrize("terms, grid", [
-        # L = 10^12 + 2 lattice points of S against 2 * 3 * 2 products
-        ([dist({-10**12: "1/4", 0: "1/2", 10**12: "1/4"}), coin()], [0, 1, Fraction(3, 2)]),
-        ([coin()] * 70, [0, 1, 7, 35, 69]),  # den 2^70 fits no 8-byte slot
+    def test_support_cap_on_a_prefix(self, monkeypatch):
+        # The first instance's products, 1x5 and 5x3, are under a cap of 24.
+        # The second instance's prefix FIVE + FIVE is the first product
+        # over it, so the sweep raises there, after yielding the first.
+        five = dist({x: Fraction(1, 5) for x in range(-2, 3)})
+        lazy = dist({-1: "1/4", 0: "1/2", 1: "1/4"})
+        monkeypatch.setattr(oracles, "MAX_SUPPORT_PRODUCT", 24)
+        prefix_sums = count_prefix_sums(monkeypatch)
+        seen = []
+        with pytest.raises(SupportCapExceeded, match="^support product 5x5 exceeds cap 24$"):
+            for index, *_ in sweep_checks([[lazy, five], [five, lazy, five]], 1, [0]):
+                seen.append(index)
+        assert seen == [0] and len(prefix_sums) == 2
+
+    @pytest.mark.parametrize("terms, grid, convolved", [
+        # L = 10^12 + 2 lattice points of S against 2 * 3 * 2 products: the
+        # prefix (the wide law) is packed, S is convolved
+        ([dist({-10**12: "1/4", 0: "1/2", 10**12: "1/4"}), coin()], [0, 1, Fraction(3, 2)], 1),
+        # den 2^64 fits no 8-byte slot: the 63 sums of 1-63 coins are
+        # packed, the 6 prefixes of 64-69 coins and S convolved
+        ([coin()] * 70, [0, 1, 7, 35, 69], 7),
     ], ids=["sparse", "wide-den"])
-    def test_density_rule(self, terms, grid, monkeypatch):
-        # S is built and walked: one convolution past its n - 1 prefixes
+    def test_density_rule(self, terms, grid, convolved, monkeypatch):
+        # S is formed and walked: one sum past its n - 1 prefixes
         calls = count_convolutions(monkeypatch)
+        prefix_sums = count_prefix_sums(monkeypatch)
         [(_, got, tails, den, _)] = sweep_checks([terms], 1, grid)
-        assert len(calls) == len(terms)
+        assert (len(prefix_sums), len(calls)) == (len(terms), convolved)
         total = exact_sum_distribution(terms)
         assert got == grid
         assert [Fraction(tail, den) for tail in tails] == [abs_tail(total, t) for t in grid]

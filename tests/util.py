@@ -206,6 +206,20 @@ def count_convolutions(monkeypatch) -> list:
     return calls
 
 
+def count_prefix_sums(monkeypatch) -> list:
+    """Count the prefix sums the sweep forms, packed or convolved: one
+    (prefix key, term code) entry per sum."""
+    calls = []
+    real = oracles._Prefixes._extend
+
+    def extend(self, prefix, code):
+        calls.append((prefix, code))
+        return real(self, prefix, code)
+
+    monkeypatch.setattr(oracles._Prefixes, "_extend", extend)
+    return calls
+
+
 def corrupt_bound_sums(monkeypatch, name: str) -> None:
     """Patch bounds._bound_sums so that its result fails SUM_CORRUPTIONS[name]."""
     real = bounds._bound_sums
