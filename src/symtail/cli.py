@@ -199,10 +199,10 @@ def cmd_sweep(data: dict) -> Iterator[tuple]:
         max_n = _get(family, "max_n", _int)
         if max_n > cap:
             raise InputError(f"family max_n={max_n} > cap {cap}")
+        # the fields given; symmetric_lattice_family holds the defaults
+        shape = {k: _get(family, k, _int) for k in ("denominator", "radius") if k in family}
         try:
-            instances = oracles.symmetric_lattice_family(
-                max_n, _get(family, "denominator", _int, 8), _get(family, "radius", _int, 2), h
-            )
+            instances = oracles.symmetric_lattice_family(max_n, h=h, **shape)
         except ValueError as exc:
             raise InputError(f"bad family description: {exc}") from exc
     else:

@@ -227,12 +227,10 @@ class LatticeDistribution:
         return LatticeDistribution._from_pairs(pairs)
 
 
-def _upper_tail_weights(
-    d: LatticeDistribution, cuts: Sequence[tuple[int, int]], weak: bool = False
-) -> list:
-    """Numerators over d.den of P(X > num/den) for each (num, den) of cuts,
-    given in ascending order with den > 0; with weak, the pairs
-    (P(X > num/den), P(X >= num/den)) instead.
+def _upper_tail_weights(d: LatticeDistribution,
+                        cuts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Numerators over d.den of the pair (P(X > num/den), P(X >= num/den))
+    for each (num, den) of cuts, given in ascending order with den > 0.
 
     The one kernel that places a rational cut on a law's lattice: every
     tail, interval and point query reads it.  One walk down d's atoms from
@@ -255,19 +253,16 @@ def _upper_tail_weights(
         while j and indices[j - 1] > q:
             j -= 1
             tail += weights[j]
-        if weak:
-            # the atom of index q sits on num/den when the floor is exact
-            on_cut = j and indices[j - 1] == q and (diff * sd == q * div if sn else not diff)
-            out.append((tail, tail + weights[j - 1] if on_cut else tail))
-        else:
-            out.append(tail)
+        # the atom of index q sits on num/den when the floor is exact
+        on_cut = j and indices[j - 1] == q and (diff * sd == q * div if sn else not diff)
+        out.append((tail, tail + weights[j - 1] if on_cut else tail))
     out.reverse()
     return out
 
 
 def _tails(d: LatticeDistribution, *qs: Fraction) -> list[tuple[int, int]]:
     """(P(X > q), P(X >= q)) numerators over d.den for ascending qs."""
-    return _upper_tail_weights(d, [(q.numerator, q.denominator) for q in qs], weak=True)
+    return _upper_tail_weights(d, [(q.numerator, q.denominator) for q in qs])
 
 
 def point_mass(c=0) -> LatticeDistribution:

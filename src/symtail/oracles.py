@@ -237,7 +237,7 @@ _SLOT_FORMATS = {bits: (fmt, array(fmt).itemsize) for fmt in "QIHB"
 def _record(law: LatticeDistribution) -> tuple:
     """The record of a symmetric law, its body the law itself (see _Prefixes)."""
     step, indices = law.step, law.indices
-    return (law.den, step.numerator, step.denominator, indices[-1], len(indices), law)
+    return (law.den, step.numerator, step.denominator, indices[-1], len(indices), law, {})
 
 
 def _slots(den: int, top: int, body: int) -> array:
@@ -247,18 +247,17 @@ def _slots(den: int, top: int, body: int) -> array:
 
 
 def _packed(rec: tuple, stride: int, fmt: str) -> int:
-    """A record's weights as one integer of little-endian slots of array
-    format fmt: the weight at index i in slot stride * i, every other slot 0."""
-    den, _, _, top, _, body = rec
-    if isinstance(body, int) and stride == 1 and _SLOT_FORMATS[den.bit_length()][0] == fmt:
-        return body
+    """Packs a record's weights into one integer of little-endian slots of
+    array format fmt, index i in slot stride * i, kept in packs[stride, fmt]."""
+    den, _, _, top, _, body, packs = rec
     dense = [0] * (stride * top + 1)
     if isinstance(body, int):
         dense[:: stride or 1] = _slots(den, top, body)  # stride 0: a point mass
     else:
         for i, w in zip(body.indices, body.weights):
             dense[stride * i] = w
-    return int.from_bytes(array(fmt, dense).tobytes(), "little")
+    w = packs[stride, fmt] = int.from_bytes(array(fmt, dense).tobytes(), "little")
+    return w
 
 
 def _sum_form(head: tuple, term: tuple) -> tuple:
@@ -283,21 +282,21 @@ def _sum_form(head: tuple, term: tuple) -> tuple:
 
 class _Prefixes:
     """Called with a key, the ascending codes of some terms, returns the
-    record of their sum.
+    record of their sum; its reader answers tail queries on such sums.
 
-    A record of a symmetric law is (den, sn, sd, top, count, body): count
-    atoms at indices 0..top on step sn/sd in lowest terms (0/1 for a point
-    mass), weighted over den, index 0 at -sn*top/(2*sd); body is the law,
-    or its weights packed at stride 1 in den's narrowest slot.  ``records``
-    maps the empty key, each term's code (the caller adds them) and each
-    key asked for, or a prefix of one, to its record.  Each sum is formed
-    once, from the longest cached prefix one term at a time.  ``packs``
-    caches packed weights per (key or code, stride, format).
+    A record of a symmetric law is (den, sn, sd, top, count, body, packs):
+    count atoms at indices 0..top on step sn/sd in lowest terms (0/1 for a
+    point mass), weighted over den, index 0 at -sn*top/(2*sd); body is the
+    law, or its weights packed at stride 1 in den's narrowest slot; packs
+    maps (stride, format) to each packed form _packed built, and for a term
+    (stride, format, L) to W_X * ONES_L.  ``records`` maps the empty key,
+    each term's code (the caller adds them) and each key asked for, or a
+    prefix of one, to its record.  Each sum is formed once, from the
+    longest cached prefix one term at a time.
     """
 
     def __init__(self) -> None:
         self.records: dict = {(): _record(point_mass(0))}
-        self.packs: dict[tuple, int] = {}
 
     def __call__(self, key: tuple[int, ...]) -> tuple:
         cached = len(key)
@@ -307,12 +306,6 @@ class _Prefixes:
             total = self.records[key[: k + 1]] = self._extend(key[:k], key[k])
         return total
 
-    def packed(self, key, stride: int, fmt: str) -> int:
-        w = self.packs.get((key, stride, fmt))
-        if w is None:
-            w = self.packs[key, stride, fmt] = _packed(self.records[key], stride, fmt)
-        return w
-
     def _extend(self, prefix: tuple[int, ...], code: int) -> tuple:
         """The record of the sum of prefix and the term code: the integer
         product of the two packed at strides a and b in den's slot, which
@@ -320,13 +313,61 @@ class _Prefixes:
         head, term = self.records[prefix], self.records[code]
         den, a, b, gn, gd, size, width = _sum_form(head, term)
         if width:
-            body = self.packed(prefix, a, width[0]) * self.packed(code, b, width[0])
-            return (den, gn, gd, size - 1, size - _slots(den, size - 1, body).count(0), body)
-        p_den, sn, sd, top, _, law = head
+            fmt = width[0]
+            body = ((head[6].get((a, fmt)) or _packed(head, a, fmt))
+                    * (term[6].get((b, fmt)) or _packed(term, b, fmt)))
+            count = size - _slots(den, size - 1, body).count(0)
+            return (den, gn, gd, size - 1, count, body, {(1, fmt): body})
+        p_den, sn, sd, top, _, law, _ = head
         if isinstance(law, int):  # a packed prefix, unpacked: its index 0 is at -sn*top/(2*sd)
             law = LatticeDistribution._from_dense(
                 Fraction(-sn * top, 2 * sd), Fraction(sn, sd), p_den, _slots(p_den, top, law))
         return _record(convolve(law, term[5]))  # a term's record holds its law
+
+    def reader(self) -> Callable:
+        """The tail query, bound once per sweep: read(key, cuts) -> (den,
+        tails), P(|S| > c/d) = tails[j] / den for the j-th (c, d) of cuts,
+        ascending, c >= 0 and d > 0, S the sum of key's symmetric terms.  Slot
+        indices are cached per cuts object, which must not change once read.
+
+        S = P + X, X the last term of key, is read, not formed, from one
+        product (Kronecker substitution): W_P and W_X pack their weights into
+        slots of one width on the common step g of _sum_form, and in W_P *
+        W_X * ONES_L, ONES_L the L slots of S set to 1, slot k < L holds S's
+        weight up to its k-th point and slot L + k the weight above it, over
+        den = P.den * X.den, which no slot exceeds.  S is symmetric, so its
+        last point at or below t >= 0 is k = min(floor((floor(2t/g) + L -
+        1)/2), L - 1), and P(|S| > t) = 2 * (slot L + k).  Where _sum_form
+        finds no slot, S is formed and walked.  _check_support caps each
+        sum, read or formed, as in exact_sum_distribution.
+        """
+        records = self.records
+        # (id of cuts, g as (numerator, denominator), L) -> the slot of each cut
+        slot_index: dict[tuple[int, int, int, int], list[int]] = {}
+        held: dict[int, Sequence] = {}  # id -> cuts: an id stays with its cuts
+
+        def read(key: tuple[int, ...], cuts: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+            if key:
+                head, term = records.get(key[:-1]) or self(key[:-1]), records[key[-1]]
+                den, a, b, gn, gd, size, width = _sum_form(head, term)
+                if width:
+                    fmt, nbytes = width
+                    if (w_x := term[6].get((b, fmt, size))) is None:  # W_X * ONES_L
+                        ones = ((1 << 8 * nbytes * size) - 1) // ((1 << 8 * nbytes) - 1)
+                        w_x = term[6][b, fmt, size] = ones * (
+                            term[6].get((b, fmt)) or _packed(term, b, fmt))
+                    if (at := slot_index.get((id(cuts), gn, gd, size))) is None:
+                        held[id(cuts)] = cuts
+                        at = slot_index[id(cuts), gn, gd, size] = [  # gn = 0 only where L = 1
+                            min((2 * gd * c // (d * (gn or 1)) + 3 * size - 1) // 2, 2 * size - 1)
+                            for c, d in cuts]
+                    w_p = head[6].get((a, fmt)) or _packed(head, a, fmt)
+                    below = memoryview((w_p * w_x).to_bytes(nbytes * 2 * size, "little")).cast(fmt)
+                    return den, [2 * below[k] for k in at]
+            den, *_, total, _ = self(key)  # _sum_form found no slot: S's record holds its law
+            return den, [2 * gt for gt, _ in _upper_tail_weights(total, cuts)]
+
+        return read
 
 
 def sweep_checks(
@@ -341,25 +382,12 @@ def sweep_checks(
     t of t_grid in the bound's domain 1 <= m <= n, from one window_indices
     pass, P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the improved
     bound at grid[j] as (numerator, common) of one _window_sums per distinct
-    multiset of p, not reduced.  Bound rows are cached by p-multiset.  Every
-    term is symmetric, so every sum S is too and P(|S| > t) = 2 P(S > t) for
-    t >= 0.
+    multiset of p, not reduced.  Bound rows are cached by p-multiset.
 
     Terms are ordered by support size, largest first, then by first sight,
-    and an instance's key lists its terms in that order.  The last term X
-    has the fewest atoms; the others sum to P, whose record one _Prefixes
-    forms from key prefixes shared across instances.  S = P + X is read,
-    not formed, from one product (Kronecker substitution): W_P and W_X pack
-    their weights into slots of one width on the common step of _sum_form,
-    and in W_P * W_X * ONES_L, ONES_L the L slots of S set to 1, slot k < L
-    holds S's weight up to its k-th point and slot L + k the weight above
-    it, over den = P.den * X.den, which no slot exceeds.  S is symmetric,
-    so its last point at or below t >= 0 is k = min(floor((floor(2t/g) + L
-    - 1)/2), L - 1), and P(|S| > t) = 2 * (slot L + k).  Products W_X *
-    ONES_L are cached per (term code, stride, width, L), slots per (n, g,
-    L).  Where _sum_form finds no slot, S is convolved and walked.  Raises
-    ValueError on a non-symmetric term; _check_support caps each sum, read
-    or formed, as in exact_sum_distribution.
+    and an instance's key lists its terms in that order.  Its tails come
+    from one _Prefixes reader, which shares prefix sums across instances.
+    Raises ValueError on a non-symmetric term or over the support cap.
     """
     h = parse_rational(h)
     ts = sorted(map(parse_rational, t_grid))
@@ -367,7 +395,7 @@ def sweep_checks(
     low = bisect_left(ms, 1)
 
     prefixes = _Prefixes()
-    records, packs = prefixes.records, prefixes.packs  # packs also keeps each W_X * ONES_L
+    read = prefixes.reader()
     # term id -> code: -(support size) * 2^64 + the number of terms seen
     # before it, so ascending codes put the largest supports first.  The
     # last term is then one of fewest atoms, and the order (so the work)
@@ -384,8 +412,6 @@ def sweep_checks(
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     # n -> the t with 1 <= m <= n, the same t as (numerator, denominator), and their m
     grids: dict[int, tuple[list[Fraction], list[tuple[int, int]], list[int]]] = {}
-    # (n, g as (numerator, denominator), L) -> the slot of each t of n's grid
-    slots: dict[tuple[int, int, int, int], list[int]] = {}
 
     for index, terms in enumerate(instances):
         try:
@@ -396,7 +422,7 @@ def sweep_checks(
                     if not is_symmetric(d):
                         raise ValueError(f"instance {index} has a non-symmetric term") from None
                     code = code_of[id(d)] = len(code_of) - (len(d.indices) << 64)
-                    records[code] = _record(d)
+                    prefixes.records[code] = _record(d)
                     p = abs_tail(d, h, strict=False)
                     p_code[code] = p_values.setdefault(p, len(p_values))
             key = tuple(sorted(map(code_of.__getitem__, map(id, terms))))
@@ -412,27 +438,8 @@ def sweep_checks(
             by_code = list(p_values)
             sums = _window_sums(tuple(by_code[code] for code in p_key), n_ms)
             bounds = bound_cache[p_key] = [sums[m][1::2] for m in n_ms]
-        if n:
-            prefix, code = key[:-1], key[-1]
-            head = records.get(prefix) or prefixes(prefix)
-            den, a, b, gn, gd, size, width = _sum_form(head, records[code])
-            if width:
-                fmt, nbytes = width
-                w_x = packs.get((code, b, fmt, size))
-                if w_x is None:
-                    ones = ((1 << 8 * nbytes * size) - 1) // ((1 << 8 * nbytes) - 1)
-                    w_x = packs[code, b, fmt, size] = prefixes.packed(code, b, fmt) * ones
-                at = slots.get((n, gn, gd, size))
-                if at is None:  # two point masses: any g, as L = 1
-                    at = slots[n, gn, gd, size] = [
-                        min((2 * gd * tn // (td * (gn or 1)) + 3 * size - 1) // 2, 2 * size - 1)
-                        for tn, td in cuts]
-                w_p = packs.get((prefix, a, fmt)) or prefixes.packed(prefix, a, fmt)
-                below = memoryview((w_p * w_x).to_bytes(nbytes * 2 * size, "little")).cast(fmt)
-                yield index, grid, [2 * below[k] for k in at], den, bounds
-                continue
-        den, *_, total = prefixes(key)  # _sum_form found no slot: S's record holds its law
-        yield index, grid, [2 * w for w in _upper_tail_weights(total, cuts)], den, bounds
+        den, tails = read(key, cuts)
+        yield index, grid, tails, den, bounds
 
 
 def bound_soundness_sweep(

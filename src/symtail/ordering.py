@@ -125,8 +125,7 @@ def pruss_check(inst: ComparisonInstance, t_grid: Sequence) -> PrussReport:
     s, t_dist = inst.sums()
     ts = sorted(t for t in map(parse_rational, t_grid) if t.numerator > 0)
     cuts = [(t.numerator, t.denominator) for t in ts]
-    s_tails = _upper_tail_weights(s, cuts, weak=True)
-    t_tails = _upper_tail_weights(t_dist, cuts, weak=True)
+    s_tails, t_tails = (_upper_tail_weights(d, cuts) for d in (s, t_dist))
     return PrussReport([_row(t, 2 * s_ge, s.den, t_ge, t_dist.den)
                         for t, (_, s_ge), (_, t_ge) in zip(ts, s_tails, t_tails)])
 
@@ -152,8 +151,7 @@ def half_mass_check(inst: ComparisonInstance, h, m_max: int) -> CheckReport:
     s, t_dist = inst.sums()
     ms = range(1, m_max + 1)
     cuts = [(m * h.numerator, h.denominator) for m in ms]
-    s_tails = _upper_tail_weights(s, cuts, weak=True)
-    t_tails = _upper_tail_weights(t_dist, cuts, weak=True)
+    s_tails, t_tails = (_upper_tail_weights(d, cuts) for d in (s, t_dist))
     return CheckReport([_row(m, s_gt + s_ge, s.den, t_gt + t_ge, t_dist.den)
                         for m, (s_gt, s_ge), (t_gt, t_ge) in zip(ms, s_tails, t_tails)])
 
@@ -161,7 +159,7 @@ def half_mass_check(inst: ComparisonInstance, h, m_max: int) -> CheckReport:
 def _on_three_points(d: LatticeDistribution, h: Fraction) -> bool:
     # Every atom is -h, 0 or h: the masses there make up the whole law.
     hn, hd = h.numerator, h.denominator
-    tails = _upper_tail_weights(d, [(-hn, hd), (0, 1), (hn, hd)], weak=True)
+    tails = _upper_tail_weights(d, [(-hn, hd), (0, 1), (hn, hd)])
     return sum(ge - gt for gt, ge in tails) == d.den
 
 

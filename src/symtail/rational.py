@@ -61,7 +61,7 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction | int | tuple[int, int]) -> str:
-    """Render exactly: "3", "-1/2", ...  q is a Fraction, an int, or an
+    """Render exactly: "3", "-1/2", ...  q is a Fraction or an int, or an
     integer (numerator, denominator) pair with den > 0, rendered reduced."""
     if isinstance(q, tuple):
         num, den = q
@@ -69,8 +69,6 @@ def format_rational(q: Fraction | int | tuple[int, int]) -> str:
         if g != 1:
             num, den = num // g, den // g
     else:
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
         num, den = q.numerator, q.denominator
     try:
         return str(num) if den == 1 else f"{num}/{den}"

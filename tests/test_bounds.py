@@ -133,6 +133,11 @@ class TestKanterSupremum:
             for m in range(1, n + 3):
                 assert kanter_supremum(p, m) == kanter_supremum_via_stpc(p, m)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_via_stpc_rejects_m_below_1(self, m):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            kanter_supremum_via_stpc([1], m)
+
     def test_nonincreasing_in_p(self):
         rng = random.Random(27)
         for _ in range(20):
@@ -317,6 +322,11 @@ class TestExtremalDistribution:
             dist({-1: "1/6", 0: "2/3", 1: "1/6"})
         ]
 
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_rejects_h_not_positive(self, h):
+        with pytest.raises(ValueError, match=f"h must be positive, got {h}"):
+            extremal_distribution([1], h)
+
 
 class TestExtremalIntervalCheck:
     def test_two_sure_terms(self):
@@ -331,6 +341,11 @@ class TestExtremalIntervalCheck:
     def test_all_zero(self):
         sup, attained = extremal_interval_check([0, 0], 1, 1)
         assert sup == attained == 1
+
+    @pytest.mark.parametrize("h, H", [(2, 1), (0, 1)])
+    def test_rejects_h_outside_0_to_H(self, h, H):
+        with pytest.raises(ValueError, match="need 0 < h <= H"):
+            extremal_interval_check([1, 1], h, H)
 
     def test_half_integer_condition_enforced(self):
         with pytest.raises(ValueError):

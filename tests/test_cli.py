@@ -487,6 +487,16 @@ class TestCompareCommand:
         ]
         assert Fraction(*pruss[-1][1]) == Fraction(2, d**4)
 
+    def test_half_mass_hypothesis_row(self, tmp_path):
+        # Y_1, the +-2 coin, is off {-h, 0, h} at h = 1: the check writes
+        # one row that says so, which is no violation.
+        two = {"atoms": [{"x": "-2", "mass": "1/2"}, {"x": "2", "mass": "1/2"}]}
+        payload = {"xs": [two], "ys": [two], "h": "1", "t_grid": ["1"]}
+        code, _, out = run(tmp_path, "compare", payload)
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[2] == 'half_mass,,,,"hypothesis-violated: Y_1 not supported on {-h, 0, h}"'
+
     def test_undominated_pair_is_usage_error(self, tmp_path):
         payload = {"xs": [ZERO], "ys": [COIN], "h": "1", "t_grid": ["1"]}
         code, _, _ = run(tmp_path, "compare", payload)
@@ -620,6 +630,28 @@ TIGHTEN = {"p": ["1", "1"], "h": "1", "m": 1, "h_grid": ["2"], "split_grid": ["1
 )
 def test_malformed_shape_is_usage_error(tmp_path, command, payload):
     assert run(tmp_path, command, payload)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [("bound", {"h": "1", "t_grid": ["0"]}, "input must supply either 'p' or 'terms'"),
+     ("sweep", {"h": "1", "t_grid": ["0"]}, "input must supply 'instances' or 'family'"),
+     ("sweep", {"h": "1", "t_grid": ["0"], "family": [2]},
+      "expected an object with field 'max_n', got list"),
+     ("kleitman", {"instances": [KLEITMAN["instances"][0] | {"norm": 1}]},
+      "instance 0: norm must be a string, got int"),
+     ("sweep", SWEEP | {"instances": [[COIN, 5]]},
+      "bad distribution literal in instances: distribution literal must have an 'atoms' list"),
+     ("compare", COMPARE | {"xs": [COIN, {"mass": "1"}]},
+      "bad distribution literal in xs: distribution literal must have an 'atoms' list")],
+    ids=["bound-no-p-or-terms", "sweep-no-instances-or-family", "sweep-family-list",
+         "kleitman-norm-int", "sweep-law-int", "compare-law-no-atoms"],
+)
+def test_missing_or_misshapen_input_is_one_error_line(tmp_path, capsys, command, payload,
+                                                      message):
+    code, _, out = run(tmp_path, command, payload)
+    assert (code, out.exists()) == (2, False)
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, payload, cap",

@@ -281,6 +281,10 @@ class TestPredicates:
     def test_unimodal_span_zero_only_point_masses(self):
         assert not is_unimodal_with_span(coin(), 0)
 
+    def test_unimodal_rejects_negative_span(self):
+        with pytest.raises(ValueError, match="span must be nonnegative, got -1"):
+            is_unimodal_with_span(point_mass(3), -1)
+
     def test_unimodal_fine_span_needs_no_dense_scan(self):
         # two atoms 2*10^9 spans apart: rejected from the lattice form alone
         started = time.perf_counter()

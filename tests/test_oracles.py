@@ -5,12 +5,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import symtail
 from symtail.bounds import improved_bound, kanter_supremum
-from symtail.distributions import abs_tail, point_mass
+from symtail.distributions import LatticeDistribution, abs_tail, point_mass
 from symtail.exactmath import largest_binomial_sum
 from symtail import oracles
 from symtail.oracles import (
@@ -36,6 +37,8 @@ from util import (
     random_symmetric_law,
     shifted_window_sums,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def ball(center, radius):
@@ -356,6 +359,21 @@ class TestBoundSoundnessSweep:
         report = bound_soundness_sweep([[coin(), coin()]], 1, [1])
         assert report.min_slack == Fraction(1, 2) - Fraction(1, 4)
 
+    def test_violations_reported(self, monkeypatch):
+        # The instances of the golden sweep_inflate input under the improved
+        # bound shifted up by 1/8: the two rows its CSV marks VIOLATION, as
+        # (instance, t, bound, tail), and the least slack at the first.
+        spec = json.loads((GOLDEN / "sweep_inflate.json").read_text())
+        instances = [[LatticeDistribution.from_json_dict(law) for law in inst]
+                     for inst in spec["instances"]]
+        monkeypatch.setattr(oracles, "_window_sums", shifted_window_sums(Fraction(1, 8)))
+        report = bound_soundness_sweep(instances, spec["h"], spec["t_grid"])
+        assert not report.ok
+        assert (report.instances, report.checks) == (2, 4)
+        assert report.violations == [(0, 0, Fraction(5, 8), Fraction(1, 2)),
+                                     (1, 1, Fraction(1, 4), Fraction(7, 32))]
+        assert (report.min_slack, report.min_slack_at) == (Fraction(-1, 8), (0, 0))
+
     def test_support_cap(self):
         # 447^2 <= 200 000 < 449^2, the cap of exact_sum_distribution
         for atoms, capped in ((447, False), (449, True)):
@@ -374,11 +392,29 @@ class TestSweepChecks:
         # sum is formed, and nothing is convolved.
         calls = count_convolutions(monkeypatch)
         prefix_sums = count_prefix_sums(monkeypatch)
+        # whether each _packed call finds its form already on the record
+        packed, real = [], oracles._packed
+        monkeypatch.setattr(oracles, "_packed", lambda rec, stride, fmt: packed.append(
+            (stride, fmt) in rec[6]) or real(rec, stride, fmt))
         report = bound_soundness_sweep(
             symmetric_lattice_family(4), 1, [Fraction(k, 2) for k in range(8)]
         )
         assert (report.instances, report.checks, report.min_slack) == (3875, 29070, 0)
         assert (len(prefix_sums), len(calls)) == (815, 0)
+        assert (len(packed), any(packed)) == (271, False)  # each form built once
+
+    def test_reader_slots_follow_each_cuts(self):
+        # One key read on a new cuts list each time, freed after its read:
+        # the slots cached for a list must not answer a new one at its address.
+        lazy = dist({-1: "1/4", 0: "1/2", 1: "1/4"})
+        prefixes = oracles._Prefixes()
+        prefixes.records[0], prefixes.records[1] = oracles._record(lazy), oracles._record(coin())
+        read = prefixes.reader()
+        total = exact_sum_distribution([lazy, coin()])
+        for k in range(6):
+            den, tails = read((0, 1), [(k, 2), (k + 1, 2)])
+            assert [Fraction(tail, den) for tail in tails] == [
+                abs_tail(total, Fraction(j, 2)) for j in (k, k + 1)]
 
     @pytest.mark.parametrize("cuts", [1, 11])
     def test_support_cap_on_the_unbuilt_sum(self, cuts, monkeypatch):
@@ -455,6 +491,8 @@ class TestTightnessSearch:
             tightness_search([1], 1, 1)  # t = n*h is out of domain
         with pytest.raises(ValueError):
             tightness_search([1, 1], 1, 1, split_grid=[])
+        with pytest.raises(ValueError, match="h' >= h"):
+            tightness_search([1, 1], 1, 1, h_grid=[2, Fraction(1, 2)])
 
     def test_negative_gap_is_reported(self, monkeypatch):
         # The improved bound 1/4 shifted up to 1.
@@ -538,6 +576,15 @@ class TestMonteCarlo:
     def test_rejects_malformed_term_when_built(self, term, message):
         with pytest.raises(ValueError, match=message):
             SampleConfig(seed=1, replications=1000, terms=({"kind": "gaussian", "sigma": 1.0}, term))
+
+    @pytest.mark.parametrize("seed, terms, message", [
+        (-1, ({"kind": "gaussian", "sigma": 1},), "seed must fit in 64 unsigned bits"),
+        (2**64, ({"kind": "gaussian", "sigma": 1},), "seed must fit in 64 unsigned bits"),
+        (1, (), "need at least one term"),
+    ], ids=["seed-negative", "seed-2^64", "no-terms"])
+    def test_rejects_bad_seed_or_no_terms(self, seed, terms, message):
+        with pytest.raises(ValueError, match=message):
+            SampleConfig(seed=seed, replications=1000, terms=terms)
 
     def test_rejects_asymmetric_atoms_when_built(self):
         # Two point masses at 1: S = 2, but a fair sign times |x| would draw

@@ -182,6 +182,11 @@ class TestHalfMass:
         with pytest.raises(HypothesisViolation):
             half_mass_check(ComparisonInstance(xs, xs), 1, 1)
 
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_rejects_h_not_positive(self, h):
+        with pytest.raises(ValueError, match=f"h must be positive, got {h}"):
+            half_mass_check(two_coin_example(), h, 1)
+
     def test_negative_m_max_rejected_before_the_sums(self, monkeypatch):
         def no_sums(terms):
             raise AssertionError("sum laws built before m_max was checked")
