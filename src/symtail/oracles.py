@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, product
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -40,7 +40,8 @@ from .rational import parse_rational, rational_pair
 
 # Work caps, checked before the work starts: the sumset work of one
 # kleitman_count (n vector additions and m*d coordinate tests for each of
-# at most min(2^n, box) distinct sums, see KleitmanInstance), the instances
+# at most min(2^n, box) distinct sums, see KleitmanInstance; it also bounds
+# the dense sumset at 2^23 bytes), the instances
 # one symmetric_lattice_family may yield (criterion 05's family(6) has 54 263)
 # and the work of building its laws (laws x (2*radius + 1) lattice points),
 # the half-mass rows (m = 1..m_max) one `symtail compare` may write, the
@@ -85,6 +86,10 @@ class KleitmanInstance:
     additions per sum to build the sumset and m*d coordinate tests per sum
     to test membership.  B = prod_j (sum_i |a_ij| / g_j + 1), with g_j the
     gcd of coordinate j's entries, bounds the number of distinct subset sums.
+    The cap also bounds kleitman_count's dense sumset, taken only when B <=
+    2S: B slots, each the narrowest word of 1, 2, 4 or 8 bytes that holds n
+    + 1 bits, at most (n + 1)/4 bytes once n >= 3, so 2S * (n + 1)/4 <=
+    2^23 bytes (and at most 8 bytes for n <= 2).
     """
 
     dimension: int
@@ -114,9 +119,7 @@ class KleitmanInstance:
             if not size((2 * radius,)) < min_size:
                 raise ValueError(f"diameter hypothesis violated: 2*{radius} >= min vector norm")
         n = len(self.vectors)
-        distinct = math.prod(width for _, _, width in self._integer_form[2])
-        # min(2^n, distinct), without building 2^n for a large n
-        sums = min(distinct, 1 << min(n, distinct.bit_length()))
+        distinct, sums = self._sums
         m = len(self.targets)
         work = sums * (n + m * self.dimension)
         if work > MAX_SUMSET_WORK:
@@ -128,34 +131,53 @@ class KleitmanInstance:
     @cached_property
     def _integer_form(self) -> tuple[list, list, list[tuple[int, int, int]]]:
         """The instance on integers, built once: the vectors and each target
-        as (centre, size of its radius), scaled by the lcm of all denominators,
-        and the box (g, low, width) per coordinate, g the gcd of its entries:
-        each subset sum's coordinate is low + g*k with 0 <= k < width, so the
-        widths' product bounds the distinct sums whatever the scale."""
+        as (centre, size of its radius, radius), scaled by the lcm of all
+        denominators, and the box (g, low, width) per coordinate, g the gcd of
+        its entries: each subset sum's coordinate is low + g*k with 0 <= k <
+        width, so the widths' product bounds the distinct sums whatever the
+        scale."""
         size = _SIZES[self.norm]
         denoms = [c.denominator for v in self.vectors for c in v]
         denoms += [q.denominator for center, radius in self.targets for q in (*center, radius)]
         scale = math.lcm(*denoms)
         scaled = [[int(c * scale) for c in v] for v in self.vectors]
-        balls = [([int(c * scale) for c in center], size((int(radius * scale),)))
-                 for center, radius in self.targets]
+        balls = [([int(c * scale) for c in center], size((int(radius * scale),)),
+                  int(radius * scale)) for center, radius in self.targets]
         box = []
         for column in zip(*scaled):
             g = math.gcd(*column) or 1
             box.append((g, sum(c for c in column if c < 0), sum(map(abs, column)) // g + 1))
         return scaled, balls, box
 
+    @cached_property
+    def _sums(self) -> tuple[int, int]:
+        """(B, S): the lattice points of the sums' box and S = min(2^n, B),
+        the bound on distinct subset sums."""
+        distinct = math.prod(width for _, _, width in self._integer_form[2])
+        # min(2^n, distinct), without building 2^n for a large n
+        return distinct, min(distinct, 1 << min(len(self.vectors), distinct.bit_length()))
+
 
 def kleitman_count(inst: KleitmanInstance) -> int:
     """Exact count of subsets whose vector sum lands in a target ball.
 
     Counts all 2^n subsets (empty set included, contributing the zero sum)
-    through the sumset: a map from each distinct subset sum to its
-    multiplicity, built by adding one vector at a time to the instance's
-    integer form, each sum packed into one integer key over its box, after
-    which each distinct sum is tested for membership once.  The count is
-    returned unchecked; the theorem bounds it by the binomial-window ceiling
-    F_n(m).
+    through the sumset, each distinct subset sum with its multiplicity,
+    built by adding one vector at a time to the instance's integer form,
+    each sum packed into one integer key over its box.  The sumset takes one
+    of two forms:
+
+    - dense, when the box is: B <= 2*S for its B lattice points and S =
+      min(2^n, B), and a multiplicity of n + 1 bits fits a slot of
+      _SLOT_FORMATS.  The sumset is then one integer of B slots, key k in
+      slot k (see _dense_count), and only the box points inside each
+      target's bounding box are read;
+    - sparse otherwise: a map from each distinct sum's key to its
+      multiplicity, after which each distinct sum is tested for membership
+      once.
+
+    The count is returned unchecked; the theorem bounds it by the
+    binomial-window ceiling F_n(m).
     """
     size = _SIZES[inst.norm]
     scaled, balls, box = inst._integer_form
@@ -164,7 +186,12 @@ def kleitman_count(inst: KleitmanInstance) -> int:
     # partial sum is low + g*k with 0 <= k < width and packs as k*stride, so
     # adding a vector adds its packed step to the key.
     strides = list(accumulate((width for _, _, width in box[:-1]), mul, initial=1))
-    counts = {sum(-low // g * s for (g, low, _), s in zip(box, strides)): 1}
+    start = sum(-low // g * s for (g, low, _), s in zip(box, strides))
+    distinct, sums = inst._sums
+    slot = distinct <= 2 * sums and _SLOT_FORMATS.get(len(scaled) + 1)
+    if slot:
+        return _dense_count(inst, strides, start, *slot)
+    counts = {start: 1}
     for v in scaled:
         step = sum(c // g * s for c, (g, _, _), s in zip(v, box, strides))
         total = counts.copy()
@@ -179,9 +206,46 @@ def kleitman_count(inst: KleitmanInstance) -> int:
         for g, low, width in box:
             key, k = divmod(key, width)
             point.append(low + g * k)
-        if any(size(map(sub, point, c)) < r for c, r in balls):
+        if any(size(map(sub, point, c)) < r for c, r, _ in balls):
             count += mult
     return count
+
+
+def _dense_count(inst: KleitmanInstance, strides: list[int], start: int, fmt: str,
+                 nbytes: int) -> int:
+    """kleitman_count on a dense box: the sumset is one integer of B
+    little-endian slots of nbytes, array format fmt, slot k holding the
+    multiplicity (at most 2^n, so no carry) of the sum with key k.
+
+    Adding a vector shifts the whole sumset by its packed step, left or
+    right, and adds it: every subset sum lies in the box, so no nonzero slot
+    is shifted out.  Each open ball of radius R lies in the box |x_j - c_j|
+    < R, so only the lattice points of that box (clipped to the sums' box)
+    are read, each tested by the norm's size as on the sparse path and
+    counted once however many balls hold it.
+    """
+    size = _SIZES[inst.norm]
+    scaled, balls, box = inst._integer_form
+    bits = 8 * nbytes
+    acc = 1 << (start * bits)
+    for v in scaled:
+        step = sum(c // g * s for c, (g, _, _), s in zip(v, box, strides)) * bits
+        acc += acc << step if step >= 0 else acc >> -step
+    slots = memoryview(acc.to_bytes(inst._sums[0] * nbytes, "little")).cast(fmt)
+
+    inside: set[int] = set()
+    for c, r, radius in balls:
+        # (packed part, offset from the centre) of each k with |x - c| < R
+        axes = [[(k * s, low + g * k - cj)
+                 for k in range(max(0, (cj - radius - low) // g + 1),
+                                min(width, -((low - cj - radius) // g)))]
+                for cj, (g, low, width), s in zip(c, box, strides)]
+        for cell in product(*axes):
+            parts, offsets = zip(*cell)
+            key = sum(parts)
+            if slots[key] and size(offsets) < r:
+                inside.add(key)
+    return sum(slots[key] for key in inside)
 
 
 def equality_instance(n: int, m: int) -> KleitmanInstance:

@@ -424,6 +424,15 @@ def kleitman_instances(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(kleitman_instances())
+# one instance on each path of kleitman_count: a dense box (105 points for
+# 2^8 subsets) and a sparse one (1 680 points for 2^3)
+@example(KleitmanInstance(2, ((Fraction(3, 2), Fraction(0)),) * 4 + ((Fraction(1), Fraction(3, 2)),) * 4,
+                          "sup", (((Fraction(5, 2), Fraction(3, 2)), Fraction(1, 3)),
+                                  ((Fraction(6), Fraction(1)), Fraction(2, 3)))))
+@example(KleitmanInstance(3, ((Fraction(3), Fraction(1), Fraction(-2)),
+                              (Fraction(-1), Fraction(4), Fraction(1, 3)),
+                              (Fraction(2), Fraction(-1, 2), Fraction(4))),
+                          "euclidean", (((Fraction(2), Fraction(5), Fraction(-5, 3)), Fraction(1, 3)),)))
 def test_kleitman_count(inst):
     assert kleitman_count(inst) == ref_kleitman_count(inst)
 

@@ -28,13 +28,16 @@ from symtail.oracles import (
     tightness_search,
 )
 
+from test_acceptance import _random_kleitman_instance
 from util import (
     coin,
     count_convolutions,
+    count_dense_sumsets,
     count_prefix_sums,
     dist,
     random_success_vector,
     random_symmetric_law,
+    ref_kleitman_count,
     shifted_window_sums,
 )
 
@@ -53,6 +56,22 @@ def instance(dimension, vectors, norm, targets) -> KleitmanInstance:
         norm,
         tuple((tuple(map(Fraction, center)), Fraction(radius)) for center, radius in targets),
     )
+
+
+def halves(dimension, vectors, norm, targets) -> KleitmanInstance:
+    """instance() with every coordinate and centre given in halves."""
+    def half(v):
+        return [Fraction(c, 2) for c in v]
+    return instance(dimension, map(half, vectors), norm,
+                    [(half(center), radius) for center, radius in targets])
+
+
+def counted(inst, monkeypatch) -> tuple[int, str]:
+    """kleitman_count(inst) and the path it took, "dense" or "sparse"."""
+    with monkeypatch.context() as patch:
+        dense = count_dense_sumsets(patch)
+        count = kleitman_count(inst)
+    return count, "dense" if dense else "sparse"
 
 
 def norm_of(x, norm):
@@ -243,6 +262,115 @@ class TestKleitmanCount:
         )
         count = kleitman_count(shifted)
         assert count <= largest_binomial_sum(8, 2)
+
+    @pytest.mark.parametrize("dimension, vectors, targets", [
+        (1, [(-1,), (-2,), (-1,), (-3,), (-2,)], [(-4,), (-6,), (0,)]),
+        # seven right shifts; (-1, 1) is the one left shift
+        (2, [(-1, -1), (-1, -2), (-2, -1), (-1, -1), (-2, -2), (-1, -2), (1, -1), (-1, 1)],
+         [(-3, -4), (-5, -5), (0, 0), (-9, -9)]),
+    ])
+    def test_negative_coordinates_on_every_axis(self, dimension, vectors, targets, monkeypatch):
+        inst = instance(dimension, vectors, "sup", [ball(c, Fraction(1, 3)) for c in targets])
+        expected = ref_kleitman_count(inst)
+        assert expected and counted(inst, monkeypatch) == (expected, "dense")
+
+    @pytest.mark.parametrize("dimension, vectors, targets", [
+        (1, [(2,), (3,), (2,), (3,)], [(Fraction(-1, 2),), (Fraction(21, 2),)]),
+        (2, [(2, 0), (3, 0), (0, 2), (0, 3), (2, 2), (3, 3), (2, 3)],
+         [(Fraction(-1, 2), 5), (Fraction(25, 2), 4), (3, Fraction(-1, 2)),
+          (3, Fraction(27, 2)), (Fraction(-1, 2), Fraction(-1, 2))]),
+    ])
+    def test_target_box_crossing_the_sums_box(self, dimension, vectors, targets, monkeypatch):
+        # g = 1 while every norm is at least 2, so each target's box
+        # |x_j - c_j| < 9/10 reaches past an edge of the sums' box, where an
+        # unclipped index would wrap round or run into the next row
+        inst = instance(dimension, vectors, "sup", [ball(c, Fraction(9, 10)) for c in targets])
+        expected = ref_kleitman_count(inst)
+        assert expected and counted(inst, monkeypatch) == (expected, "dense")
+
+    def test_target_centred_off_the_sum_lattice(self, monkeypatch):
+        line = instance(1, [(2,)] * 5, "absolute", [ball((Fraction(5, 2),), Fraction(3, 4))])
+        assert counted(line, monkeypatch) == (5, "dense")  # the sum 2 alone, C(5, 1) ways
+        # sums on 2Z x 3Z, centres between their points
+        plane = halves(2, [(4, 0), (0, 6), (4, 6), (4, 0), (0, 6)], "euclidean",
+                       [ball((5, 7), Fraction(4, 5)), ball((9, 1), Fraction(4, 5))])
+        expected = ref_kleitman_count(plane)
+        assert expected and counted(plane, monkeypatch) == (expected, "dense")
+
+    def test_each_sum_counts_once(self, monkeypatch):
+        twice = instance(1, [(1,)] * 6, "absolute", [ball((3,), Fraction(1, 4))] * 2)
+        assert counted(twice, monkeypatch) == (largest_binomial_sum(6, 1), "dense")
+        # both balls hold the sum 2 and nothing else
+        overlap = instance(1, [(2,)] * 6, "absolute",
+                           [ball((2,), Fraction(9, 10)), ball((Fraction(5, 2),), Fraction(9, 10))])
+        assert counted(overlap, monkeypatch) == (6, "dense")
+        plane = instance(2, [(1, 0), (0, 1), (1, 1), (1, 0), (0, 1)], "euclidean",
+                         [ball((1, 1), Fraction(2, 5)), ball((Fraction(6, 5), 1), Fraction(2, 5)),
+                          ball((1, 1), Fraction(2, 5))])
+        expected = ref_kleitman_count(plane)
+        assert expected and counted(plane, monkeypatch) == (expected, "dense")
+
+    def test_empty_sum_inside_a_ball(self, monkeypatch):
+        # mixed signs put the zero sum inside the box, not at a corner
+        inst = instance(2, [(1, -1), (-1, 1), (1, 1), (-1, -1), (2, 0)], "one",
+                        [ball((0, 0), Fraction(1, 2)), ball((2, 0), Fraction(1, 2))])
+        zero = instance(2, inst.vectors, "one", inst.targets[:1])
+        # the empty set, two opposite pairs, all four, and (2, 0) + (-1, 1) + (-1, -1)
+        assert counted(zero, monkeypatch) == (5, "dense")
+        assert counted(inst, monkeypatch) == (ref_kleitman_count(inst), "dense")
+
+    @pytest.mark.parametrize("norm", oracles.NORMS)
+    def test_every_norm_on_a_dense_box(self, norm, monkeypatch):
+        if norm == "absolute":
+            vectors, centres = [(1,), (2,), (-1,), (3,), (1,)], [(2,), (Fraction(17, 5),), (-1,)]
+        else:
+            vectors = [(1, 2), (2, 1), (-1, 1), (1, 0), (0, -1), (2, 2), (1, 1)]
+            # a sum, a sum moved by the radius (not counted) and one moved less
+            centres = [(2, 2), (Fraction(22, 5), 3), (Fraction(1, 5), Fraction(-9, 10))]
+        inst = instance(len(vectors[0]), vectors, norm, [ball(c, Fraction(2, 5)) for c in centres])
+        expected = ref_kleitman_count(inst)
+        assert expected and counted(inst, monkeypatch) == (expected, "dense")
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n, path", [(63, "dense"), (64, "sparse")])
+    def test_equality_instance_at_the_slot_limit(self, n, m, path, monkeypatch):
+        # multiplicities need n + 1 bits: 64 fit a slot, 65 do not
+        assert counted(equality_instance(n, m), monkeypatch) == (largest_binomial_sum(n, m), path)
+
+    def test_path_rule(self, monkeypatch):
+        # dense exactly when B <= 2 * min(2^n, B) for the box's B points
+        edge = instance(1, [(3,), (4,)], "absolute", [ball((7,), Fraction(1, 4))])
+        assert edge._sums == (8, 4) and counted(edge, monkeypatch) == (1, "dense")
+        past = instance(1, [(3,), (5,)], "absolute", [ball((8,), Fraction(1, 4))])
+        assert past._sums == (9, 4) and counted(past, monkeypatch) == (1, "sparse")
+        plane = halves(2, [(0, -4), (-2, 2), (1, 2), (-4, 4), (3, 4), (4, 2), (8, -2)], "sup",
+                       [ball((-8, -1), Fraction(1, 4)), ball((-4, 8), Fraction(1, 4)),
+                        ball((6, 0), Fraction(1, 4))])
+        # B/S just under 2 and about 2.44: instances of criterion 06's generator
+        assert plane._sums == (253, 128)
+        assert counted(plane, monkeypatch) == (ref_kleitman_count(plane), "dense")
+        space = halves(3, [(3, 0, 0), (-2, 2, -2), (4, -6, 2), (-2, 2, -6), (-1, -2, -6),
+                           (3, 4, -4), (0, 6, -4), (4, 2, -2), (-1, 3, 6), (0, 0, 8),
+                           (0, 3, -2), (3, 0, 0), (2, 4, 0)], "euclidean",
+                       [ball((-13, -19, 2), Fraction(1, 4)), ball((12, -10, -5), Fraction(1, 4)),
+                        ball((-19, -4, -6), Fraction(1, 4)), ball((-13, 13, -26), Fraction(1, 4))])
+        assert space._sums == (20020, 8192)
+        assert counted(space, monkeypatch)[1] == "sparse"
+
+    def test_dense_and_sparse_paths_agree(self, monkeypatch):
+        # criterion 06's instances, counted on both paths; an empty slot
+        # table sends every instance down the sparse one
+        rng = random.Random(1006)
+        sizes = [rng.randint(4, 13) for _ in range(490)] + [14, 14, 14, 15, 15, 16, 16, 17, 18, 18]
+        instances = [_random_kleitman_instance(rng, n) for n in sizes]
+        instances += [equality_instance(n, m) for n in range(1, 17) for m in range(1, 6)]
+        dense = count_dense_sumsets(monkeypatch)
+        counts = list(map(kleitman_count, instances))
+        taken = len(dense)
+        assert 0 < taken < len(instances)
+        monkeypatch.setattr(oracles, "_SLOT_FORMATS", {})
+        assert list(map(kleitman_count, instances)) == counts
+        assert len(dense) == taken
 
 
 class TestExactSumDistribution:

@@ -206,6 +206,14 @@ def count_convolutions(monkeypatch) -> list:
     return calls
 
 
+def count_dense_sumsets(monkeypatch) -> list:
+    """Count the Kleitman counts that take the dense path: one entry per call."""
+    calls = []
+    real = oracles._dense_count
+    monkeypatch.setattr(oracles, "_dense_count", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 def count_prefix_sums(monkeypatch) -> list:
     """Count the prefix sums the sweep forms, packed or convolved: one
     (prefix key, term code) entry per sum."""
