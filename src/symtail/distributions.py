@@ -101,11 +101,10 @@ class LatticeDistribution:
         weights = [merged[x] for x in points]
         for x, w in zip(points, weights):
             if w < 0:
-                raise ValueError(
-                    f"mass at {Fraction(x, scale)} must be positive, got {Fraction(w, den)}"
-                )
+                raise ValueError(f"mass at {format_rational((x, scale))} must be positive, "
+                                 f"got {format_rational((w, den))}")
         if sum(weights) != den:
-            raise ValueError(f"masses must sum to 1, got {Fraction(sum(weights), den)}")
+            raise ValueError(f"masses must sum to 1, got {format_rational((sum(weights), den))}")
         first = points[0]
         return LatticeDistribution._from_lattice(
             Fraction(first, scale), Fraction(1, scale), den, [x - first for x in points], weights
@@ -232,10 +231,11 @@ def _upper_tail_weights(d: LatticeDistribution,
     """Numerators over d.den of the pair (P(X > num/den), P(X >= num/den))
     for each (num, den) of cuts, given in ascending order with den > 0.
 
-    The one kernel that places a rational cut on a law's lattice: every
-    tail, interval and point query reads it.  One walk down d's atoms from
-    the top, taking the cuts from the highest: one integer floor per cut,
-    and only the atoms above the lowest cut are visited.
+    It serves every tail, interval and point query on a built law (the
+    sweep's packed read, oracles._Prefixes.reader, places its own cuts on
+    sums it does not build).  One walk down d's atoms from the top, taking
+    the cuts from the highest: one integer floor per cut, and only the
+    atoms above the lowest cut are visited.
     """
     on, od = d.offset.numerator, d.offset.denominator
     sn, sd = d.step.numerator, d.step.denominator

@@ -36,7 +36,7 @@ from .distributions import (
     point_mass,
     symmetric_three_point,
 )
-from .rational import parse_rational, rational_pair
+from .rational import format_rational, parse_rational, rational_pair
 
 # Work caps, checked before the work starts: the sumset work of one
 # kleitman_count (n vector additions and m*d coordinate tests for each of
@@ -85,11 +85,10 @@ class KleitmanInstance:
     S * (n + m*d) for S = min(2^n, B) distinct subset sums, that is n vector
     additions per sum to build the sumset and m*d coordinate tests per sum
     to test membership.  B = prod_j (sum_i |a_ij| / g_j + 1), with g_j the
-    gcd of coordinate j's entries, bounds the number of distinct subset sums.
-    The cap also bounds kleitman_count's dense sumset, taken only when B <=
-    2S: B slots, each the narrowest word of 1, 2, 4 or 8 bytes that holds n
-    + 1 bits, at most (n + 1)/4 bytes once n >= 3, so 2S * (n + 1)/4 <=
-    2^23 bytes (and at most 8 bytes for n <= 2).
+    gcd of coordinate j's entries, bounds the number of distinct subset sums
+    (see _integer_form).  The cap also bounds kleitman_count's dense
+    sumset, taken only when B <= 2S: B slots of at most (n + 1)/4 bytes
+    once n >= 3, so 2S * (n + 1)/4 <= 2^23 bytes (and at most 8 for n <= 2).
     """
 
     dimension: int
@@ -113,29 +112,35 @@ class KleitmanInstance:
                 raise ValueError("target center dimension mismatch")
             if radius < 0:
                 raise ValueError("target radius must be nonnegative")
+        # on the Fractions: a failing instance never pays for _integer_form
         size = _SIZES[self.norm]
         min_size = min(map(size, self.vectors))
         for _, radius in self.targets:
             if not size((2 * radius,)) < min_size:
                 raise ValueError(f"diameter hypothesis violated: 2*{radius} >= min vector norm")
         n = len(self.vectors)
-        distinct, sums = self._sums
+        *_, distinct, sums = self._integer_form
         m = len(self.targets)
         work = sums * (n + m * self.dimension)
         if work > MAX_SUMSET_WORK:
             raise ValueError(
-                f"sumset work {work} (n={n}, m={m}, d={self.dimension}, at most "
-                f"{distinct} distinct sums) exceeds cap {MAX_SUMSET_WORK}"
+                f"sumset work {format_rational(work)} (n={n}, m={m}, d={self.dimension}, "
+                f"at most {format_rational(distinct)} distinct sums) exceeds cap {MAX_SUMSET_WORK}"
             )
 
     @cached_property
-    def _integer_form(self) -> tuple[list, list, list[tuple[int, int, int]]]:
-        """The instance on integers, built once: the vectors and each target
-        as (centre, size of its radius, radius), scaled by the lcm of all
-        denominators, and the box (g, low, width) per coordinate, g the gcd of
-        its entries: each subset sum's coordinate is low + g*k with 0 <= k <
-        width, so the widths' product bounds the distinct sums whatever the
-        scale."""
+    def _integer_form(self) -> tuple:
+        """The instance on integers and packed, built once and by no other
+        code: (balls, box, strides, start, steps, B, S).
+
+        Coordinates are scaled by the lcm of all denominators; each ball is
+        (centre, size of its radius, radius).  box[j] = (g, low, width), g
+        the gcd of coordinate j's entries (1 if all are 0): coordinate j of
+        every subset sum is low + g*k with 0 <= k < width, and packs as
+        k*strides[j] into the sum's key.  start is the empty sum's key, and
+        adding vector i adds steps[i].  B, the widths' product, bounds the
+        distinct sums whatever the scale; S = min(2^n, B).
+        """
         size = _SIZES[self.norm]
         denoms = [c.denominator for v in self.vectors for c in v]
         denoms += [q.denominator for center, radius in self.targets for q in (*center, radius)]
@@ -147,15 +152,12 @@ class KleitmanInstance:
         for column in zip(*scaled):
             g = math.gcd(*column) or 1
             box.append((g, sum(c for c in column if c < 0), sum(map(abs, column)) // g + 1))
-        return scaled, balls, box
-
-    @cached_property
-    def _sums(self) -> tuple[int, int]:
-        """(B, S): the lattice points of the sums' box and S = min(2^n, B),
-        the bound on distinct subset sums."""
-        distinct = math.prod(width for _, _, width in self._integer_form[2])
-        # min(2^n, distinct), without building 2^n for a large n
-        return distinct, min(distinct, 1 << min(len(self.vectors), distinct.bit_length()))
+        *strides, distinct = accumulate((width for _, _, width in box), mul, initial=1)
+        start = sum(-low // g * s for (g, low, _), s in zip(box, strides))
+        steps = [sum(c // g * s for c, (g, _, _), s in zip(v, box, strides)) for v in scaled]
+        # min(2^n, B), without building 2^n for a large n
+        sums = min(distinct, 1 << min(len(steps), distinct.bit_length()))
+        return balls, box, strides, start, steps, distinct, sums
 
 
 def kleitman_count(inst: KleitmanInstance) -> int:
@@ -163,15 +165,13 @@ def kleitman_count(inst: KleitmanInstance) -> int:
 
     Counts all 2^n subsets (empty set included, contributing the zero sum)
     through the sumset, each distinct subset sum with its multiplicity,
-    built by adding one vector at a time to the instance's integer form,
-    each sum packed into one integer key over its box.  The sumset takes one
-    of two forms:
+    built by adding each vector's step to the keys of the instance's packed
+    form (KleitmanInstance._integer_form).  The sumset takes one of two
+    forms:
 
-    - dense, when the box is: B <= 2*S for its B lattice points and S =
-      min(2^n, B), and a multiplicity of n + 1 bits fits a slot of
-      _SLOT_FORMATS.  The sumset is then one integer of B slots, key k in
-      slot k (see _dense_count), and only the box points inside each
-      target's bounding box are read;
+    - dense, when the box is (B <= 2S) and a multiplicity of n + 1 bits
+      fits a slot of _SLOT_FORMATS: one integer of B slots, read only at
+      the box points inside each target's bounding box (see _dense_count);
     - sparse otherwise: a map from each distinct sum's key to its
       multiplicity, after which each distinct sum is tested for membership
       once.
@@ -179,27 +179,19 @@ def kleitman_count(inst: KleitmanInstance) -> int:
     The count is returned unchecked; the theorem bounds it by the
     binomial-window ceiling F_n(m).
     """
-    size = _SIZES[inst.norm]
-    scaled, balls, box = inst._integer_form
-
-    # Mixed-radix packing over the sums' bounding box: coordinate j of every
-    # partial sum is low + g*k with 0 <= k < width and packs as k*stride, so
-    # adding a vector adds its packed step to the key.
-    strides = list(accumulate((width for _, _, width in box[:-1]), mul, initial=1))
-    start = sum(-low // g * s for (g, low, _), s in zip(box, strides))
-    distinct, sums = inst._sums
-    slot = distinct <= 2 * sums and _SLOT_FORMATS.get(len(scaled) + 1)
+    balls, box, _, start, steps, distinct, sums = inst._integer_form
+    slot = distinct <= 2 * sums and _SLOT_FORMATS.get(len(steps) + 1)
     if slot:
-        return _dense_count(inst, strides, start, *slot)
+        return _dense_count(inst, *slot)
     counts = {start: 1}
-    for v in scaled:
-        step = sum(c // g * s for c, (g, _, _), s in zip(v, box, strides))
+    for step in steps:
         total = counts.copy()
         for key, mult in counts.items():
             key += step
             total[key] = total.get(key, 0) + mult
         counts = total
 
+    size = _SIZES[inst.norm]
     count = 0
     for key, mult in counts.items():
         point = []
@@ -211,8 +203,7 @@ def kleitman_count(inst: KleitmanInstance) -> int:
     return count
 
 
-def _dense_count(inst: KleitmanInstance, strides: list[int], start: int, fmt: str,
-                 nbytes: int) -> int:
+def _dense_count(inst: KleitmanInstance, fmt: str, nbytes: int) -> int:
     """kleitman_count on a dense box: the sumset is one integer of B
     little-endian slots of nbytes, array format fmt, slot k holding the
     multiplicity (at most 2^n, so no carry) of the sum with key k.
@@ -225,13 +216,13 @@ def _dense_count(inst: KleitmanInstance, strides: list[int], start: int, fmt: st
     counted once however many balls hold it.
     """
     size = _SIZES[inst.norm]
-    scaled, balls, box = inst._integer_form
+    balls, box, strides, start, steps, distinct, _ = inst._integer_form
     bits = 8 * nbytes
     acc = 1 << (start * bits)
-    for v in scaled:
-        step = sum(c // g * s for c, (g, _, _), s in zip(v, box, strides)) * bits
+    for step in steps:
+        step *= bits
         acc += acc << step if step >= 0 else acc >> -step
-    slots = memoryview(acc.to_bytes(inst._sums[0] * nbytes, "little")).cast(fmt)
+    slots = memoryview(acc.to_bytes(distinct * nbytes, "little")).cast(fmt)
 
     inside: set[int] = set()
     for c, r, radius in balls:

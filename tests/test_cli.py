@@ -2,12 +2,12 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import random
 import stat
 import sys
 import threading
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +22,7 @@ from symtail.rational import format_rational
 
 from util import (
     SUM_CORRUPTIONS,
+    big_rational,
     corrupt_bound_sums,
     random_symmetric_law,
     ref_decimal_str,
@@ -138,9 +139,9 @@ class TestBoundCommand:
             tmp_path, "bound", {"p": [str(v) for v in p], "h": "1", "t_grid": ["1"]}
         )
         assert code == 0
-        num, den = (int(Decimal(part)) for part in rows[0]["improved"].split("/"))
-        assert den > 10**4300
-        assert Fraction(num, den) == bounds.improved_bound(p, 1, 1)
+        improved = big_rational(rows[0]["improved"])
+        assert improved.denominator > 10**4300
+        assert improved == bounds.improved_bound(p, 1, 1)
 
     def test_byte_determinism(self, tmp_path):
         payload = {"p": ["1/2", "2/3", "1/7"], "h": "2/3", "t_grid": ["0", "1", "3/2"]}
@@ -427,6 +428,28 @@ class TestKleitmanCommand:
         assert run(tmp_path, "kleitman", payload(m_max + 1))[0] == 2
         assert "exceeds cap" in capsys.readouterr().err
 
+    def test_cap_message_past_str_digit_limit(self, tmp_path, capsys):
+        # 20 vectors over coprime 301-digit denominators: the box's B has
+        # about 6 000 digits, more than str() may write.
+        dens = [10**300 + 2 * i + 1 for i in range(20)]
+        vectors = [Fraction(10**300 + 1, d) for d in dens]
+        payload = {"dimension": 1, "vectors": [[str(v)] for v in vectors], "norm": "absolute",
+                   "targets": [{"center": [0], "radius": "1/4"}] * 16}
+        code, rows, _ = run(tmp_path, "kleitman", payload)
+        assert (code, rows) == (2, [])
+        # B = sum_i |a_i| / g + 1, g the gcd of the a_i: gcd(nums) / lcm(dens)
+        g = Fraction(math.gcd(*(v.numerator for v in vectors)),
+                     math.lcm(*(v.denominator for v in vectors)))
+        distinct = sum(vectors) / g + 1
+        assert distinct.denominator == 1
+        with pytest.raises(ValueError):
+            str(distinct.numerator)
+        err = capsys.readouterr().err
+        head = f"error: instance 0: sumset work {(1 << 20) * (20 + 16)} (n=20, m=16, d=1, at most "
+        tail = f" distinct sums) exceeds cap {oracles.MAX_SUMSET_WORK}\n"
+        assert err.startswith(head) and err.endswith(tail)
+        assert big_rational(err[len(head):-len(tail)]) == distinct
+
 
 class TestCompareCommand:
     def test_two_coin_example(self, tmp_path):
@@ -472,20 +495,32 @@ class TestCompareCommand:
         with pytest.raises(ValueError):
             str(d**4)
 
-        def cell(text):
-            num, _, den = text.partition("/")
-            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-
         terms = (LatticeDistribution.from_json_dict(law),) * 4
         inst = ordering.ComparisonInstance(terms, terms)
         pruss = ordering.pruss_check(inst, [1, 4]).rows
         half = ordering.half_mass_check(inst, 1, 4).rows
-        assert [(r["check"], cell(r["lhs"]), cell(r["rhs"]), r["status"]) for r in rows[:-1]] == [
+        assert [(r["check"], big_rational(r["lhs"]), big_rational(r["rhs"]), r["status"])
+                for r in rows[:-1]] == [
             (check, Fraction(*lhs), Fraction(*rhs), "ok")
             for check, report in (("pruss", pruss), ("half_mass", half))
             for _, lhs, rhs, _ in report
         ]
         assert Fraction(*pruss[-1][1]) == Fraction(2, d**4)
+
+    def test_mass_sum_message_past_str_digit_limit(self, tmp_path, capsys):
+        # The masses' sum has about 6 000 digits in each part, more than
+        # str() may write: the message takes Decimal's path.
+        dens = [10**2000 + k for k in (1, 3, 7)]
+        law = {"atoms": [{"x": str(x), "mass": f"1/{d}"} for x, d in enumerate(dens)]}
+        code, rows, _ = run(tmp_path, "compare", {"xs": [law], "ys": [law], "h": "1"})
+        assert (code, rows) == (2, [])
+        err = capsys.readouterr().err
+        prefix = "error: bad distribution literal in xs: masses must sum to 1, got "
+        assert err.startswith(prefix) and err.endswith("\n")
+        total = big_rational(err[len(prefix):-1])
+        assert total == sum(Fraction(1, d) for d in dens)
+        with pytest.raises(ValueError):
+            str(total.denominator)
 
     def test_half_mass_hypothesis_row(self, tmp_path):
         # Y_1, the +-2 coin, is off {-h, 0, h} at h = 1: the check writes

@@ -22,7 +22,7 @@ from symtail.distributions import (
     symmetric_three_point,
 )
 
-from util import coin, dist, random_probability, random_symmetric_law
+from util import big_rational, coin, dist, random_probability, random_symmetric_law
 
 
 class TestConstruction:
@@ -106,6 +106,21 @@ class TestConstruction:
             d.den = 2
         assert copy.deepcopy(d) == d
         assert pickle.loads(pickle.dumps(d)) == d
+
+    def test_negative_mass_message_past_str_digit_limit(self):
+        # Three masses at 0 merge to a negative one whose parts have about
+        # 6 000 digits, more than str() may write.
+        masses = [Fraction(1, 10**2000 + 1), Fraction(1, 10**2000 + 3), Fraction(-3, 10**2000 + 7)]
+        atoms = [{"x": "0", "mass": f"{m.numerator}/{m.denominator}"} for m in masses]
+        with pytest.raises(ValueError) as raised:
+            LatticeDistribution.from_json_dict({"atoms": atoms + [{"x": "1", "mass": "1"}]})
+        prefix = "mass at 0 must be positive, got "
+        message = str(raised.value)
+        assert message.startswith(prefix)
+        merged = big_rational(message[len(prefix):])
+        assert merged == sum(masses) < 0
+        with pytest.raises(ValueError):
+            str(merged.denominator)
 
     def test_json_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symtail
 from symtail.bounds import improved_bound, kanter_supremum
@@ -84,7 +86,13 @@ def norm_of(x, norm):
 
 
 class TestKleitmanValidation:
-    def test_diameter_hypothesis_enforced(self):
+    def test_diameter_hypothesis_enforced(self, monkeypatch):
+        # on the Fractions, before the integer form is built: on large
+        # denominators the form is the costly part
+        def no_form(inst):
+            raise AssertionError("integer form built before the diameter check")
+
+        monkeypatch.setattr(KleitmanInstance, "_integer_form", property(no_form))
         with pytest.raises(ValueError, match="diameter"):
             instance(1, [(1,)], "absolute", [ball((0,), Fraction(2, 3))])
 
@@ -340,22 +348,50 @@ class TestKleitmanCount:
     def test_path_rule(self, monkeypatch):
         # dense exactly when B <= 2 * min(2^n, B) for the box's B points
         edge = instance(1, [(3,), (4,)], "absolute", [ball((7,), Fraction(1, 4))])
-        assert edge._sums == (8, 4) and counted(edge, monkeypatch) == (1, "dense")
+        assert edge._integer_form[-2:] == (8, 4) and counted(edge, monkeypatch) == (1, "dense")
         past = instance(1, [(3,), (5,)], "absolute", [ball((8,), Fraction(1, 4))])
-        assert past._sums == (9, 4) and counted(past, monkeypatch) == (1, "sparse")
+        assert past._integer_form[-2:] == (9, 4) and counted(past, monkeypatch) == (1, "sparse")
         plane = halves(2, [(0, -4), (-2, 2), (1, 2), (-4, 4), (3, 4), (4, 2), (8, -2)], "sup",
                        [ball((-8, -1), Fraction(1, 4)), ball((-4, 8), Fraction(1, 4)),
                         ball((6, 0), Fraction(1, 4))])
         # B/S just under 2 and about 2.44: instances of criterion 06's generator
-        assert plane._sums == (253, 128)
+        assert plane._integer_form[-2:] == (253, 128)
         assert counted(plane, monkeypatch) == (ref_kleitman_count(plane), "dense")
         space = halves(3, [(3, 0, 0), (-2, 2, -2), (4, -6, 2), (-2, 2, -6), (-1, -2, -6),
                            (3, 4, -4), (0, 6, -4), (4, 2, -2), (-1, 3, 6), (0, 0, 8),
                            (0, 3, -2), (3, 0, 0), (2, 4, 0)], "euclidean",
                        [ball((-13, -19, 2), Fraction(1, 4)), ball((12, -10, -5), Fraction(1, 4)),
                         ball((-19, -4, -6), Fraction(1, 4)), ball((-13, 13, -26), Fraction(1, 4))])
-        assert space._sums == (20020, 8192)
+        assert space._integer_form[-2:] == (20020, 8192)
         assert counted(space, monkeypatch)[1] == "sparse"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 8))
+    def test_packed_form(self, seed, n):
+        # On criterion 06's shapes: start plus the steps of any subset
+        # decodes through the box to the subset's sum, scaled by the lcm of
+        # all denominators, and B and S are as KleitmanInstance defines them.
+        inst = _random_kleitman_instance(random.Random(seed), n)
+        _, box, _, start, steps, distinct, sums = inst._integer_form
+        scale = math.lcm(*(q.denominator for v in inst.vectors for q in v),
+                         *(q.denominator for c, r in inst.targets for q in (*c, r)))
+        for picks in itertools.product((False, True), repeat=n):
+            key = start + sum(step for step, b in zip(steps, picks) if b)
+            point = []
+            for g, low, width in box:
+                key, k = divmod(key, width)
+                point.append(low + g * k)
+            chosen = [v for v, b in zip(inst.vectors, picks) if b]
+            assert key == 0
+            assert point == [sum(v[j] for v in chosen) * scale for j in range(inst.dimension)]
+        expected = 1
+        for column in zip(*inst.vectors):
+            if any(column):
+                # the gcd of rationals in lowest terms: gcd(nums) / lcm(dens)
+                g = Fraction(math.gcd(*(q.numerator for q in column)),
+                             math.lcm(*(q.denominator for q in column)))
+                expected *= sum(map(abs, column)) / g + 1
+        assert (distinct, sums) == (expected, min(expected, 2**n))
 
     def test_dense_and_sparse_paths_agree(self, monkeypatch):
         # criterion 06's instances, counted on both paths; an empty slot

@@ -162,6 +162,13 @@ def ref_decimal_str(q) -> str:
     return str(d)
 
 
+def big_rational(text: str) -> Fraction:
+    """The rational of a "num/den" or "num" string, read through Decimal so
+    that parts past the interpreter's int-to-str digit limit read too."""
+    num, _, den = text.partition("/")
+    return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or 1)))
+
+
 def shifted_window_sums(shift):
     """bounds._window_sums with each improved bound shifted up by `shift`,
     to patch over oracles._window_sums.  The shift is applied after the real
