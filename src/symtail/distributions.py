@@ -233,9 +233,9 @@ def _upper_tail_weights(d: LatticeDistribution,
 
     It serves every tail, interval and point query on a built law (the
     sweep's packed read, oracles._Prefixes.reader, places its own cuts on
-    sums it does not build).  One walk down d's atoms from the top, taking
-    the cuts from the highest: one integer floor per cut, and only the
-    atoms above the lowest cut are visited.
+    packed sums, for which no law is built).  One walk down d's atoms from
+    the top, taking the cuts from the highest: one integer floor per cut,
+    and only the atoms above the lowest cut are visited.
     """
     on, od = d.offset.numerator, d.offset.denominator
     sn, sd = d.step.numerator, d.step.denominator

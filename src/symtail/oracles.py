@@ -142,15 +142,16 @@ class KleitmanInstance:
         distinct sums whatever the scale; S = min(2^n, B).
         """
         size = _SIZES[self.norm]
-        denoms = [c.denominator for v in self.vectors for c in v]
-        denoms += [q.denominator for center, radius in self.targets for q in (*center, radius)]
-        scale = math.lcm(*denoms)
-        scaled = [[int(c * scale) for c in v] for v in self.vectors]
-        balls = [([int(c * scale) for c in center], size((int(radius * scale),)),
-                  int(radius * scale)) for center, radius in self.targets]
+        dens = [math.lcm(*(q.denominator for q in column)) for column in zip(*self.vectors)]
+        scale = math.lcm(*dens, *(q.denominator for c, r in self.targets for q in (*c, r)))
+        def up(q: Fraction) -> int:  # q * scale, with no Fraction built
+            return q.numerator * (scale // q.denominator)
+        scaled = [list(map(up, v)) for v in self.vectors]
+        balls = [(list(map(up, c)), size((up(r),)), up(r)) for c, r in self.targets]
         box = []
-        for column in zip(*scaled):
-            g = math.gcd(*column) or 1
+        for column, exact, den in zip(zip(*scaled), zip(*self.vectors), dens):
+            # gcd(numerators) / lcm(denominators), scaled: no gcd of the large entries
+            g = math.gcd(*(q.numerator for q in exact)) * (scale // den) or 1
             box.append((g, sum(c for c in column if c < 0), sum(map(abs, column)) // g + 1))
         *strides, distinct = accumulate((width for _, _, width in box), mul, initial=1)
         start = sum(-low // g * s for (g, low, _), s in zip(box, strides))
@@ -316,14 +317,16 @@ def _packed(rec: tuple, stride: int, fmt: str) -> int:
 
 
 def _sum_form(head: tuple, term: tuple) -> tuple:
-    """How the sum of two records is formed: (den, a, b, gn, gd, L, width).
+    """The sum S of two records, packed where it can be: (den, gn, gd, L, width, body).
 
     _check_support caps the product of their atom counts first.  On the
     common step g = gn/gd of the two, in lowest terms (0/1 for two point
-    masses), head is on a*g and term on b*g; the sum has L = a*top_head +
+    masses), head is on a*g and term on b*g; S has L = a*top_head +
     b*top_term + 1 lattice points over den = den_head * den_term.  width is
     the (format, byte width) of den's narrowest slot if there is one and L
-    <= 2 * count_head * count_term, else false: the sum is then convolved.
+    <= 2 * count_head * count_term; body is then W_S, the product of the two
+    packed at strides a and b: S's weights at stride 1, none carrying as den
+    bounds each slot.  Else width is false and body None: S is convolved.
     """
     _check_support(head[4], term[4])
     den, gd = head[0] * term[0], math.lcm(head[2], term[2])
@@ -331,23 +334,25 @@ def _sum_form(head: tuple, term: tuple) -> tuple:
     gn = math.gcd(pn, qn)
     a, b = pn // (gn or 1), qn // (gn or 1)
     size = a * head[3] + b * term[3] + 1
-    return den, a, b, gn, gd, size, size <= 2 * head[4] * term[4] and _SLOT_FORMATS.get(
-        den.bit_length())
+    if not (width := size <= 2 * head[4] * term[4] and _SLOT_FORMATS.get(den.bit_length())):
+        return den, gn, gd, size, width, None
+    fmt = width[0]
+    return den, gn, gd, size, width, ((head[6].get((a, fmt)) or _packed(head, a, fmt))
+                                      * (term[6].get((b, fmt)) or _packed(term, b, fmt)))
 
 
 class _Prefixes:
     """Called with a key, the ascending codes of some terms, returns the
-    record of their sum; its reader answers tail queries on such sums.
+    record of their sum; its readers answer tail queries on such sums.
 
     A record of a symmetric law is (den, sn, sd, top, count, body, packs):
     count atoms at indices 0..top on step sn/sd in lowest terms (0/1 for a
     point mass), weighted over den, index 0 at -sn*top/(2*sd); body is the
     law, or its weights packed at stride 1 in den's narrowest slot; packs
-    maps (stride, format) to each packed form _packed built, and for a term
-    (stride, format, L) to W_X * ONES_L.  ``records`` maps the empty key,
-    each term's code (the caller adds them) and each key asked for, or a
-    prefix of one, to its record.  Each sum is formed once, from the
-    longest cached prefix one term at a time.
+    maps (stride, format) to each packed form _packed built.  ``records``
+    maps the empty key, each term's code (the caller adds them) and each
+    key asked for, or a prefix of one, to its record.  Each sum is formed
+    once, from the longest cached prefix one term at a time.
     """
 
     def __init__(self) -> None:
@@ -362,62 +367,54 @@ class _Prefixes:
         return total
 
     def _extend(self, prefix: tuple[int, ...], code: int) -> tuple:
-        """The record of the sum of prefix and the term code: the integer
-        product of the two packed at strides a and b in den's slot, which
-        den bounds so that none carries, or their convolution (_sum_form)."""
+        """The record of the sum of prefix and the term code: its packed
+        body from _sum_form, or the two convolved where it has none."""
         head, term = self.records[prefix], self.records[code]
-        den, a, b, gn, gd, size, width = _sum_form(head, term)
+        den, gn, gd, size, width, body = _sum_form(head, term)
         if width:
-            fmt = width[0]
-            body = ((head[6].get((a, fmt)) or _packed(head, a, fmt))
-                    * (term[6].get((b, fmt)) or _packed(term, b, fmt)))
             count = size - _slots(den, size - 1, body).count(0)
-            return (den, gn, gd, size - 1, count, body, {(1, fmt): body})
+            return (den, gn, gd, size - 1, count, body, {(1, width[0]): body})
         p_den, sn, sd, top, _, law, _ = head
         if isinstance(law, int):  # a packed prefix, unpacked: its index 0 is at -sn*top/(2*sd)
             law = LatticeDistribution._from_dense(
                 Fraction(-sn * top, 2 * sd), Fraction(sn, sd), p_den, _slots(p_den, top, law))
         return _record(convolve(law, term[5]))  # a term's record holds its law
 
-    def reader(self) -> Callable:
-        """The tail query, bound once per sweep: read(key, cuts) -> (den,
-        tails), P(|S| > c/d) = tails[j] / den for the j-th (c, d) of cuts,
-        ascending, c >= 0 and d > 0, S the sum of key's symmetric terms.  Slot
-        indices are cached per cuts object, which must not change once read.
+    def reader(self, cuts: Sequence[tuple[int, int]]) -> Callable:
+        """The tail query on one grid: read(key) -> (den, tails), P(|S| >
+        c/d) = tails[j] / den for the j-th (c, d) of cuts, ascending, c >= 0
+        and d > 0, S the sum of key's symmetric terms.  The reader holds
+        cuts, which must not change.
 
-        S = P + X, X the last term of key, is read, not formed, from one
-        product (Kronecker substitution): W_P and W_X pack their weights into
-        slots of one width on the common step g of _sum_form, and in W_P *
-        W_X * ONES_L, ONES_L the L slots of S set to 1, slot k < L holds S's
-        weight up to its k-th point and slot L + k the weight above it, over
-        den = P.den * X.den, which no slot exceeds.  S is symmetric, so its
-        last point at or below t >= 0 is k = min(floor((floor(2t/g) + L -
-        1)/2), L - 1), and P(|S| > t) = 2 * (slot L + k).  Where _sum_form
-        finds no slot, S is formed and walked.  _check_support caps each
-        sum, read or formed, as in exact_sum_distribution.
+        S = P + X, X the last term of key, is read, not kept: _sum_form
+        packs S's L weights into slots of one width on the common step g,
+        and in W_S * ONES_L, ONES_L the L slots set to 1 (Kronecker
+        substitution), slot k < L holds S's weight up to its k-th point and
+        slot L + k the weight above it, over den = P.den * X.den, which no
+        slot exceeds.  S is symmetric, so its last point at or below t >= 0
+        is k = min(floor((floor(2t/g) + L - 1)/2), L - 1), and P(|S| > t) =
+        2 * (slot L + k).  Where _sum_form finds no slot, S is formed and
+        walked.  _check_support caps each sum, read or formed, as in
+        exact_sum_distribution.
         """
         records = self.records
-        # (id of cuts, g as (numerator, denominator), L) -> the slot of each cut
-        slot_index: dict[tuple[int, int, int, int], list[int]] = {}
-        held: dict[int, Sequence] = {}  # id -> cuts: an id stays with its cuts
+        # (g as (numerator, denominator), L, slot bytes) -> (the slot of each cut, ONES_L)
+        plans: dict[tuple[int, int, int, int], tuple[list[int], int]] = {}
 
-        def read(key: tuple[int, ...], cuts: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+        def read(key: tuple[int, ...]) -> tuple[int, list[int]]:
             if key:
-                head, term = records.get(key[:-1]) or self(key[:-1]), records[key[-1]]
-                den, a, b, gn, gd, size, width = _sum_form(head, term)
+                den, gn, gd, size, width, body = _sum_form(
+                    records.get(key[:-1]) or self(key[:-1]), records[key[-1]])
                 if width:
                     fmt, nbytes = width
-                    if (w_x := term[6].get((b, fmt, size))) is None:  # W_X * ONES_L
-                        ones = ((1 << 8 * nbytes * size) - 1) // ((1 << 8 * nbytes) - 1)
-                        w_x = term[6][b, fmt, size] = ones * (
-                            term[6].get((b, fmt)) or _packed(term, b, fmt))
-                    if (at := slot_index.get((id(cuts), gn, gd, size))) is None:
-                        held[id(cuts)] = cuts
-                        at = slot_index[id(cuts), gn, gd, size] = [  # gn = 0 only where L = 1
-                            min((2 * gd * c // (d * (gn or 1)) + 3 * size - 1) // 2, 2 * size - 1)
-                            for c, d in cuts]
-                    w_p = head[6].get((a, fmt)) or _packed(head, a, fmt)
-                    below = memoryview((w_p * w_x).to_bytes(nbytes * 2 * size, "little")).cast(fmt)
+                    if (plan := plans.get((gn, gd, size, nbytes))) is None:
+                        plan = plans[gn, gd, size, nbytes] = (
+                            [min((2 * gd * c // (d * (gn or 1)) + 3 * size - 1) // 2, 2 * size - 1)
+                             for c, d in cuts],  # gn = 0 only where L = 1
+                            ((1 << 8 * nbytes * size) - 1) // ((1 << 8 * nbytes) - 1))
+                    at, ones = plan
+                    below = memoryview((body * ones).to_bytes(2 * nbytes * size, "little"))
+                    below = below.cast(fmt)
                     return den, [2 * below[k] for k in at]
             den, *_, total, _ = self(key)  # _sum_form found no slot: S's record holds its law
             return den, [2 * gt for gt, _ in _upper_tail_weights(total, cuts)]
@@ -441,7 +438,8 @@ def sweep_checks(
 
     Terms are ordered by support size, largest first, then by first sight,
     and an instance's key lists its terms in that order.  Its tails come
-    from one _Prefixes reader, which shares prefix sums across instances.
+    from the _Prefixes reader of its grid, one per n; all of them share
+    one _Prefixes, so prefix sums are shared across instances.
     Raises ValueError on a non-symmetric term or over the support cap.
     """
     h = parse_rational(h)
@@ -450,7 +448,6 @@ def sweep_checks(
     low = bisect_left(ms, 1)
 
     prefixes = _Prefixes()
-    read = prefixes.reader()
     # term id -> code: -(support size) * 2^64 + the number of terms seen
     # before it, so ascending codes put the largest supports first.  The
     # last term is then one of fewest atoms, and the order (so the work)
@@ -465,8 +462,8 @@ def sweep_checks(
     p_values: dict[Fraction, int] = {}  # in insertion order, so keys are indexed by p code
     # bound rows: p-multiset key -> the unreduced (improved, common) per grid t
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    # n -> the t with 1 <= m <= n, the same t as (numerator, denominator), and their m
-    grids: dict[int, tuple[list[Fraction], list[tuple[int, int]], list[int]]] = {}
+    # n -> the t with 1 <= m <= n, the reader of their tails, and their m
+    grids: dict[int, tuple[list[Fraction], Callable, list[int]]] = {}
 
     for index, terms in enumerate(instances):
         try:
@@ -485,15 +482,15 @@ def sweep_checks(
         if n not in grids:
             high = bisect_right(ms, n, low)
             grid = ts[low:high]
-            grids[n] = (grid, list(map(rational_pair, grid)), ms[low:high])
-        grid, cuts, n_ms = grids[n]
+            grids[n] = (grid, prefixes.reader(list(map(rational_pair, grid))), ms[low:high])
+        grid, read, n_ms = grids[n]
         p_key = tuple(sorted(map(p_code.__getitem__, key)))
         bounds = bound_cache.get(p_key)
         if bounds is None:
             by_code = list(p_values)
             sums = _window_sums(tuple(by_code[code] for code in p_key), n_ms)
             bounds = bound_cache[p_key] = [sums[m][1::2] for m in n_ms]
-        den, tails = read(key, cuts)
+        den, tails = read(key)
         yield index, grid, tails, den, bounds
 
 

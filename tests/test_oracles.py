@@ -393,6 +393,23 @@ class TestKleitmanCount:
                 expected *= sum(map(abs, column)) / g + 1
         assert (distinct, sums) == (expected, min(expected, 2**n))
 
+    def test_box_on_large_denominators(self):
+        # g_j is taken from the Fractions, as gcd(nums) * (scale // lcm(dens));
+        # it is the gcd of the scaled column, pinned here on coprime 60-digit
+        # denominators, a target with a denominator of its own and a zero column.
+        big = 10**60
+        vectors = tuple((Fraction(big + 1, big + 2 * i + 1), Fraction(-3 * i, big + 7), Fraction(0))
+                        for i in range(6))
+        target = ((Fraction(1, 3), Fraction(0), Fraction(0)), Fraction(1, 4))
+        _, box, *_ = KleitmanInstance(3, vectors, "sup", (target,))._integer_form
+        scale = math.lcm(*(q.denominator for v in vectors for q in v), 3, 4)
+        expected = []
+        for column in zip(*vectors):
+            scaled = [int(q * scale) for q in column]
+            g = math.gcd(*scaled) or 1
+            expected.append((g, sum(c for c in scaled if c < 0), sum(map(abs, scaled)) // g + 1))
+        assert expected[2] == (1, 0, 1) and box == expected
+
     def test_dense_and_sparse_paths_agree(self, monkeypatch):
         # criterion 06's instances, counted on both paths; an empty slot
         # table sends every instance down the sparse one
@@ -568,17 +585,21 @@ class TestSweepChecks:
         assert (len(packed), any(packed)) == (271, False)  # each form built once
 
     def test_reader_slots_follow_each_cuts(self):
-        # One key read on a new cuts list each time, freed after its read:
-        # the slots cached for a list must not answer a new one at its address.
+        # One key read through readers on six grids of one _Prefixes, in
+        # turn and twice over: each answers on its own grid.  A read keeps
+        # no record of the instance's sum, and each record only the packed
+        # forms of the strides it was summed at, none keyed by S's L = 5.
         lazy = dist({-1: "1/4", 0: "1/2", 1: "1/4"})
         prefixes = oracles._Prefixes()
         prefixes.records[0], prefixes.records[1] = oracles._record(lazy), oracles._record(coin())
-        read = prefixes.reader()
+        readers = [(k, prefixes.reader([(k, 2), (k + 1, 2)])) for k in range(6)]
         total = exact_sum_distribution([lazy, coin()])
-        for k in range(6):
-            den, tails = read((0, 1), [(k, 2), (k + 1, 2)])
+        for k, read in readers * 2:
+            den, tails = read((0, 1))
             assert [Fraction(tail, den) for tail in tails] == [
                 abs_tail(total, Fraction(j, 2)) for j in (k, k + 1)]
+        assert {key: set(rec[6]) for key, rec in prefixes.records.items()} == {
+            (): {(0, "B")}, 0: {(1, "B")}, 1: {(2, "B")}, (0,): {(1, "B")}}
 
     @pytest.mark.parametrize("cuts", [1, 11])
     def test_support_cap_on_the_unbuilt_sum(self, cuts, monkeypatch):
