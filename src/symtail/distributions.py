@@ -22,13 +22,6 @@ from typing import Iterable, Mapping, Sequence
 from .rational import format_rational, parse_rational, rational_pair
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # gcd of p1/q1, p2/q2 in lowest terms is gcd(p1,p2)/lcm(q1,q2)
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 class LatticeDistribution:
     """Finite exact pmf on the lattice ``offset + step*Z``.
 
@@ -326,26 +319,21 @@ def symmetric_three_point(p: Sequence, h) -> LatticeDistribution:
 def convolve(d1: LatticeDistribution, d2: LatticeDistribution) -> LatticeDistribution:
     """Exact law of the sum of independent draws from d1 and d2.
 
-    The product of the two weight polynomials on the common lattice
-    step = gcd(step1, step2), over the product of the denominators.  The
-    product is already in canonical form, so it is built as it stands:
-    with a = step1/step and b = step2/step, its indices include every i*a
-    and every j*b (each input has index 0), so their gcd divides
-    gcd(a, b) = 1; and the product of two weight polynomials of content 1
-    has content 1 (Gauss's lemma), all its coefficients being positive.
+    The product of the two weight polynomials on the common lattice step =
+    gcd(step1, step2), over the product of the denominators, with d1's index
+    i at i*a and d2's j at j*b (a = step1/step, b = step2/step; a point mass
+    has multiplier 0, and two have step 0).  It is already canonical: its
+    indices include every i*a and every j*b (each input has index 0), so
+    their gcd divides gcd(a, b) = 1; and a product of weight polynomials of
+    content 1 has content 1 (Gauss's lemma), all its coefficients positive.
     """
-    if not d1.step:
-        d1, d2 = d2, d1
+    s, t = d1.step, d2.step
+    gd = math.lcm(s.denominator, t.denominator)
+    pn, qn = s.numerator * (gd // s.denominator), t.numerator * (gd // t.denominator)
+    gn = math.gcd(pn, qn)
+    a, b = pn // (gn or 1), qn // (gn or 1)
+    step = s if a == 1 else t if b == 1 else Fraction(gn, gd)
     out = object.__new__(LatticeDistribution)
-    if not d2.step:  # a shift: d1's indices and weights stay canonical
-        out._init(d1.offset + d2.offset, d1.step, d1.den, d1.indices, d1.weights)
-        return out
-    if d1.step == d2.step:
-        step, a, b = d1.step, 1, 1
-    else:
-        step = _frac_gcd(d1.step, d2.step)
-        a = d1.step.numerator * step.denominator // (d1.step.denominator * step.numerator)
-        b = d2.step.numerator * step.denominator // (d2.step.denominator * step.numerator)
     right = [(j * b, w) for j, w in zip(d2.indices, d2.weights)]
     # Sparse accumulation: memory follows the number of products, never the
     # width of the lattice range, however wide the gaps.

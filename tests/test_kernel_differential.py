@@ -170,9 +170,23 @@ def with_cuts(n):
 POINT = ((Fraction(1, 2), Fraction(1)),)
 LAZY = tuple((Fraction(x), Fraction(m)) for x, m in ((-1, "1/4"), (0, "1/2"), (1, "1/4")))
 
+ZERO = ((Fraction(0), Fraction(1)),)
+COIN = ((Fraction(-1), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)))
+THIRDS = ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)))
+FIVE = tuple((Fraction(x), Fraction(1, 5)) for x in range(-2, 3))
+EVEN = tuple((2 * x, m) for x, m in FIVE)
+WIDE = tuple((Fraction(x), Fraction(m)) for x, m in ((-1000, "1/4"), (0, "1/2"), (1000, "1/4")))
+SPIKE = tuple((Fraction(x), Fraction(m)) for x, m in ((-1, "1/256"), (0, "254/256"), (1, "1/256")))
+HALVES = tuple((x / 2, m) for x, m in LAZY)
+
 
 @settings(max_examples=300, deadline=None)
 @given(any_laws, any_laws)
+@example(POINT, ZERO)  # two point masses: multipliers 0, step 0
+@example(POINT, COIN)  # a point mass on either side of a coin: its indices at multiplier 1
+@example(COIN, POINT)
+@example(LAZY, FIVE)  # equal steps
+@example(THIRDS, HALVES)  # steps 2/3 and 1/2: the common step 1/6
 def test_convolve(a1, a2):
     out = convolve(law(a1), law(a2))
     expected = ref_convolve(a1, a2)
@@ -208,15 +222,6 @@ def test_abs_tail(case):
     t = abs(t)
     for strict in (True, False):
         assert abs_tail(law(atoms), t, strict=strict) == ref_abs_tail(atoms, t, strict)
-
-
-ZERO = ((Fraction(0), Fraction(1)),)
-COIN = ((Fraction(-1), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)))
-THIRDS = ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)))
-FIVE = tuple((Fraction(x), Fraction(1, 5)) for x in range(-2, 3))
-EVEN = tuple((2 * x, m) for x, m in FIVE)
-WIDE = tuple((Fraction(x), Fraction(m)) for x, m in ((-1000, "1/4"), (0, "1/2"), (1000, "1/4")))
-SPIKE = tuple((Fraction(x), Fraction(m)) for x, m in ((-1, "1/256"), (0, "254/256"), (1, "1/256")))
 
 
 @st.composite

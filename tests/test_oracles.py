@@ -446,6 +446,24 @@ class TestExactSumDistribution:
         with pytest.raises(SupportCapExceeded):
             exact_sum_distribution([coin(), coin()])
 
+    def test_work_budget(self, monkeypatch):
+        # three coins: products 2x2, then 3x2, so the sum's work is 10
+        monkeypatch.setattr(oracles, "MAX_SUM_WORK", 10)
+        assert exact_sum_distribution([coin()] * 3) == dist(
+            {-3: "1/8", -1: "3/8", 1: "3/8", 3: "1/8"}
+        )
+        monkeypatch.setattr(oracles, "MAX_SUM_WORK", 9)
+        with pytest.raises(SupportCapExceeded, match="work 10 exceeds cap 9"):
+            exact_sum_distribution([coin()] * 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_starts_from_the_first_term(self, n, monkeypatch):
+        # n terms make n - 1 convolutions: none with a point mass at 0
+        calls = count_convolutions(monkeypatch)
+        total = exact_sum_distribution([coin()] * n)
+        assert len(calls) == n - 1
+        assert total.support == tuple(range(-n, n + 1, 2))
+
     def test_matches_sign_pattern_enumeration(self):
         # independent oracle: enumerate all (zero, -h, +h) patterns
         rng = random.Random(43)
@@ -678,6 +696,17 @@ class TestTightnessSearch:
             tightness_search([1, 1], 1, 1, split_grid=[])
         with pytest.raises(ValueError, match="h' >= h"):
             tightness_search([1, 1], 1, 1, h_grid=[2, Fraction(1, 2)])
+
+    def test_grid_cap(self, monkeypatch):
+        # h' in {1, 2} and splits {0, 1}: 4 rows of 2 terms, 4 * 2^2 = 16
+        calls = count_convolutions(monkeypatch)
+        monkeypatch.setattr(oracles, "MAX_TIGHTEN_WORK", 16)
+        assert tightness_search([1, 1], 1, 1, h_grid=[2], split_grid=[0, 1]).gap >= 0
+        assert len(calls) == 4
+        monkeypatch.setattr(oracles, "MAX_TIGHTEN_WORK", 15)
+        with pytest.raises(ValueError, match="4 grid rows x 2\\^2 for 2 terms exceed cap 15"):
+            tightness_search([1, 1], 1, 1, h_grid=[2, 2, 1], split_grid=[0, 1, "2/2"])
+        assert len(calls) == 4
 
     def test_negative_gap_is_reported(self, monkeypatch):
         # The improved bound 1/4 shifted up to 1.
