@@ -20,14 +20,26 @@ diameter < 2h, attained by the symmetric three-point laws
 sums are formed on integers over one common denominator, 2^n times that of
 the Poisson binomial pmf, and become Fractions only when returned.
 
+The improved bound is a first-passage probability.  2^k - F_k(m) counts the
++-1 walks of k steps that reach m (exactmath), so
+
+    improved_bound = P(T_m <= K) = sum_{i >= m} P(T_m = i) P(K >= i),
+
+where T_m is the first time a fair +-1 walk reaches m and K ~ B_p is
+independent of it; P(T_m = i) = 2^{-i} d_i(m) is nonzero only for
+i = m, m+2, ....  The sums read it in that form: one pass over the pmf per
+call forms the tails P(K >= i) and the Nagaev suffix sums, and each m then
+takes about (n - m)/2 products.
+
 All three depend on t only through m.  window_indices, the one place m is
 formed, reads h once and takes one integer floor per t of a grid; the
 domain 0 <= t < n*h is 1 <= m <= n.  _window_sums, the one evaluator, forms
 the sums from a validated p over one pmf, once per distinct m, as unreduced
 integer numerators over one common denominator, and checks each m once
 with _checked_sums, as BoundReport checks its Fractions.  Each m reads the
-column F_m(m), ..., F_n(m) of exactmath._window_column, so no window sum is
-cached.  The CLI and the oracles read _window_sums directly;
+first-passage counts d_m(m), d_{m+2}(m), ... of exactmath._first_passages,
+so no window sum is cached.  p may hold Fractions or integer pairs
+(num, den).  The CLI and the oracles read _window_sums directly;
 bound_table and the single-value functions wrap it.
 """
 
@@ -40,7 +52,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .distributions import _poisson_binomial_weights, as_success_vector
-from .exactmath import _window_column
+from .exactmath import _first_passages, _window_column
 from .rational import parse_rational, rational_pair
 
 
@@ -72,35 +84,45 @@ class BoundReport:
 
     @property
     def per_k_terms(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
-        scaled, common = _scaled_pmf(self.p)
+        coeffs, den = _poisson_binomial_weights(self.p)
         column = [1 << k for k in range(min(self.m, self.n + 1))] + _window_column(self.n, self.m)
-        return tuple((k, Fraction(w << k, common), Fraction((1 << k) - f, 1 << k))
-                     for k, (w, f) in enumerate(zip(scaled, column)))
+        return tuple((k, Fraction(c, den), Fraction((1 << k) - f, 1 << k))
+                     for k, (c, f) in enumerate(zip(coeffs, column)))
 
 
-def _scaled_pmf(p: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    """B_p over the bounds' common denominator: (w_0, ..., w_n) and C with
-    2^{-k} B_p({k}) = w_k / C, where C = 2^n D for the pmf's denominator D.
+def _scaled_pmf(p: Sequence) -> tuple[list[int], list[int], int]:
+    """The once-per-call sums of B_p over the bounds' common denominator
+    C = 2^n D, D the pmf's denominator, with B_p({k}) = c_k / D:
+    (tails, nagaev, C) with tails[i] = 2^{n-i} sum_{k >= i} c_k, so that
+    2^{-i} P(K >= i) = tails[i] / C, and nagaev[i] = sum_{k >= i} 2^{n-k} c_k
+    for i in 0..n+1.
 
-    Built once per _window_sums or per_k_terms call, and not cached.
+    Built once per _window_sums call, and not cached.
     """
     coeffs, den = _poisson_binomial_weights(p)
-    n = len(p)
-    return tuple(c << (n - k) for k, c in enumerate(coeffs)), den << n
+    n = len(coeffs) - 1
+    tails, nagaev = [0] * (n + 1), [0] * (n + 2)
+    tail = total = 0
+    for k in range(n, -1, -1):
+        c = coeffs[k]
+        tail += c
+        total += c << (n - k)
+        tails[k] = tail << (n - k)
+        nagaev[k] = total
+    return tails, nagaev, den << n
 
 
-def _bound_sums(pmf: tuple[tuple[int, ...], int], m: int) -> tuple[int, int, int, int]:
+def _bound_sums(pmf: tuple[list[int], list[int], int], m: int) -> tuple[int, int, int, int]:
     """Numerators of the Nagaev bound, the improved bound and the Kanter
-    supremum at window index m, and their common denominator, from the pmf
-    as _scaled_pmf returns it.  k > t/h is k >= m and the weights 2^k w_k sum
-    to common, so improved = sum_{k >= m} (2^k - F_k(m)) w_k and kanter =
-    common - improved.
+    supremum at window index m, and their common denominator, from the sums
+    _scaled_pmf returns.  k > t/h is k >= m, so nagaev is nagaev[m];
+    improved = sum_{i = m, m+2, ...} d_i(m) tails[i], P(T_m <= K) over C,
+    and kanter = common - improved.  nagaev and improved are 0 for m > n.
     """
-    scaled, common = pmf
-    tail = scaled[m:]
-    improved = (sum(w << k for k, w in enumerate(tail, m))
-                - sum(map(mul, _window_column(len(scaled) - 1, m), tail)))
-    return sum(tail), improved, common - improved, common
+    tails, nagaev, common = pmf
+    n = len(tails) - 1
+    improved = sum(map(mul, _first_passages(n, m), tails[m::2]))
+    return nagaev[m] if m <= n else 0, improved, common - improved, common
 
 
 def _checked_sums(sums: tuple[int, int, int, int], m: int) -> tuple[int, int, int, int]:

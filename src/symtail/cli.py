@@ -6,8 +6,8 @@ Exit codes: 0 = all asserted inequalities held, 1 = a violation was found,
 rounded half to even whatever the caller's decimal context.  The decimal
 column is derived, never authoritative.  Both cells of a value come from
 its integer (numerator, denominator) pair through one helper, `_exact`;
-`bound` keeps its t grid as such pairs from the JSON to the CSV, so its
-rows build no Fraction.  Bad input writes no CSV: `sweep`,
+`bound` keeps its p and its t grid as such pairs from the JSON to the CSV,
+so neither builds a Fraction.  Bad input writes no CSV: `sweep`,
 whose row count the input does not bound, streams its rows to a temporary
 file that replaces the output only when the sweep ends; the others build
 their rows before they open the output.
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import bounds, oracles, ordering
-from .distributions import LatticeDistribution, abs_tail, as_success_vector, is_symmetric
+from .distributions import LatticeDistribution, _success_pairs, abs_tail, is_symmetric
 from .exactmath import largest_binomial_sum
 from .rational import decimal_str, format_rational, rational_pair
 
@@ -145,10 +145,11 @@ def _laws(value, name: str) -> tuple[LatticeDistribution, ...]:
         raise InputError(f"bad distribution literal in {name}: {exc}") from exc
 
 
-def _probabilities(value, name: str) -> Sequence[Fraction]:
-    """A success vector, capped at MAX_TERMS before any pmf is built;
-    cmd_bound and tightness_search check once that each p_i is in [0, 1]."""
-    return _capped(_rationals(value, name), oracles.MAX_TERMS, name)
+def _probabilities(value, name: str) -> Sequence[tuple[int, int]]:
+    """A success vector as integer pairs, capped at MAX_TERMS before any pmf
+    is built; cmd_bound and tightness_search check once that each p_i is in
+    [0, 1]."""
+    return _capped(_pairs(value, name), oracles.MAX_TERMS, name)
 
 
 def _exact(pair: tuple[int, int]) -> list[str]:
@@ -171,7 +172,7 @@ def cmd_bound(data: dict) -> list[list]:
         raise InputError("input must supply either 'p' or 'terms'")
     hn, hd = h_pair = rational_pair(h)
     ms = bounds.window_indices(t_grid, h_pair)  # t in [0, n*h) iff 1 <= m <= n
-    p = as_success_vector(p)  # p is validated here, even when no t is in the domain
+    p = _success_pairs(p)  # p is validated here, even when no t is in the domain
     sums = bounds._window_sums(p, [m for m in ms if 1 <= m <= len(p)])
     h_cell = format_rational(h_pair)
     note = f"domain: t outside [0, {format_rational((len(p) * hn, hd))})"

@@ -262,27 +262,32 @@ def point_mass(c=0) -> LatticeDistribution:
     return LatticeDistribution._from_pairs(((c, 1),))
 
 
-def as_success_vector(values: Iterable) -> tuple[Fraction, ...]:
-    """Validate a vector of exceedance probabilities, each in [0, 1]."""
-    p = tuple(parse_rational(v) for v in values)
+def _success_pairs(values: Iterable) -> tuple[tuple[int, int], ...]:
+    """Validate a vector of exceedance probabilities, each in [0, 1], as
+    integer pairs (a, b) with 0 <= a <= b, as rational_pair reads them."""
+    p = tuple(map(rational_pair, values))
     if not p:
         raise ValueError("success vector must be non-empty")
-    for v in p:
-        if v < 0 or v > 1:
-            raise ValueError(f"success probability {v} outside [0, 1]")
+    for a, b in p:
+        if not 0 <= a <= b:
+            raise ValueError(f"success probability {format_rational((a, b))} outside [0, 1]")
     return p
 
 
-def _poisson_binomial_weights(p: Sequence[Fraction]) -> tuple[list[int], int]:
+def as_success_vector(values: Iterable) -> tuple[Fraction, ...]:
+    """Validate a vector of exceedance probabilities, each in [0, 1]."""
+    return tuple(Fraction(a, b) for a, b in _success_pairs(values))
+
+
+def _poisson_binomial_weights(p: Sequence) -> tuple[list[int], int]:
     """Integer pmf of the success count: (c_0, ..., c_n) and D with
-    B_p({k}) = c_k / D.
+    B_p({k}) = c_k / D, for p_i given as Fractions or integer pairs.
 
     Multiplies the generating polynomial by (b - a) + a*z for each
     p_i = a/b: the Poisson binomial recurrence, on integers.
     """
     coeffs, den = [1], 1
-    for pi in p:
-        a, b = pi.numerator, pi.denominator
+    for a, b in map(rational_pair, p):
         q = b - a
         coeffs = [q * c + a * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
         den *= b

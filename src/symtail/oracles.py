@@ -48,8 +48,8 @@ from .rational import format_rational, parse_rational, rational_pair
 # terms of one `symtail sweep` instance or family, the terms of one
 # `symtail bound`, `tighten` or `compare` list (exact laws cost about n^2
 # to n^3), the support-size product of one exact convolution, the sum of
-# those products over one exact sum of laws, and a `tighten` grid's rows
-# times n^2 (each row is one exact n-term sum).
+# those products over one exact sum of laws or over a whole `tighten` grid,
+# and a `tighten` grid's rows times n^2 (each row is one exact n-term sum).
 MAX_SUMSET_WORK = 1 << 24
 MAX_FAMILY_INSTANCES = 100_000
 MAX_FAMILY_BUILD_WORK = 1 << 20
@@ -258,9 +258,15 @@ def exact_sum_distribution(terms: Sequence[LatticeDistribution]) -> LatticeDistr
     """Exact law of the sum of independent terms, from the first on (the
     empty sum is the point mass at 0); _check_support caps the first term and
     each convolution, and MAX_SUM_WORK their summed products, before each."""
+    return _exact_sum(terms, 0)[0]
+
+
+def _exact_sum(terms: Sequence[LatticeDistribution],
+               work: int) -> tuple[LatticeDistribution, int]:
+    """exact_sum_distribution on a MAX_SUM_WORK budget of which work is
+    already spent: the law and the work spent once it is formed."""
     total = terms[0] if terms else point_mass(0)
     _check_support(1, len(total.indices))
-    work = 0
     for term in terms[1:]:
         size, term_size = len(total.indices), len(term.indices)
         _check_support(size, term_size)
@@ -268,7 +274,7 @@ def exact_sum_distribution(terms: Sequence[LatticeDistribution]) -> LatticeDistr
         if work > MAX_SUM_WORK:
             raise SupportCapExceeded(f"exact sum work {work} exceeds cap {MAX_SUM_WORK}")
         total = convolve(total, term)
-    return total
+    return total, work
 
 
 def _check_support(size: int, term_size: int) -> None:
@@ -692,7 +698,9 @@ def tightness_search(
     falsification harness: it records the gap, which the theorem makes
     nonnegative, and does not claim the bound is attained.  Each (h', s)
     row is one exact n-term sum, so rows * n^2 is capped at
-    MAX_TIGHTEN_WORK before the first sum.
+    MAX_TIGHTEN_WORK before the first sum, and the rows' sums share one
+    MAX_SUM_WORK budget, checked before each product: a row whose h' is
+    far from h has about n^2 atoms.
     """
     p = as_success_vector(p)
     h = parse_rational(h)
@@ -714,6 +722,7 @@ def tightness_search(
         raise ValueError(f"{rows} grid rows x {n}^2 for {n} terms exceed cap {MAX_TIGHTEN_WORK}")
 
     best: tuple[Fraction, tuple[Fraction, Fraction]] | None = None
+    work = 0
     for h2 in outer:
         for s in splits:
             sn, sd = s.numerator, s.denominator
@@ -725,7 +734,8 @@ def tightness_search(
                 terms.append(LatticeDistribution._from_pairs(
                     ((0, (b - a, b)), (-h, near), (h, near), (-h2, far), (h2, far))
                 ))
-            value = half_mass(exact_sum_distribution(terms), t)
+            total, work = _exact_sum(terms, work)
+            value = half_mass(total, t)
             if best is None or value < best[0]:
                 best = (value, (h2, s))
     return TightnessReport(

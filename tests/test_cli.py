@@ -42,15 +42,16 @@ def inflate_sweep_bound(monkeypatch, inflate):
 
 
 def count_p_checks(monkeypatch) -> list:
-    """Count as_success_vector calls in every module that imports it."""
+    """Count _success_pairs calls in every module that imports it: every
+    success vector is validated there, as_success_vector's included."""
     calls = []
 
-    def counted(values, check=distributions.as_success_vector):
+    def counted(values, check=distributions._success_pairs):
         calls.append(values)
         return check(values)
 
     for module in (distributions, bounds, oracles, cli):
-        monkeypatch.setattr(module, "as_success_vector", counted, raising=False)
+        monkeypatch.setattr(module, "_success_pairs", counted, raising=False)
     return calls
 
 
@@ -123,13 +124,29 @@ class TestBoundCommand:
         "source, message",
         [({"p": []}, "success vector must be non-empty"),
          ({"terms": []}, "success vector must be non-empty"),
-         ({"p": ["1/2", "3/2"]}, "success probability 3/2 outside [0, 1]")],
-        ids=["empty-p", "empty-terms", "p-above-1"],
+         ({"p": ["1/2", "3/2"]}, "success probability 3/2 outside [0, 1]"),
+         ({"p": ["1/2", "-2/6", "5/4"]}, "success probability -1/3 outside [0, 1]"),
+         ({"p": ["6/4"]}, "success probability 3/2 outside [0, 1]"),
+         ({"p": ["1/2", "1.5", "x"]}, "p: not a rational: '1.5'"),
+         ({"p": ["1/2", "1/0"]}, "p: not a rational: '1/0'"),
+         ({"p": "1/2"}, "p must be a list, got str"),
+         ({"p": ["2"] * (oracles.MAX_TERMS + 1)},
+          f"p: n={oracles.MAX_TERMS + 1} terms exceed cap {oracles.MAX_TERMS}")],
+        ids=["empty-p", "empty-terms", "p-above-1", "p-below-0", "p-unreduced-above-1",
+             "p-not-rational", "p-zero-denominator", "p-not-a-list", "p-over-max-terms"],
     )
     def test_bad_p_is_usage_error_with_no_t_in_domain(self, tmp_path, capsys, source, message):
         code, rows, _ = run(tmp_path, "bound", source | {"h": "1", "t_grid": ["5"]})
         assert (code, rows) == (2, [])
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unreduced_p_writes_the_same_bytes(self, tmp_path):
+        grid = {"h": "2/3", "t_grid": ["0", "1/3", "1", "3/2", "2", "8/3"]}
+        _, _, reduced = run(tmp_path, "bound", {"p": ["1/2", "2/3", "0", "1"]} | grid,
+                            name="reduced.json")
+        _, _, unreduced = run(tmp_path, "bound", {"p": ["2/4", "6/9", "0/5", "7/7"]} | grid,
+                              name="unreduced.json")
+        assert unreduced.read_bytes() == reduced.read_bytes()
 
     def test_rationals_past_str_digit_limit(self, tmp_path):
         # The improved bound has ~5 700 digits in its denominator, past the

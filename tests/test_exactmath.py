@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symtail.exactmath import (
+    _first_passages,
     _window_column,
     binomial,
     largest_binomial_ratio,
@@ -119,6 +120,48 @@ class TestLargestBinomialSum:
         assert largest_binomial_sum(n, m) == largest_binomial_sum(
             n - 1, m - 1
         ) + largest_binomial_sum(n - 1, m + 1)
+
+
+def walk_first_passages(m: int, n: int) -> list[int]:
+    """Independent oracle: the number of +-1 walks that first reach m at
+    step i, for i = 0..n, counted step by step over the walks still below m."""
+    below = {0: 1}
+    counts = [0] * (n + 1)
+    for i in range(1, n + 1):
+        step: dict[int, int] = {}
+        for x, ways in below.items():
+            for y in (x - 1, x + 1):
+                if y == m:
+                    counts[i] += ways
+                else:
+                    step[y] = step.get(y, 0) + ways
+        below = step
+    return counts
+
+
+class TestFirstPassages:
+    def test_counts_match_walks(self):
+        for m in range(1, 42):
+            counts = walk_first_passages(m, 40)
+            assert list(_first_passages(40, m)) == counts[m::2], m
+            assert not any(counts[m + 1::2]) and not any(counts[:m]), m
+
+    def test_reflection_identity(self):
+        # 2^k - F_k(m) = sum_{i <= k, i = m mod 2} d_i(m) 2^(k-i): the walks
+        # of k steps that reach m, by the step at which they first do
+        for m in range(1, 43):
+            for k in range(41):
+                d = _first_passages(k, m)
+                reached = sum(di << (k - i) for i, di in zip(range(m, k + 1, 2), d))
+                top = sorted((math.comb(k, i) for i in range(k + 1)), reverse=True)[:m]
+                assert (1 << k) - sum(top) == reached, (k, m)
+
+    def test_closed_form(self):
+        # d_i(m) = (m/i) C(i, (i-m)/2), for m + 2r up to 1 000
+        for m in (1, 2, 7, 500, 999):
+            expected = [m * math.comb(i, (i - m) // 2) // i for i in range(m, 1001, 2)]
+            assert list(_first_passages(1000, m)) == expected, m
+        assert list(_first_passages(4, 5)) == []
 
 
 class TestLargestBinomialRatio:

@@ -4,7 +4,8 @@ half-lattice offsets, wide sparse gaps, point masses, mixed denominators),
 the sweep's symmetric tails P(|S| > t) = 2 P(S > t) against per-atom tails
 of the convolved sum, its rows from packed prefix records against the same
 with every sum convolved, the sumset Kleitman count against the Gray-code
-enumeration, the bound table against the bounds' defining sums, JSON
+enumeration, the bound table and the window sums of every m against the
+bounds' defining sums, JSON
 literals read straight into the integer form against a per-atom Fraction
 reading, the
 comparison queries, their integer rows and verdicts, and the lattice checks
@@ -59,6 +60,7 @@ from symtail.rational import decimal_str, format_rational, rational_pair
 from util import (
     ref_abs_stochastically_geq,
     ref_abs_tail,
+    ref_bound_sums,
     ref_convolve,
     ref_decimal_str,
     ref_interval_mass,
@@ -443,23 +445,37 @@ def test_kleitman_count(inst):
 
 
 def ref_bound_row(p, h, t):
-    """(m, nagaev, improved, kanter_sup, per-k terms) at t, from the sums in
-    the bounds module's docstring over ref_poisson_binomial's pmf, with F_k(m)
-    the sum of the m largest C(k, i)."""
+    """(m, nagaev, improved, kanter_sup, per-k terms) at t: ref_bound_sums
+    at m = floor(t/h) + 1 (k > t/h is k >= m), and each k's B_p({k}) and
+    weight 1 - 2^{-k} F_k(m), F_k(m) the sum of the m largest C(k, i)."""
     m = math.floor(t / h) + 1
     pmf = dict(ref_poisson_binomial(p))
-    nagaev = improved = kanter = Fraction(0)
     terms = []
     for k in range(len(p) + 1):
-        bk = pmf.get(k, Fraction(0))
         f = sum(sorted((math.comb(k, i) for i in range(k + 1)), reverse=True)[:m])
-        weight = 1 - Fraction(f, 2**k)
-        kanter += Fraction(f, 2**k) * bk
-        if k > t / h:
-            nagaev += bk / 2**k
-            improved += weight * bk
-        terms.append((k, bk, weight))
-    return m, nagaev, improved, kanter, tuple(terms)
+        terms.append((k, pmf.get(k, Fraction(0)), 1 - Fraction(f, 2**k)))
+    return (m, *ref_bound_sums(p, m), tuple(terms))
+
+
+# p_i over denominators up to 97, 0 and 1 included.
+window_probabilities = st.sampled_from([1, 2, 3, 7, 16, 97]).flatmap(
+    lambda den: st.builds(Fraction, st.integers(0, den), st.just(den)))
+
+
+# Every window index m = 1..n+2, past n included, where both bounds are 0.
+@settings(max_examples=60, deadline=None)
+@given(st.lists(window_probabilities, min_size=1, max_size=40))
+@example([Fraction(0)] * 3)
+@example([Fraction(1)] * 4)
+@example([Fraction(1, 97), Fraction(96, 97), Fraction(15, 16), Fraction(2, 7), Fraction(1)])
+def test_window_sums(p):
+    n = len(p)
+    ms = range(1, n + 3)
+    sums = bounds._window_sums(tuple(p), ms)
+    assert list(sums) == list(ms)
+    for m, (*nums, common) in sums.items():
+        assert common == math.prod(v.denominator for v in p) << n
+        assert tuple(Fraction(num, common) for num in nums) == ref_bound_sums(p, m), m
 
 
 @st.composite

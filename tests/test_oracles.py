@@ -708,6 +708,18 @@ class TestTightnessSearch:
             tightness_search([1, 1], 1, 1, h_grid=[2, 2, 1], split_grid=[0, 1, "2/2"])
         assert len(calls) == 4
 
+    def test_grid_shares_one_sum_work_budget(self, monkeypatch):
+        # the rows of test_grid_cap: each sums two laws of two atoms, 2x2,
+        # so the grid's work is 16 and the fourth row's product passes 15
+        calls = count_convolutions(monkeypatch)
+        monkeypatch.setattr(oracles, "MAX_SUM_WORK", 16)
+        assert tightness_search([1, 1], 1, 1, h_grid=[2], split_grid=[0, 1]).gap >= 0
+        assert len(calls) == 4
+        monkeypatch.setattr(oracles, "MAX_SUM_WORK", 15)
+        with pytest.raises(SupportCapExceeded, match="work 16 exceeds cap 15"):
+            tightness_search([1, 1], 1, 1, h_grid=[2], split_grid=[0, 1])
+        assert len(calls) == 4 + 3
+
     def test_negative_gap_is_reported(self, monkeypatch):
         # The improved bound 1/4 shifted up to 1.
         monkeypatch.setattr(oracles, "_window_sums", shifted_window_sums(Fraction(3, 4)))

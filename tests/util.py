@@ -86,6 +86,22 @@ def ref_poisson_binomial(p) -> tuple:
     return out
 
 
+def ref_bound_sums(p, m) -> tuple[Fraction, Fraction, Fraction]:
+    """(nagaev, improved, kanter_sup) at window index m from their defining
+    sums over ref_poisson_binomial's pmf, with F_k(m) the sum of the m
+    largest C(k, i), found by sorting."""
+    pmf = dict(ref_poisson_binomial(p))
+    nagaev = improved = kanter = Fraction(0)
+    for k in range(len(p) + 1):
+        bk = pmf.get(k, Fraction(0))
+        f = Fraction(sum(sorted((math.comb(k, i) for i in range(k + 1)), reverse=True)[:m]), 2**k)
+        kanter += f * bk
+        if k >= m:
+            nagaev += bk / 2**k
+            improved += (1 - f) * bk
+    return nagaev, improved, kanter
+
+
 def ref_symmetric_three_point(p, h) -> tuple:
     out = ((Fraction(0), Fraction(1)),)
     for pi in p:
