@@ -32,15 +32,15 @@ call forms the tails P(K >= i) and the Nagaev suffix sums, and each m then
 takes about (n - m)/2 products.
 
 All three depend on t only through m.  window_indices, the one place m is
-formed, reads h once and takes one integer floor per t of a grid; the
-domain 0 <= t < n*h is 1 <= m <= n.  _window_sums, the one evaluator, forms
-the sums from a validated p over one pmf, once per distinct m, as unreduced
-integer numerators over one common denominator, and checks each m once
-with _checked_sums, as BoundReport checks its Fractions.  Each m reads the
-first-passage counts d_m(m), d_{m+2}(m), ... of exactmath._first_passages,
-so no window sum is cached.  p may hold Fractions or integer pairs
-(num, den).  The CLI and the oracles read _window_sums directly;
-bound_table and the single-value functions wrap it.
+formed, takes one integer floor per t of a grid; the domain 0 <= t < n*h
+is 1 <= m <= n.  _window_sums, the one evaluator, forms the sums over one
+pmf, once per distinct m, as unreduced integer numerators over one common
+denominator, and checks each m once with _checked_sums, as BoundReport
+checks its Fractions.  Each m reads the first-passage counts d_m(m),
+d_{m+2}(m), ... of exactmath._first_passages, so no window sum is cached.
+The kernels take integer pairs, p as distributions._success_pairs returns
+it, and read no rational.  The CLI and the oracles read _window_sums
+directly; bound_table and the single-value functions wrap it.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .distributions import _poisson_binomial_weights, as_success_vector
+from .distributions import _poisson_binomial_weights, _success_pairs
 from .exactmath import _first_passages, _window_column
-from .rational import parse_rational, rational_pair
+from .rational import format_rational, parse_rational, rational_pair
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,13 @@ class BoundReport:
 
     @property
     def per_k_terms(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
-        coeffs, den = _poisson_binomial_weights(self.p)
+        coeffs, den = _poisson_binomial_weights([(q.numerator, q.denominator) for q in self.p])
         column = [1 << k for k in range(min(self.m, self.n + 1))] + _window_column(self.n, self.m)
         return tuple((k, Fraction(c, den), Fraction((1 << k) - f, 1 << k))
                      for k, (c, f) in enumerate(zip(coeffs, column)))
 
 
-def _scaled_pmf(p: Sequence) -> tuple[list[int], list[int], int]:
+def _scaled_pmf(p: Sequence[tuple[int, int]]) -> tuple[list[int], list[int], int]:
     """The once-per-call sums of B_p over the bounds' common denominator
     C = 2^n D, D the pmf's denominator, with B_p({k}) = c_k / D:
     (tails, nagaev, C) with tails[i] = 2^{n-i} sum_{k >= i} c_k, so that
@@ -137,17 +137,18 @@ def _checked_sums(sums: tuple[int, int, int, int], m: int) -> tuple[int, int, in
     return sums
 
 
-def window_indices(t_grid: Iterable, h) -> list[int]:
+def window_indices(t_grid: Iterable[tuple[int, int]], h: tuple[int, int]) -> list[int]:
     """m = floor(t/h) + 1 for each t of t_grid, the number of width-2h sets
     covering [-t, t]-ish.
 
-    h's pair is read, and checked positive, once; each m is one integer
-    floor.  t is in the bounds' domain 0 <= t < n*h exactly when 1 <= m <= n.
+    h and each t are integer pairs (num, den), den > 0, reduced or not.  h
+    is checked positive once; each m is one integer floor.  t is in the
+    bounds' domain 0 <= t < n*h exactly when 1 <= m <= n.
     """
-    hn, hd = rational_pair(h)
+    hn, hd = h
     if hn <= 0:
-        raise ValueError(f"h must be positive, got {parse_rational(h)}")
-    return [tn * hd // (td * hn) + 1 for tn, td in map(rational_pair, t_grid)]
+        raise ValueError(f"h must be positive, got {format_rational(h)}")
+    return [tn * hd // (td * hn) + 1 for tn, td in t_grid]
 
 
 def nagaev_bound(p: Sequence, h, t) -> Fraction:
@@ -163,17 +164,18 @@ def improved_bound(p: Sequence, h, t) -> Fraction:
 
 def kanter_supremum(p: Sequence, m: int) -> Fraction:
     """Exact value of sum_{k=0}^{n} 2^{-k} F_k(m) B_p({k})."""
-    p = as_success_vector(p)
+    p = _success_pairs(p)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     *_, kanter, common = _window_sums(p, (m,))[m]
     return Fraction(kanter, common)
 
 
-def _window_sums(p: tuple[Fraction, ...], ms: Iterable[int]) -> dict[int, tuple[int, ...]]:
+def _window_sums(p: Sequence[tuple[int, int]], ms: Iterable[int]) -> dict[int, tuple]:
     """(nagaev, improved, kanter, common) per distinct m of ms, in order of
-    first appearance: _bound_sums over one pmf, none for an empty ms.  p must
-    be validated and each m >= 1.  Each m is checked once, by _checked_sums.
+    first appearance: _bound_sums over one pmf, none for an empty ms.  p
+    holds integer pairs as _success_pairs returns them, and each m >= 1.
+    Each m is checked once, by _checked_sums.
     """
     distinct = dict.fromkeys(ms)
     pmf = _scaled_pmf(p) if distinct else None
@@ -188,17 +190,18 @@ def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     built.  The sums come from _window_sums, once per distinct window index
     m, and their Fractions are shared by the reports with that m.
     """
-    p = as_success_vector(p)
+    p = _success_pairs(p)
     h = parse_rational(h)
-    t_grid = [parse_rational(t) for t in t_grid]
+    t_grid = list(map(rational_pair, t_grid))
     n = len(p)
-    ms = window_indices(t_grid, h)
+    ms = window_indices(t_grid, (h.numerator, h.denominator))
     for t, m in zip(t_grid, ms):
         if not 1 <= m <= n:
-            raise ValueError(f"t={t} outside the bound domain [0, {n * h})")
+            raise ValueError(f"t={format_rational(t)} outside the bound domain [0, {n * h})")
     values = {m: [Fraction(x, common) for x in sums]
               for m, (*sums, common) in _window_sums(p, ms).items()}
-    return [BoundReport(t, h, n, m, *values[m], p) for t, m in zip(t_grid, ms)]
+    p = tuple(Fraction(*q) for q in p)
+    return [BoundReport(Fraction(*t), h, n, m, *values[m], p) for t, m in zip(t_grid, ms)]
 
 
 def evaluate_bounds(p: Sequence, h, t) -> BoundReport:
@@ -215,7 +218,7 @@ def optimize_h(candidates: Mapping, t) -> tuple[Fraction, Fraction]:
     domain 0 <= t < n*h are skipped; ties break toward smaller h.
     """
     t = parse_rational(t)
-    parsed = sorted(((parse_rational(h), as_success_vector(p)) for h, p in candidates.items()),
+    parsed = sorted(((parse_rational(h), _success_pairs(p)) for h, p in candidates.items()),
                     key=lambda item: item[0])
     values = [(h, improved_bound(p, h, t)) for h, p in parsed if h > 0 and 0 <= t < len(p) * h]
     if not values:

@@ -6,15 +6,16 @@ Exit codes: 0 = all asserted inequalities held, 1 = a violation was found,
 rounded half to even whatever the caller's decimal context.  The decimal
 column is derived, never authoritative.  Both cells of a value come from
 its integer (numerator, denominator) pair through one helper, `_exact`;
-`bound` keeps its p and its t grid as such pairs from the JSON to the CSV,
-so neither builds a Fraction.  Bad input writes no CSV: `sweep`,
+`bound` keeps its h, p and t grid as such pairs from the JSON to the CSV,
+so none builds a Fraction, and reads each once.  Bad input writes no CSV: `sweep`,
 whose row count the input does not bound, streams its rows to a temporary
 file that replaces the output only when the sweep ends; the others build
 their rows before they open the output.
 
-The argument parser is built once per process, on the first `main` call,
-and reused: parsing changes no parser state, so `main` is safe to call
-repeatedly in one process.
+One argument parser, the subcommand's name then --input and --output, is
+built once per process, on the first `main` call, and reused: parsing
+changes no parser state, so `main` is safe to call repeatedly in one
+process.
 
 Every subcommand takes only --input and --output.  Each input field has a
 typed reader that accepts only its own JSON type (an integer field takes
@@ -120,10 +121,10 @@ def _rationals(value, name: str) -> tuple[Fraction, ...]:
     return tuple(_rational(v, name) for v in _list(value, name))
 
 
-def _positive(value, name: str) -> Fraction:
-    q = _rational(value, name)
-    if q <= 0:
-        raise InputError(f"{name} must be positive, got {q}")
+def _positive(value, name: str) -> tuple[int, int]:
+    q = _pair(value, name)
+    if q[0] <= 0:
+        raise InputError(f"{name} must be positive, got {format_rational(q)}")
     return q
 
 
@@ -158,7 +159,7 @@ def _exact(pair: tuple[int, int]) -> list[str]:
 
 
 def cmd_bound(data: dict) -> list[list]:
-    h = _get(data, "h", _positive)
+    hn, hd = h = _get(data, "h", _positive)
     t_grid = _get(data, "t_grid", _pairs)
     if "p" in data:
         p = _get(data, "p", _probabilities)
@@ -170,11 +171,10 @@ def cmd_bound(data: dict) -> list[list]:
         p = [abs_tail(term, h, strict=False) for term in terms]  # _laws capped the terms
     else:
         raise InputError("input must supply either 'p' or 'terms'")
-    hn, hd = h_pair = rational_pair(h)
-    ms = bounds.window_indices(t_grid, h_pair)  # t in [0, n*h) iff 1 <= m <= n
+    ms = bounds.window_indices(t_grid, h)  # t in [0, n*h) iff 1 <= m <= n
     p = _success_pairs(p)  # p is validated here, even when no t is in the domain
     sums = bounds._window_sums(p, [m for m in ms if 1 <= m <= len(p)])
-    h_cell = format_rational(h_pair)
+    h_cell = format_rational(h)
     note = f"domain: t outside [0, {format_rational((len(p) * hn, hd))})"
     # The six bound cells of each window index m in the domain, formatted once.
     cells = {m: [cell for num in nums for cell in _exact((num, common))]
@@ -322,11 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tail-bound tables and verification sweeps for sums "
         "of independent symmetric random variables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="input JSON path")
-        p.add_argument("--output", required=True, help="output CSV path")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--input", required=True, help="input JSON path")
+    parser.add_argument("--output", required=True, help="output CSV path")
     return parser
 
 

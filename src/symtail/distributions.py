@@ -183,7 +183,7 @@ class LatticeDistribution:
         return tuple(x for x, _ in self.atoms)
 
     def mass(self, x) -> Fraction:
-        [(gt, ge)] = _tails(self, parse_rational(x))
+        [(gt, ge)] = _upper_tail_weights(self, [rational_pair(x)])
         return Fraction(ge - gt, self.den)
 
     @property
@@ -253,11 +253,6 @@ def _upper_tail_weights(d: LatticeDistribution,
     return out
 
 
-def _tails(d: LatticeDistribution, *qs: Fraction) -> list[tuple[int, int]]:
-    """(P(X > q), P(X >= q)) numerators over d.den for ascending qs."""
-    return _upper_tail_weights(d, [(q.numerator, q.denominator) for q in qs])
-
-
 def point_mass(c=0) -> LatticeDistribution:
     return LatticeDistribution._from_pairs(((c, 1),))
 
@@ -279,15 +274,15 @@ def as_success_vector(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, b) for a, b in _success_pairs(values))
 
 
-def _poisson_binomial_weights(p: Sequence) -> tuple[list[int], int]:
+def _poisson_binomial_weights(p: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """Integer pmf of the success count: (c_0, ..., c_n) and D with
-    B_p({k}) = c_k / D, for p_i given as Fractions or integer pairs.
+    B_p({k}) = c_k / D, for p as _success_pairs returns it.
 
     Multiplies the generating polynomial by (b - a) + a*z for each
     p_i = a/b: the Poisson binomial recurrence, on integers.
     """
     coeffs, den = [1], 1
-    for a, b in map(rational_pair, p):
+    for a, b in p:
         q = b - a
         coeffs = [q * c + a * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
         den *= b
@@ -296,7 +291,7 @@ def _poisson_binomial_weights(p: Sequence) -> tuple[list[int], int]:
 
 def poisson_binomial(p: Sequence) -> LatticeDistribution:
     """Exact law of the number of successes among independent Bernoulli(p_i)."""
-    coeffs, den = _poisson_binomial_weights(as_success_vector(p))
+    coeffs, den = _poisson_binomial_weights(_success_pairs(p))
     return LatticeDistribution._from_dense(Fraction(0), Fraction(1), den, coeffs)
 
 
@@ -306,14 +301,11 @@ def extremal_distribution(p: Sequence, h) -> list[LatticeDistribution]:
     Their convolution attains the concentration supremum among all
     independent symmetric terms with P(|X_i| < h) <= 1 - p_i.
     """
-    p = as_success_vector(p)
+    p = _success_pairs(p)
     h = parse_rational(h)
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    return [
-        LatticeDistribution._from_dense(-h, h, 2 * b, (a, 2 * (b - a), a))
-        for a, b in ((pi.numerator, pi.denominator) for pi in p)
-    ]
+    return [LatticeDistribution._from_dense(-h, h, 2 * b, (a, 2 * (b - a), a)) for a, b in p]
 
 
 def symmetric_three_point(p: Sequence, h) -> LatticeDistribution:
@@ -364,11 +356,10 @@ def interval_mass(
     hi_closed: bool = True,
 ) -> Fraction:
     """Exact mass of the interval between lo and hi with chosen endpoint rules."""
-    lo = parse_rational(lo)
-    hi = parse_rational(hi)
-    if lo > hi:
-        raise ValueError(f"need lo <= hi, got {lo} > {hi}")
-    [(lo_gt, lo_ge), (hi_gt, hi_ge)] = _tails(d, lo, hi)
+    cuts = lo, hi = rational_pair(lo), rational_pair(hi)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        raise ValueError(f"need lo <= hi, got {format_rational(lo)} > {format_rational(hi)}")
+    [(lo_gt, lo_ge), (hi_gt, hi_ge)] = _upper_tail_weights(d, cuts)
     # the weight from lo up, less the weight past hi; ]q, q[ holds none
     inside = (lo_ge if lo_closed else lo_gt) - (hi_gt if hi_closed else hi_ge)
     return Fraction(max(inside, 0), d.den)
@@ -393,10 +384,10 @@ def _abs_inside(d: LatticeDistribution, t) -> tuple[int, int]:
     Both are counts inside [-t, t] and ]-t, t[, never one-sided tails added
     up, which would count an atom at 0 twice when t = 0.
     """
-    t = parse_rational(t)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    [(lo_gt, lo_ge), (hi_gt, hi_ge)] = _tails(d, -t, t)
+    tn, td = rational_pair(t)
+    if tn < 0:
+        raise ValueError(f"t must be nonnegative, got {format_rational((tn, td))}")
+    [(lo_gt, lo_ge), (hi_gt, hi_ge)] = _upper_tail_weights(d, [(-tn, td), (tn, td)])
     return lo_ge - hi_gt, max(lo_gt - hi_ge, 0)
 
 

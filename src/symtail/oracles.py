@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .bounds import _window_sums, kanter_supremum, window_indices
 from .distributions import (
     LatticeDistribution,
+    _success_pairs,
     _upper_tail_weights,
     abs_tail,
-    as_success_vector,
     convolve,
     half_mass,
     interval_mass,
@@ -36,7 +36,7 @@ from .distributions import (
     point_mass,
     symmetric_three_point,
 )
-from .rational import format_rational, parse_rational, rational_pair
+from .rational import format_rational, parse_rational
 
 # Work caps, checked before the work starts: the sumset work of one
 # kleitman_count (n vector additions and m*d coordinate tests for each of
@@ -464,7 +464,8 @@ def sweep_checks(
     """
     h = parse_rational(h)
     ts = sorted(map(parse_rational, t_grid))
-    ms = window_indices(ts, h)  # ascending, as ts is; rejects h <= 0
+    cuts = [(t.numerator, t.denominator) for t in ts]
+    ms = window_indices(cuts, (h.numerator, h.denominator))  # ascending, as ts is; rejects h <= 0
     low = bisect_left(ms, 1)
 
     prefixes = _Prefixes()
@@ -477,9 +478,9 @@ def sweep_checks(
     # Bounds are cached by the sorted multiset of p values (the bound is
     # permutation invariant); each distinct p value gets a small integer
     # p code, so a multiset key is a tuple of ints.  A p value is an
-    # abs_tail, so in [0, 1]: _window_sums reads p unchecked.
+    # abs_tail, so in [0, 1]: _window_sums reads its pair unchecked.
     p_code: dict[int, int] = {}  # term code -> p code
-    p_values: dict[Fraction, int] = {}  # in insertion order, so keys are indexed by p code
+    p_values: dict[tuple[int, int], int] = {}  # in insertion order, so keys are indexed by p code
     # bound rows: p-multiset key -> the unreduced (improved, common) per grid t
     bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     # n -> the t with 1 <= m <= n, the reader of their tails, and their m
@@ -496,13 +497,13 @@ def sweep_checks(
                     code = code_of[id(d)] = len(code_of) - (len(d.indices) << 64)
                     prefixes.records[code] = _record(d)
                     p = abs_tail(d, h, strict=False)
-                    p_code[code] = p_values.setdefault(p, len(p_values))
+                    p_code[code] = p_values.setdefault((p.numerator, p.denominator), len(p_values))
             key = tuple(sorted(map(code_of.__getitem__, map(id, terms))))
         n = len(key)
         if n not in grids:
             high = bisect_right(ms, n, low)
             grid = ts[low:high]
-            grids[n] = (grid, prefixes.reader(list(map(rational_pair, grid))), ms[low:high])
+            grids[n] = (grid, prefixes.reader(cuts[low:high]), ms[low:high])
         grid, read, n_ms = grids[n]
         p_key = tuple(sorted(map(p_code.__getitem__, key)))
         bounds = bound_cache.get(p_key)
@@ -637,7 +638,7 @@ def kanter_supremum_via_stpc(p: Sequence, m: int) -> Fraction:
     Equals interval mass of [-m+1, m] under the unit-step three-point
     convolution; must agree with kanter_supremum exactly.
     """
-    p = as_success_vector(p)
+    p = _success_pairs(p)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     stpc = symmetric_three_point(p, 1)
@@ -652,7 +653,7 @@ def extremal_interval_check(p: Sequence, h, H) -> tuple[Fraction, Fraction]:
     at the shift a = m*h - H.  Returns (sup, attained); the two must be
     exactly equal.
     """
-    p = as_success_vector(p)
+    p = _success_pairs(p)
     h, H = parse_rational(h), parse_rational(H)
     if not 0 < h <= H:
         raise ValueError(f"need 0 < h <= H, got h={h}, H={H}")
@@ -702,13 +703,14 @@ def tightness_search(
     MAX_SUM_WORK budget, checked before each product: a row whose h' is
     far from h has about n^2 atoms.
     """
-    p = as_success_vector(p)
+    p = _success_pairs(p)
     h = parse_rational(h)
+    hn, hd = h.numerator, h.denominator
     n = len(p)
     if not 1 <= m <= n - 1:
         raise ValueError(f"need 1 <= m <= n-1 = {n - 1} so that t = m*h < n*h")
     t = m * h
-    [window] = window_indices((t,), h)  # m + 1; rejects h <= 0
+    [window] = window_indices([(m * hn, hd)], (hn, hd))  # m + 1; rejects h <= 0
     _, improved, _, common = _window_sums(p, (window,))[window]
     bound = Fraction(improved, common)
     outer = sorted({h} | {parse_rational(v) for v in h_grid})
@@ -727,7 +729,7 @@ def tightness_search(
         for s in splits:
             sn, sd = s.numerator, s.denominator
             terms = []
-            for a, b in map(rational_pair, p):
+            for a, b in p:
                 # s*p_i/2 and (1-s)*p_i/2 over 2*den(s)*den(p_i); the core merges
                 # +-h with +-h' when h' = h, and prunes zero masses
                 near, far = (sn * a, 2 * sd * b), ((sd - sn) * a, 2 * sd * b)

@@ -5,8 +5,9 @@ either as an integer or as a string ``"num/den"`` or ``"num"``: an optional
 sign, ASCII digits and an optional ``/`` with more digits, with surrounding
 whitespace.  Exponents, decimal points and underscores are not rationals.
 One parser reads it, ``rational_pair``, into an integer (numerator,
-denominator) pair, which is what every law constructor and the window index
-build from; a pair already read passes through it unchanged.
+denominator) pair: every law constructor builds from it, and the kernels
+(window index, bound sums, tail walk) take it as their caller read it once.
+A pair already read passes through it unchanged.
 ``parse_rational`` wraps that pair in a ``Fraction``.
 Rendering is lossless and needs no Fraction: ``format_rational`` writes a
 Fraction, or an integer pair reduced by one gcd, as "num/den".  The decimal

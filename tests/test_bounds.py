@@ -105,7 +105,7 @@ class TestImprovedBound:
             p = random_success_vector(rng, n)
             h = Fraction(rng.randint(1, 3))
             t = h * n * Fraction(rng.randint(0, 7), 8)
-            [m] = window_indices([t], h)
+            [m] = window_indices([(t.numerator, t.denominator)], (h.numerator, h.denominator))
             assert improved_bound(p, h, t) == 1 - kanter_supremum(p, m)
 
 
@@ -162,25 +162,18 @@ class TestKanterSupremum:
 
 class TestWindowIndex:
     def test_floor_plus_one(self):
-        assert window_indices([0, Fraction(-1, 3)], 1) == [1, 0]
-        assert window_indices(["3/2", "2/4"], "1/2") == [4, 2]
-        assert window_indices([Fraction(7, 3)], Fraction(2, 3)) == [4]
-        assert window_indices([], 1) == []
+        # h and t are integer pairs, reduced or not
+        assert window_indices([(0, 1), (-1, 3)], (1, 1)) == [1, 0]
+        assert window_indices([(3, 2), (2, 4)], (1, 2)) == [4, 2]
+        assert window_indices([(3, 2), (2, 4)], (2, 4)) == [4, 2]
+        assert window_indices([(7, 3)], (2, 3)) == [4]
+        assert window_indices([], (1, 1)) == []
 
-    @pytest.mark.parametrize("h", [0, "-1/2", Fraction(-3)])
+    @pytest.mark.parametrize("h", [(0, 1), (-1, 2), (-3, 1)], ids=["0", "-1/2", "h2"])
     def test_nonpositive_h_rejected(self, h):
-        for grid in ([1], [], [0, "1/2", 7]):
+        for grid in ([(1, 1)], [], [(0, 1), (1, 2), (7, 1)]):
             with pytest.raises(ValueError, match="h must be positive"):
                 window_indices(grid, h)
-
-    def test_h_read_once(self, monkeypatch):
-        # one rational_pair for h, then one per t, whatever the grid's length
-        calls = []
-        read = bounds.rational_pair
-        monkeypatch.setattr(bounds, "rational_pair", lambda v: calls.append(v) or read(v))
-        grid = [0, "1/2", (3, 2), Fraction(7, 3), "-1/4"]
-        assert window_indices(grid, "2/4") == [1, 2, 4, 5, 0]
-        assert calls == ["2/4", *grid]
 
 
 def count_combs(monkeypatch) -> list:
@@ -277,7 +270,7 @@ class TestWindowSums:
     # of each distinct m as integers; a corrupted _bound_sums makes each
     # raise ValueError, under python -O too.
     PATHS = {
-        "window_sums": lambda: _window_sums((Fraction(1, 2),) * 2, [2, 1, 2]),
+        "window_sums": lambda: _window_sums(((1, 2),) * 2, [2, 1, 2]),
         "bound_table": lambda: bound_table(["1/2", "1/2"], 1, ["0", "1"]),
         "kanter_supremum": lambda: kanter_supremum(["1/2", "1/2"], 3),
         "tightness_search": lambda: tightness_search(["1/2", "1/2"], 1, 1),
@@ -286,10 +279,12 @@ class TestWindowSums:
 
     def test_sums_per_distinct_m(self):
         # p = (1/2, 1/2): B_p = (1/4, 1/2, 1/4), so common = 2^2 * 4 = 16.
-        sums = _window_sums((Fraction(1, 2),) * 2, [2, 1, 2, 3])
+        sums = _window_sums(((1, 2),) * 2, [2, 1, 2, 3])
         assert sums == {2: (1, 1, 15, 16), 1: (5, 6, 10, 16), 3: (0, 0, 16, 16)}
         assert list(sums) == [2, 1, 3]
-        assert _window_sums((Fraction(1, 2),) * 2, []) == {}
+        assert _window_sums(((1, 2),) * 2, []) == {}
+        # an unreduced pair gives the same values over a larger common denominator
+        assert _window_sums(((2, 4), (1, 2)), [1]) == {1: (10, 12, 20, 32)}
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("corruption", SUM_CORRUPTIONS)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from symtail import bounds, cli, distributions, oracles, ordering
+from symtail import bounds, cli, distributions, oracles, ordering, rational
 from symtail.bounds import evaluate_bounds
 from symtail.cli import main
 from symtail.distributions import LatticeDistribution
@@ -119,6 +119,32 @@ class TestBoundCommand:
         calls = count_p_checks(monkeypatch)
         assert run(tmp_path, "bound", {"p": ["1/2", "1"], "h": "1", "t_grid": ["0", "1"]})[0] == 0
         assert len(calls) == 1
+
+    def test_each_rational_read_once(self, tmp_path, monkeypatch):
+        # The readers read h once, each t once and each p_i twice (its field
+        # reader, then _success_pairs); the kernels read none.
+        n, g = 11, 32
+        callers = []
+        read = rational.rational_pair
+
+        def counted(value):
+            frames = []
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not main.__code__:
+                frames.append((frame.f_globals["__name__"], frame.f_code.co_name))
+                frame = frame.f_back
+            callers.append(frames)
+            return read(value)
+
+        for module in (rational, distributions, bounds, oracles, ordering, cli):
+            monkeypatch.setattr(module, "rational_pair", counted, raising=False)
+        p = [f"{k}/{2 * k + 1}" for k in range(1, n)] + ["2/4"]
+        t_grid = [f"{k}/4" for k in range(g)]
+        assert run(tmp_path, "bound", {"p": p, "h": "1/2", "t_grid": t_grid})[0] == 0
+        assert len(callers) <= g + 2 * n + 1
+        assert not [frames for frames in callers
+                    if any(module == "symtail.bounds" or name == "_poisson_binomial_weights"
+                           for module, name in frames)]
 
     @pytest.mark.parametrize(
         "source, message",
@@ -922,8 +948,7 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     for _ in range(3):
         assert run(tmp_path, "bound", {"p": ["1/2"], "h": "1", "t_grid": ["0"]})[0] == 0
-    assert built.count("symtail") == 1
-    assert len(built) == 1 + len(cli.COMMANDS)
+    assert built == ["symtail"]
 
 
 def test_reused_parser_carries_no_state(tmp_path, capsys):

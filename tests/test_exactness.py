@@ -10,9 +10,11 @@ scan of `src/symtail` finds:
     Monte Carlo block;
   * no true division `/` outside the Monte Carlo block, a named allowlist.
 
-The integer row paths of `symtail compare` and `symtail bound`, and the
-window index every bound path reads, build no Fraction and divide nothing;
-their functions are named below so a rename cannot drop them from the scan.
+The integer row paths of `symtail compare` and `symtail bound`, the window
+index and bound sums every bound path reads, and the tail queries build no
+Fraction and divide nothing; their functions are named below so a rename
+cannot drop them from the scan.  The kernels among them read no rational:
+they take the integer pairs their callers read once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ EXACT_MATH = {"gcd", "lcm", "comb", "perm", "prod", "isqrt", "factorial", "ceil"
 # and the sweep's prefix records and slot packing.
 INTEGER_PATH = {"_row", "pruss_check", "half_mass_check", "is_symmetric", "cmd_compare",
                 "cmd_bound", "window_indices", "_exact", "decimal_str", "_packed", "_slots",
-                "_record", "_sum_form"}
+                "_record", "_sum_form", "_success_pairs", "_poisson_binomial_weights",
+                "_scaled_pmf", "_bound_sums", "_checked_sums", "_window_sums", "_abs_inside",
+                "_upper_tail_weights"}
+# Kernels that take integer pairs and call no reader.
+KERNELS = {"window_indices", "_window_sums", "_scaled_pmf", "_bound_sums",
+           "_poisson_binomial_weights", "_upper_tail_weights"}
+READERS = {"rational_pair", "parse_rational"}
 
 
 def scan(source: str) -> tuple[list[tuple[int, str, str]], set[str]]:
@@ -90,7 +98,7 @@ def test_source_follows_the_exactness_rule():
         names |= defined
     assert findings == []
     # every allowlisted name still exists, so the allowlists cannot go stale
-    assert DIVISION | INTEGER_PATH <= names
+    assert DIVISION | INTEGER_PATH | KERNELS <= names
 
 
 def test_integer_path_builds_no_fraction_and_divides_nothing():
@@ -101,6 +109,14 @@ def test_integer_path_builds_no_fraction_and_divides_nothing():
                     assert not (isinstance(node, ast.Name) and node.id == "Fraction"), top.name
                     assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
                                 and isinstance(node.op, ast.Div)), top.name
+
+
+def test_kernels_call_no_reader():
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if getattr(top, "name", None) in KERNELS:
+                read = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)} & READERS
+                assert not read, (top.name, read)
 
 
 def test_scan_finds_each_breach():

@@ -471,7 +471,7 @@ window_probabilities = st.sampled_from([1, 2, 3, 7, 16, 97]).flatmap(
 def test_window_sums(p):
     n = len(p)
     ms = range(1, n + 3)
-    sums = bounds._window_sums(tuple(p), ms)
+    sums = bounds._window_sums(tuple((v.numerator, v.denominator) for v in p), ms)
     assert list(sums) == list(ms)
     for m, (*nums, common) in sums.items():
         assert common == math.prod(v.denominator for v in p) << n
@@ -842,15 +842,15 @@ positive = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
 @given(rationals, st.integers(1, 10**20), positive, st.integers(1, 10**20))
 def test_unreduced_pair_reads_as_its_fraction(q, k, h, j):
     # an unreduced pair (k*num, k*den), of either sign, passes through
-    # rational_pair as it is and gives its reduced Fraction's decimal view,
+    # rational_pair as it is and gives its reduced pair's decimal view,
     # exact cell and window index, against an unreduced h too
-    pair = (q.numerator * k, q.denominator * k)
+    pair, reduced = (q.numerator * k, q.denominator * k), (q.numerator, q.denominator)
     assert rational_pair(pair) is pair
     assert decimal_str(pair) == ref_decimal_str(q)
     assert format_rational(pair) == format_rational(q)
-    h_pair = (h.numerator * j, h.denominator * j)
-    assert (bounds.window_indices([pair, q], h_pair) == bounds.window_indices([q, pair], h)
-            == [math.floor(q / h) + 1] * 2)
+    h_pair, h_reduced = (h.numerator * j, h.denominator * j), (h.numerator, h.denominator)
+    assert (bounds.window_indices([pair, reduced], h_pair)
+            == bounds.window_indices([reduced, pair], h_reduced) == [math.floor(q / h) + 1] * 2)
 
 
 @pytest.mark.parametrize("value", [(True, 1), (1, False), (1, 0), (1, -2), (0, -1), [1, 2],

@@ -15,7 +15,7 @@ import symtail
 from symtail.bounds import improved_bound, kanter_supremum
 from symtail.distributions import LatticeDistribution, abs_tail, point_mass
 from symtail.exactmath import largest_binomial_sum
-from symtail import oracles
+from symtail import distributions, oracles
 from symtail.oracles import (
     KleitmanInstance,
     SampleConfig,
@@ -688,6 +688,22 @@ class TestTightnessSearch:
         )
         assert report.gap >= 0
         assert report.best_value >= report.bound
+
+    def test_p_read_once_not_per_row(self, monkeypatch):
+        # p is read once, by _success_pairs, however many grid rows there are
+        reads, read = [], distributions.rational_pair
+
+        def counted(value):
+            reads.append(sys._getframe(1).f_code.co_name)
+            return read(value)
+
+        monkeypatch.setattr(distributions, "rational_pair", counted)
+        monkeypatch.setattr(oracles, "rational_pair", counted, raising=False)
+        p = ["1/2", "2/3", "3/4"]
+        report = tightness_search(p, 1, 1, h_grid=[2, 3], split_grid=[0, Fraction(1, 2), 1])
+        assert report.gap >= 0
+        assert [name for name in reads if name in ("_success_pairs", "tightness_search")] == [
+            "_success_pairs"] * len(p)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
