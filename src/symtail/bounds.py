@@ -47,12 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .distributions import _poisson_binomial_weights, _success_pairs
-from .exactmath import _first_passages, _window_column
+from .exactmath import _first_passages
 from .rational import format_rational, parse_rational, rational_pair
 
 
@@ -63,7 +64,7 @@ class BoundReport:
     per_k_terms lists (k, B_p({k}), improved weight 1 - 2^{-k} F_k(m)) for
     every k in 0..n; weights for k <= t/h do not enter the bounds but make
     the complement identity improved = 1 - kanter_sup checkable from the
-    report alone.  It is built from p, and one window column, when read.
+    report alone.  It is built from p, and one _first_passages pass, when read.
     Construction raises ValueError unless the three values over their least
     common denominator pass _checked_sums.
     """
@@ -85,9 +86,13 @@ class BoundReport:
     @property
     def per_k_terms(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
         coeffs, den = _poisson_binomial_weights([(q.numerator, q.denominator) for q in self.p])
-        column = [1 << k for k in range(min(self.m, self.n + 1))] + _window_column(self.n, self.m)
-        return tuple((k, Fraction(c, den), Fraction((1 << k) - f, 1 << k))
-                     for k, (c, f) in enumerate(zip(coeffs, column)))
+        # 2^k - F_k(m) counts the walks of k steps that reach m: twice those
+        # of k - 1 steps, plus those that first reach m at step k.
+        steps = [0] * len(coeffs)
+        steps[self.m::2] = _first_passages(self.n, self.m)
+        reached = accumulate(steps, lambda r, d: 2 * r + d)
+        return tuple((k, Fraction(c, den), Fraction(r, 1 << k))
+                     for k, (c, r) in enumerate(zip(coeffs, reached)))
 
 
 def _scaled_pmf(p: Sequence[tuple[int, int]]) -> tuple[list[int], list[int], int]:

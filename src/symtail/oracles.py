@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -124,13 +124,13 @@ class KleitmanInstance:
             if not size((2 * radius,)) < min_size:
                 raise ValueError(f"diameter hypothesis violated: 2*{radius} >= min vector norm")
         n = len(self.vectors)
-        *_, distinct, sums = self._integer_form
+        sums = self._integer_form[-1]
         m = len(self.targets)
         work = sums * (n + m * self.dimension)
         if work > MAX_SUMSET_WORK:
             raise ValueError(
                 f"sumset work {format_rational(work)} (n={n}, m={m}, d={self.dimension}, "
-                f"at most {format_rational(distinct)} distinct sums) exceeds cap {MAX_SUMSET_WORK}"
+                f"at most {format_rational(sums)} distinct sums) exceeds cap {MAX_SUMSET_WORK}"
             )
 
     @cached_property
@@ -610,25 +610,14 @@ def _family_instances(
 def _symmetric_mass_profiles(denominator: int, radius: int) -> list[tuple[int, ...]]:
     # Profiles (u_0, u_1, ..., u_radius) of per-atom grid units: the atom at
     # each of -kh and +kh carries u_k/denominator, so u_0 + 2*(u_1 + ... +
-    # u_radius) = denominator.  They come in lexicographic order of
-    # (u_radius, ..., u_1), from an odometer whose last digit u_1 turns
-    # fastest: each step clears the trailing digits that cannot turn and
-    # turns the next one, so the work is linear in the profiles' size.
-    half = denominator // 2
-    outer = [0] * radius  # (u_radius, ..., u_1)
-    used = 0  # u_1 + ... + u_radius
+    # u_radius) = denominator.  By stars and bars, (u_radius, ..., u_1) are
+    # the gaps before each of radius bars among denominator//2 + radius
+    # slots, so they come in lexicographic order, one per combination.
     profiles = []
-    while True:
-        profiles.append((denominator - 2 * used, *reversed(outer)))
-        k = radius - 1
-        while k >= 0 and used >= half:
-            used -= outer[k]
-            outer[k] = 0
-            k -= 1
-        if k < 0:
-            return profiles
-        outer[k] += 1
-        used += 1
+    for bars in combinations(range(denominator // 2 + radius), radius):
+        outer = [b - a - 1 for a, b in zip((-1, *bars), bars)]  # (u_radius, ..., u_1)
+        profiles.append((denominator - 2 * sum(outer), *outer[::-1]))
+    return profiles
 
 
 def kanter_supremum_via_stpc(p: Sequence, m: int) -> Fraction:

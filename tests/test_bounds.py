@@ -44,6 +44,7 @@ from util import (
     random_probability,
     random_success_vector,
     random_symmetric_law,
+    window_max,
 )
 
 
@@ -194,18 +195,23 @@ def test_bound_table_forms_quadratically_many_binomials(monkeypatch):
 
 
 def test_per_k_terms_forms_one_column(monkeypatch):
-    # One window column per read, where one window sum per k >= m would
-    # form m binomials each, 420 here.
+    # One pass of first-passage counts per read, where one window sum per
+    # k >= m would form m binomials each, 420 here.  Each weight is
+    # 1 - 2^-k F_k(m), against the explicit window maximum.
     n = 40
     report = evaluate_bounds(["1/2"] * n, 1, 19)
     assert report.m == 20
-    calls, column = [], bounds._window_column
-    monkeypatch.setattr(bounds, "_window_column", lambda *a: calls.append(a) or column(*a))
+    calls, passages = [], bounds._first_passages
+    monkeypatch.setattr(bounds, "_first_passages", lambda *a: calls.append(a) or passages(*a))
     combs = count_combs(monkeypatch)
-    assert len(report.per_k_terms) == n + 1
+    terms = report.per_k_terms
     assert calls == [(n, 20)] and not combs
-    report.per_k_terms
+    assert report.per_k_terms == terms
     assert calls == [(n, 20)] * 2
+    monkeypatch.undo()
+    assert [k for k, _, _ in terms] == list(range(n + 1))
+    for k, _, weight in terms:
+        assert weight == 1 - Fraction(window_max(k, 20), 1 << k), k
 
 
 class TestEvaluateBounds:

@@ -6,11 +6,12 @@ from hypothesis import given, strategies as st
 
 from symtail.exactmath import (
     _first_passages,
-    _window_column,
     binomial,
     largest_binomial_ratio,
     largest_binomial_sum,
 )
+
+from util import window_max
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -19,15 +20,6 @@ def pascal_binomial(n: int, k: int) -> int:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k] if 0 <= k < len(row) else 0
-
-
-def window_max(n: int, m: int) -> int:
-    """Independent oracle: explicit maximum over every length-m window."""
-    if m == 0:
-        return 0
-    return max(
-        sum(binomial(n, i) for i in range(r, r + m)) for r in range(-m, n + 1)
-    )
 
 
 class TestBinomial:
@@ -61,28 +53,26 @@ class TestLargestBinomialSum:
         assert largest_binomial_sum(4, 1) == 6
 
     def test_matches_window_oracle(self):
-        # largest_binomial_sum, and every entry F_m(m), ..., F_n(m) of the
-        # _window_column whose last entry it reads.
-        oracle = {(n, m): window_max(n, m) for n in range(31) for m in range(33)}
-        for (n, m), value in oracle.items():
-            assert largest_binomial_sum(n, m) == value, (n, m)
-            if 1 <= m <= n + 2:
-                column = [oracle[k, m] for k in range(m, n + 1)]
-                assert _window_column(n, m) == column, (n, m)
+        for n in range(31):
+            for m in range(33):
+                assert largest_binomial_sum(n, m) == window_max(n, m), (n, m)
 
     def test_long_column_forms_no_binomial(self, monkeypatch):
-        # F_k(1) is the central binomial C(k, floor(k/2)); the column carries
-        # it from step to step, where forming each afresh took about 0.5 s.
+        # F_k(1) is the central binomial C(k, floor(k/2)); the first-passage
+        # counts carry one binomial from step to step, where forming each
+        # window afresh took about 0.5 s over k <= 4096.
         comb = math.comb
         monkeypatch.setattr(math, "comb", lambda n, k: pytest.fail("math.comb called"))
-        column = _window_column(4096, 1)
+        ks = (*range(1, 64), 1023, 2048, 4095, 4096)
+        central = [largest_binomial_sum(k, 1) for k in ks]
+        cases = ((200, 3), (1000, 7), (1001, 8), (4096, 2048))
+        windows = [largest_binomial_sum(n, m) for n, m in cases]
         monkeypatch.setattr(math, "comb", comb)
-        assert len(column) == 4096
-        for k in (*range(1, 64), 1023, 2048, 4095, 4096):
-            assert column[k - 1] == comb(k, k // 2), k
-        for n, m in ((200, 3), (1000, 7), (1001, 8), (4096, 2048)):
+        for k, value in zip(ks, central):
+            assert value == comb(k, k // 2), k
+        for (n, m), value in zip(cases, windows):
             s = (n - m + 1) // 2
-            assert _window_column(n, m)[-1] == sum(comb(n, i) for i in range(s, s + m)), (n, m)
+            assert value == sum(comb(n, i) for i in range(s, s + m)), (n, m)
 
     def test_recursion(self):
         for n in range(1, 41):

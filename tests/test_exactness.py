@@ -31,12 +31,12 @@ DIVISION = MONTE_CARLO
 # math functions whose result is exact for integer or Fraction arguments.
 EXACT_MATH = {"gcd", "lcm", "comb", "perm", "prod", "isqrt", "factorial", "ceil", "floor"}
 # The integer paths of the comparison and bound rows, the shared helpers they call,
-# and the sweep's prefix records and slot packing.
+# the sweep's prefix records and slot packing, and the one source of F_k(m).
 INTEGER_PATH = {"_row", "pruss_check", "half_mass_check", "is_symmetric", "cmd_compare",
                 "cmd_bound", "window_indices", "_exact", "decimal_str", "_packed", "_slots",
                 "_record", "_sum_form", "_success_pairs", "_poisson_binomial_weights",
                 "_scaled_pmf", "_bound_sums", "_checked_sums", "_window_sums", "_abs_inside",
-                "_upper_tail_weights"}
+                "_upper_tail_weights", "_first_passages", "largest_binomial_sum"}
 # Kernels that take integer pairs and call no reader.
 KERNELS = {"window_indices", "_window_sums", "_scaled_pmf", "_bound_sums",
            "_poisson_binomial_weights", "_upper_tail_weights"}

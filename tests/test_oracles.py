@@ -529,6 +529,17 @@ class TestBoundSoundnessSweep:
             [law.atoms for law in inst] for inst in expected
         ]
 
+    def test_profiles_match_brute_force(self):
+        # Every (u_r, ..., u_1) with u_1 + ... + u_r <= d//2, sorted, as
+        # (d - 2*sum, u_1, ..., u_r); the family's caps count exactly these.
+        for d in range(1, 13):
+            for r in range(5):
+                outers = sorted(o for o in itertools.product(range(d // 2 + 1), repeat=r)
+                                if sum(o) <= d // 2)
+                profiles = oracles._symmetric_mass_profiles(d, r)
+                assert profiles == [(d - 2 * sum(o), *o[::-1]) for o in outers], (d, r)
+                assert len(profiles) == oracles._binomial_at_most(d // 2 + r, r, 10**9), (d, r)
+
     @pytest.mark.parametrize("max_n, h", [(2, 0), (2, -1), (-2, 1)])
     def test_bad_h_or_max_n_rejected_before_the_caps(self, max_n, h):
         # h = 0 would put both atoms of a coin at 0, h = -1 give a descending

@@ -102,6 +102,15 @@ def ref_bound_sums(p, m) -> tuple[Fraction, Fraction, Fraction]:
     return nagaev, improved, kanter
 
 
+def window_max(n: int, m: int) -> int:
+    """Independent oracle for F_n(m): explicit maximum over every length-m
+    window of row n."""
+    if m == 0:
+        return 0
+    return max(sum(math.comb(n, i) for i in range(max(r, 0), min(r + m, n + 1)))
+               for r in range(-m, n + 1))
+
+
 def ref_symmetric_three_point(p, h) -> tuple:
     out = ((Fraction(0), Fraction(1)),)
     for pi in p:
