@@ -202,7 +202,8 @@ def bound_table(p: Sequence, h, t_grid: Iterable) -> list[BoundReport]:
     ms = window_indices(t_grid, (h.numerator, h.denominator))
     for t, m in zip(t_grid, ms):
         if not 1 <= m <= n:
-            raise ValueError(f"t={format_rational(t)} outside the bound domain [0, {n * h})")
+            raise ValueError(f"t={format_rational(t)} outside the bound domain "
+                             f"[0, {format_rational(n * h)})")
     values = {m: [Fraction(x, common) for x in sums]
               for m, (*sums, common) in _window_sums(p, ms).items()}
     p = tuple(Fraction(*q) for q in p)

@@ -454,7 +454,7 @@ def sweep_checks(
     t of t_grid in the bound's domain 1 <= m <= n, from one window_indices
     pass, P(|S| > grid[j]) = tails[j] / den, and bounds[j] is the improved
     bound at grid[j] as (numerator, common) of one _window_sums per distinct
-    multiset of p, not reduced.  Bound rows are cached by p-multiset.
+    multiset of p, not reduced.  Bound rows are cached by the sorted p pairs.
 
     Terms are ordered by support size, largest first, then by first sight,
     and an instance's key lists its terms in that order.  Its tails come
@@ -475,14 +475,12 @@ def sweep_checks(
     # does not depend on where terms sit in memory, as ids would.  Ids stay
     # valid because the terms' records keep every term alive.
     code_of: dict[int, int] = {}
-    # Bounds are cached by the sorted multiset of p values (the bound is
-    # permutation invariant); each distinct p value gets a small integer
-    # p code, so a multiset key is a tuple of ints.  A p value is an
-    # abs_tail, so in [0, 1]: _window_sums reads its pair unchecked.
-    p_code: dict[int, int] = {}  # term code -> p code
-    p_values: dict[tuple[int, int], int] = {}  # in insertion order, so keys are indexed by p code
-    # bound rows: p-multiset key -> the unreduced (improved, common) per grid t
-    bound_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    # term code -> its p as a reduced (numerator, denominator) pair.  A p is
+    # an abs_tail, so in [0, 1]: _window_sums reads its pair unchecked.
+    p_of: dict[int, tuple[int, int]] = {}
+    # bound rows: the sorted p pairs of an instance (the bound is
+    # permutation invariant) -> the unreduced (improved, common) per grid t
+    bound_cache: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {}
     # n -> the t with 1 <= m <= n, the reader of their tails, and their m
     grids: dict[int, tuple[list[Fraction], Callable, list[int]]] = {}
 
@@ -497,7 +495,7 @@ def sweep_checks(
                     code = code_of[id(d)] = len(code_of) - (len(d.indices) << 64)
                     prefixes.records[code] = _record(d)
                     p = abs_tail(d, h, strict=False)
-                    p_code[code] = p_values.setdefault((p.numerator, p.denominator), len(p_values))
+                    p_of[code] = p.numerator, p.denominator
             key = tuple(sorted(map(code_of.__getitem__, map(id, terms))))
         n = len(key)
         if n not in grids:
@@ -505,11 +503,10 @@ def sweep_checks(
             grid = ts[low:high]
             grids[n] = (grid, prefixes.reader(cuts[low:high]), ms[low:high])
         grid, read, n_ms = grids[n]
-        p_key = tuple(sorted(map(p_code.__getitem__, key)))
+        p_key = tuple(sorted(map(p_of.__getitem__, key)))
         bounds = bound_cache.get(p_key)
         if bounds is None:
-            by_code = list(p_values)
-            sums = _window_sums(tuple(by_code[code] for code in p_key), n_ms)
+            sums = _window_sums(p_key, n_ms)
             bounds = bound_cache[p_key] = [sums[m][1::2] for m in n_ms]
         den, tails = read(key)
         yield index, grid, tails, den, bounds
@@ -650,7 +647,8 @@ def extremal_interval_check(p: Sequence, h, H) -> tuple[Fraction, Fraction]:
     q_num, q_den = H.numerator * h.denominator, H.denominator * h.numerator
     m = -(-q_num // q_den)
     if not 2 * m * q_den < 2 * q_num + q_den:
-        raise ValueError(f"half-integer condition fails: ceil(H/h)={m} >= H/h + 1/2")
+        raise ValueError(
+            f"half-integer condition fails: ceil(H/h)={format_rational(m)} >= H/h + 1/2")
     a = m * h - H
     sup = kanter_supremum(p, m)
     total = symmetric_three_point(p, h)

@@ -46,8 +46,10 @@ from util import (
     count_convolutions,
     count_prefix_sums,
     dist,
+    half_lattice_laws,
     random_success_vector,
     random_symmetric_law,
+    unimodal_span1_laws,
 )
 
 
@@ -207,34 +209,6 @@ def test_criterion_07_two_coin_example():
     report(7, "two-coin example: ratio 1/2, m=0 boundary, lattice clause needed", started)
 
 
-def _unimodal_span1_grid():
-    laws = []
-    for u1 in range(5):
-        for u2 in range(u1 + 1):
-            u0 = 8 - 2 * u1 - 2 * u2
-            if u0 < u1:
-                continue
-            masses = {0: Fraction(u0, 8)}
-            for k, units in ((1, u1), (2, u2)):
-                if units:
-                    masses[k] = Fraction(units, 8)
-                    masses[-k] = Fraction(units, 8)
-            laws.append(dist(masses))
-    return laws
-
-
-def _half_lattice_grid():
-    laws = []
-    for u2 in range(3):
-        u1 = 4 - u2
-        masses = {Fraction(1, 2): Fraction(u1, 8), Fraction(-1, 2): Fraction(u1, 8)}
-        if u2:
-            masses[Fraction(3, 2)] = Fraction(u2, 8)
-            masses[Fraction(-3, 2)] = Fraction(u2, 8)
-        laws.append(dist(masses))
-    return laws
-
-
 def test_criterion_08_ordering_sweeps():
     started = time.time()
     rng = random.Random(1008)
@@ -266,14 +240,14 @@ def test_criterion_08_ordering_sweeps():
         assert half_mass_check(ComparisonInstance(xs, ys), 1, n).ok
 
     # exhaustive two-term sweep over the unimodal eighth-mass grid
-    laws = _unimodal_span1_grid()
+    laws = unimodal_span1_laws()
     pairs = [(x, y) for x in laws for y in laws if abs_stochastically_geq(x, y)]
     for (x1, y1), (x2, y2) in itertools.product(pairs, repeat=2):
         rep = birnbaum_check(ComparisonInstance((x1, x2), (y1, y2)), 1)
         assert rep.hypothesis_ok and rep.conclusion_holds
 
     # convolution closure over the grid, half-lattice cases included
-    closure_laws = laws + _half_lattice_grid()
+    closure_laws = laws + half_lattice_laws()
     for x, y in itertools.product(closure_laws, repeat=2):
         assert wintner_check(x, y, 1)
 

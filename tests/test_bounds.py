@@ -243,6 +243,16 @@ class TestEvaluateBounds:
         {"kanter_sup": Fraction(1, 2)},
     )
 
+    def test_domain_message_past_str_digit_limit(self):
+        # n * h = 20 * (10^4300 - 1) has more digits than str() may write.
+        h = "9" * 4300
+        message = f"t=-1 outside the bound domain [0, 1{'9' * 4299}80)"
+        for f, t in ((bound_table, ["-1"]), (evaluate_bounds, "-1"), (nagaev_bound, "-1"),
+                     (improved_bound, "-1")):
+            with pytest.raises(ValueError) as raised:
+                f(["1/2"] * 20, h, t)
+            assert str(raised.value) == message
+
     @pytest.mark.parametrize("change", CORRUPTIONS)
     def test_corrupted_report_rejected(self, change):
         fields = vars(evaluate_bounds(["1/2"], 1, 0)) | change
@@ -351,6 +361,16 @@ class TestExtremalIntervalCheck:
     def test_half_integer_condition_enforced(self):
         with pytest.raises(ValueError):
             extremal_interval_check([1, 1], 1, Fraction(3, 2))
+
+    def test_half_integer_message_past_str_digit_limit(self):
+        # h = 1/(10^4299 + 1) and H = (10^4299 + 1)/4: H/h = (10^4299 + 1)^2/4
+        # has fractional part 1/4, and m = 25 * 10^8596 + 5 * 10^4298 + 1 has
+        # more digits than str() may write.
+        d = "1" + "0" * 4298 + "1"
+        with pytest.raises(ValueError) as raised:
+            extremal_interval_check(["1/2"], f"1/{d}", f"{d}/4")
+        m = f"25{'0' * 4297}5{'0' * 4297}1"
+        assert str(raised.value) == f"half-integer condition fails: ceil(H/h)={m} >= H/h + 1/2"
 
     def test_random_attainment(self):
         rng = random.Random(30)

@@ -26,7 +26,14 @@ from symtail.ordering import (
     wintner_check,
 )
 
-from util import coin, dist, random_symmetric_law, tailless_s
+from util import (
+    coin,
+    dist,
+    half_lattice_laws,
+    random_symmetric_law,
+    tailless_s,
+    unimodal_span1_laws,
+)
 
 UNIFORM3 = dist({-1: "1/3", 0: "1/3", 1: "1/3"})
 
@@ -35,44 +42,6 @@ def two_coin_example() -> ComparisonInstance:
     # n = 2 with X_1, X_2, Y_1 fair +-1 coins and Y_2 = 0; the sharpness
     # example for the factor 1/2 and for the lattice-compatibility clause
     return ComparisonInstance((coin(), coin()), (coin(), point_mass(0)))
-
-
-def unimodal_span1_laws():
-    # all symmetric laws on {-2,...,2} with eighth masses that are unimodal
-    # on the unit lattice: atom units (u2, u1, u0, u1, u2), u2 <= u1 <= u0
-    laws = []
-    for u1 in range(5):
-        for u2 in range(u1 + 1):
-            u0 = 8 - 2 * u1 - 2 * u2
-            if u0 < u1:
-                continue
-            masses = {0: Fraction(u0, 8)}
-            if u1:
-                masses[1] = Fraction(u1, 8)
-                masses[-1] = Fraction(u1, 8)
-            if u2:
-                masses[2] = Fraction(u2, 8)
-                masses[-2] = Fraction(u2, 8)
-            laws.append(dist(masses))
-    return laws
-
-
-def half_lattice_laws():
-    # symmetric unimodal-span-1 laws on Z + 1/2 within [-3/2, 3/2]
-    laws = []
-    for u2 in range(3):
-        u1 = 4 - u2
-        if u2 > u1:
-            continue
-        masses = {
-            Fraction(1, 2): Fraction(u1, 8),
-            Fraction(-1, 2): Fraction(u1, 8),
-        }
-        if u2:
-            masses[Fraction(3, 2)] = Fraction(u2, 8)
-            masses[Fraction(-3, 2)] = Fraction(u2, 8)
-        laws.append(dist(masses))
-    return laws
 
 
 class TestComparisonInstance:

@@ -63,6 +63,38 @@ def random_symmetric_law(
     return dist(masses)
 
 
+def unimodal_span1_laws() -> list[LatticeDistribution]:
+    """All symmetric laws on {-2,...,2} with eighth masses that are unimodal
+    on the unit lattice: atom units (u2, u1, u0, u1, u2), u2 <= u1 <= u0."""
+    laws = []
+    for u1 in range(5):
+        for u2 in range(u1 + 1):
+            u0 = 8 - 2 * u1 - 2 * u2
+            if u0 < u1:
+                continue
+            masses = {0: Fraction(u0, 8)}
+            for k, units in ((1, u1), (2, u2)):
+                if units:
+                    masses[k] = Fraction(units, 8)
+                    masses[-k] = Fraction(units, 8)
+            laws.append(dist(masses))
+    return laws
+
+
+def half_lattice_laws() -> list[LatticeDistribution]:
+    """The symmetric unimodal-span-1 laws on Z + 1/2 within [-3/2, 3/2] with
+    eighth masses: units (u2, u1, u1, u2), u1 = 4 - u2 >= u2."""
+    laws = []
+    for u2 in range(3):
+        u1 = 4 - u2
+        masses = {Fraction(1, 2): Fraction(u1, 8), Fraction(-1, 2): Fraction(u1, 8)}
+        if u2:
+            masses[Fraction(3, 2)] = Fraction(u2, 8)
+            masses[Fraction(-3, 2)] = Fraction(u2, 8)
+        laws.append(dist(masses))
+    return laws
+
+
 # --- Straight-line Fraction references ---------------------------------------
 #
 # Per-atom Fraction implementations of the distribution kernel, kept here
