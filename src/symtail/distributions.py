@@ -15,6 +15,7 @@ module.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -22,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from .rational import format_rational, parse_rational, rational_pair
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class LatticeDistribution:
     """Finite exact pmf on the lattice ``offset + step*Z``.
 
@@ -30,16 +32,16 @@ class LatticeDistribution:
     must sum exactly to 1 and the support must be strictly increasing; the
     sum is checked, and the integer form built, by the core _from_pairs.
 
-    The law is held as integers: the atom at ``offset + step*indices[j]``
-    has mass ``weights[j] / den``.  ``offset`` is the first support point,
-    ``step`` the gcd of the gaps (0 for a point mass), ``indices`` strictly
-    increase from 0 and ``weights`` are positive and sum to ``den``.  The
-    form is canonical (the indices and the weights each have gcd 1), so
-    equal laws compare and hash equal.  ``atoms`` is built from it on first
-    use.  Instances are immutable.
+    The law is held as integers, and these five fields are its whole state:
+    the atom at ``offset + step*indices[j]`` has mass ``weights[j] / den``.
+    ``offset`` is the first support point, ``step`` the gcd of the gaps (0
+    for a point mass), ``indices`` strictly increase from 0 and ``weights``
+    are positive and sum to ``den``.  The form is canonical (the indices and
+    the weights each have gcd 1), so the dataclass's field-wise equality and
+    hash make equal laws compare and hash equal, and its frozen slots make
+    instances immutable and pickle them as their fields.  ``atoms`` is built
+    from the integer form each time it is read.
     """
-
-    __slots__ = ("offset", "step", "den", "indices", "weights", "_atoms")
 
     offset: Fraction
     step: Fraction
@@ -58,8 +60,8 @@ class LatticeDistribution:
             if prev is not None and x <= prev:
                 raise ValueError("support must be strictly increasing")
             prev = x
-        self._init(*LatticeDistribution._from_pairs(atoms)._key())
-        object.__setattr__(self, "_atoms", atoms)
+        law = LatticeDistribution._from_pairs(atoms)
+        self._init(law.offset, law.step, law.den, law.indices, law.weights)
 
     def _init(self, offset, step, den, indices, weights) -> None:
         set_ = object.__setattr__
@@ -68,7 +70,6 @@ class LatticeDistribution:
         set_(self, "den", den)
         set_(self, "indices", indices)
         set_(self, "weights", weights)
-        set_(self, "_atoms", None)
 
     @staticmethod
     def _from_pairs(pairs: Iterable[tuple]) -> "LatticeDistribution":
@@ -139,37 +140,16 @@ class LatticeDistribution:
         indices = [k for k, c in enumerate(coeffs) if c]
         return cls._from_lattice(offset, step, den, indices, [coeffs[k] for k in indices])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeDistribution is immutable")
-
-    def __reduce__(self):
-        return (LatticeDistribution._from_lattice, self._key())
-
-    def _key(self) -> tuple:
-        return (self.offset, self.step, self.den, self.indices, self.weights)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatticeDistribution):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return f"LatticeDistribution(atoms={self.atoms!r})"
 
     @property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(support point, mass) pairs in ascending order."""
-        if self._atoms is None:
-            offset, step, den = self.offset, self.step, self.den
-            atoms = tuple(
-                (offset + step * i, Fraction(w, den))
-                for i, w in zip(self.indices, self.weights)
-            )
-            object.__setattr__(self, "_atoms", atoms)
-        return self._atoms
+        offset, step, den = self.offset, self.step, self.den
+        return tuple(
+            (offset + step * i, Fraction(w, den)) for i, w in zip(self.indices, self.weights)
+        )
 
     @staticmethod
     def from_masses(masses: Mapping) -> "LatticeDistribution":

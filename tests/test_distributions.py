@@ -107,6 +107,34 @@ class TestConstruction:
         assert copy.deepcopy(d) == d
         assert pickle.loads(pickle.dumps(d)) == d
 
+    def test_repr_shows_atoms(self):
+        assert repr(coin()) == (
+            "LatticeDistribution(atoms=((Fraction(-1, 1), Fraction(1, 2)),"
+            " (Fraction(1, 1), Fraction(1, 2))))"
+        )
+
+    def test_never_equals_a_non_law(self):
+        d = dist({"-1/2": "1/4", 0: "1/2", "1/2": "1/4"})
+        fields = (d.offset, d.step, d.den, d.indices, d.weights)
+        for other in (None, object(), fields):
+            assert d != other and not d == other
+
+    def test_loads_pickles_of_the_reduce_form(self):
+        # Earlier pickles hold the five fields as arguments of _from_lattice.
+        class Reduced:
+            def __init__(self, law):
+                self.law = law
+
+            def __reduce__(self):
+                law = self.law
+                fields = (law.offset, law.step, law.den, law.indices, law.weights)
+                return (LatticeDistribution._from_lattice, fields)
+
+        for d in (dist({"-1/2": "1/4", 0: "1/2", "1/2": "1/4"}), point_mass("1/3")):
+            loaded = pickle.loads(pickle.dumps(Reduced(d)))
+            assert type(loaded) is LatticeDistribution
+            assert loaded == d and hash(loaded) == hash(d)
+
     def test_negative_mass_message_past_str_digit_limit(self):
         # Three masses at 0 merge to a negative one whose parts have about
         # 6 000 digits, more than str() may write.

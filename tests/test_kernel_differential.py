@@ -1,6 +1,7 @@
 """Differential tests: the integer-lattice kernel against the per-atom
 Fraction references in util.py, on random rational laws (non-integer steps,
 half-lattice offsets, wide sparse gaps, point masses, mixed denominators),
+a law's atoms, pickles and copies against the five fields it was built as,
 the sweep's symmetric tails P(|S| > t) = 2 P(S > t) against per-atom tails
 of the convolved sum, its rows from packed prefix records against the same
 with every sum convolved, the sumset Kleitman count against the Gray-code
@@ -15,10 +16,12 @@ window index of an unreduced integer pair against its reduced Fraction's,
 and the bound's domain as the sweep, bound_table and `symtail bound` read
 it against Fraction comparisons."""
 
+import copy
 import csv
 import decimal
 import json
 import math
+import pickle
 from fractions import Fraction
 from functools import reduce
 from unittest.mock import patch
@@ -197,6 +200,32 @@ def test_convolve(a1, a2):
     assert out.atoms == expected
     rebuilt = law(expected)
     assert out == rebuilt and hash(out) == hash(rebuilt)
+
+
+FIELDS = ("offset", "step", "den", "indices", "weights")
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws())
+@example(POINT)
+def test_a_law_is_its_five_fields(atoms):
+    d = law(atoms)
+    assert LatticeDistribution.__slots__ == FIELDS and not hasattr(d, "__dict__")
+    assert d.atoms == atoms
+    fields = tuple(getattr(d, name) for name in FIELDS)
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert twin == d and hash(twin) == hash(d)
+        assert tuple(getattr(twin, name) for name in FIELDS) == fields
+    for name in FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(d, name, getattr(d, name))
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    # A new name is refused too; the frozen dataclass's __setattr__ raises
+    # TypeError for it on CPython 3.10-3.13, as it calls super() with the
+    # class from before its slots were added.
+    with pytest.raises((AttributeError, TypeError)):
+        d._atoms = atoms
 
 
 @settings(max_examples=100, deadline=None)
